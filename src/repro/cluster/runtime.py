@@ -37,6 +37,7 @@ from repro.neat.checkpoint import decode_genome_hex
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
+from repro.neat.arrays import lower_population
 from repro.neat.network import PlanCache, compile_batched
 from repro.neat.population import Population
 from repro.utils.rng import RngFactory
@@ -159,14 +160,17 @@ class ParallelInferenceRuntime:
             shards = round_robin(ordered, self.pool.n_workers)
             plans = None
             if self.backend == "batched":
+                # one columnar lowering for the block, sharded like the
+                # genomes it mirrors
+                views = lower_population(ordered)
                 plans = [
                     [
                         compile_batched(
-                            g, self.config, cache=self.plan_cache
+                            view, self.config, cache=self.plan_cache
                         )
-                        for g in shard
+                        for view in shard
                     ]
-                    for shard in shards
+                    for shard in round_robin(views, self.pool.n_workers)
                 ]
             results = {}
             for reply in self.pool.evaluate_shards(

@@ -320,7 +320,13 @@ def _worker_main(
             elif command == "clan_best":
                 if clan is None:
                     raise RuntimeError("clan_best before clan_init")
-                conn.send(("ok", clan.best_genome_wire()))
+                # a barrier-free run can converge on one clan's first
+                # report while this one has reported nothing yet; the
+                # centre skips a None and uses the other clans' bests
+                has_run = clan.best_fitness > float("-inf")
+                conn.send(
+                    ("ok", clan.best_genome_wire() if has_run else None)
+                )
             else:
                 raise ValueError(f"unknown command {command!r}")
     except Exception:  # pragma: no cover - surfaced to the parent

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.envs.base import rollout
 from repro.envs.registry import make, make_vector
 from repro.obs import tracer as obs
+from repro.neat.arrays import lower_population
 from repro.neat.network import (
     BatchedFeedForwardNetwork,
     FeedForwardNetwork,
@@ -132,7 +133,7 @@ class GenomeEvaluator:
         self.backend = backend
         self.eval_mode = eval_mode
         #: cross-generation compiled-plan cache (batched backend only):
-        #: weight-only children re-use their parent topology's lowered
+        #: children that keep their parent's topology re-use its lowered
         #: layout, bit-identical to a fresh compile (docs/genetics.md)
         self.plan_cache = PlanCache() if backend == "batched" else None
         self._env_factory = env_factory
@@ -245,18 +246,27 @@ class GenomeEvaluator:
         """
         genomes = list(genomes)
         if self.eval_mode == "population" and genomes:
-            with obs.span("compile", genomes=len(genomes)):
-                plans = [
-                    compile_batched(g, config, cache=self.plan_cache)
-                    for g in genomes
-                ]
             return self.evaluate_stacked(
-                plans, [g.key for g in genomes], generation
+                self._compile_block(genomes, config),
+                [g.key for g in genomes],
+                generation,
             )
         return {
             genome.key: self.evaluate(genome, config, generation)
             for genome in genomes
         }
+
+    def _compile_block(
+        self, genomes: list["Genome"], config: "NEATConfig"
+    ) -> list:
+        """Plans for ``genomes``: one columnar lowering of the block,
+        one :func:`compile_batched` per view. The lowered buffers die
+        with this frame — before the sweep allocates its tensors."""
+        with obs.span("compile", genomes=len(genomes)):
+            return [
+                compile_batched(view, config, cache=self.plan_cache)
+                for view in lower_population(genomes)
+            ]
 
     def evaluate_stacked(
         self,

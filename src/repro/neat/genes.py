@@ -133,13 +133,21 @@ class NodeGene:
             raise ValueError(
                 f"cannot cross node genes with keys {self.key} != {other.key}"
             )
-        pick = lambda a, b: a if rng.random() < 0.5 else b  # noqa: E731
+        # one draw per attribute, in this order (pinned by
+        # tests/test_plan_golden.py); inline: this runs per gene per child
+        draw = rng.random
         child = NodeGene.__new__(NodeGene)
         child.key = self.key
-        child.bias = pick(self.bias, other.bias)
-        child.response = pick(self.response, other.response)
-        child.activation = pick(self.activation, other.activation)
-        child.aggregation = pick(self.aggregation, other.aggregation)
+        child.bias = self.bias if draw() < 0.5 else other.bias
+        child.response = (
+            self.response if draw() < 0.5 else other.response
+        )
+        child.activation = (
+            self.activation if draw() < 0.5 else other.activation
+        )
+        child.aggregation = (
+            self.aggregation if draw() < 0.5 else other.aggregation
+        )
         return child
 
     def distance(self, other: "NodeGene", config: "NEATConfig") -> float:
@@ -249,11 +257,12 @@ class ConnectionGene:
             raise ValueError(
                 f"cannot cross connection genes {self.key} != {other.key}"
             )
-        pick = lambda a, b: a if rng.random() < 0.5 else b  # noqa: E731
+        # one draw per attribute, in this order (see NodeGene.crossover)
+        draw = rng.random
         child = ConnectionGene.__new__(ConnectionGene)
         child.key = self.key
-        child.weight = pick(self.weight, other.weight)
-        child.enabled = pick(self.enabled, other.enabled)
+        child.weight = self.weight if draw() < 0.5 else other.weight
+        child.enabled = self.enabled if draw() < 0.5 else other.enabled
         return child
 
     def distance(

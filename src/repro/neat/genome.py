@@ -237,9 +237,8 @@ class Genome:
         self, config: "NEATConfig", rng: random.Random
     ) -> bool:
         """Remove a random hidden node and its incident connections."""
-        hidden = [
-            k for k in self.nodes if k not in config.output_keys
-        ]
+        output_keys = config.output_keys  # a tuple built per access
+        hidden = [k for k in self.nodes if k not in output_keys]
         if not hidden:
             return False
         node_key = rng.choice(sorted(hidden))
@@ -265,7 +264,8 @@ class Genome:
             # re-enable a disabled duplicate instead of stacking genes
             self.connections[key].enabled = True
             return False
-        if in_node in config.output_keys and out_node in config.output_keys:
+        output_keys = config.output_keys
+        if in_node in output_keys and out_node in output_keys:
             return False
         if creates_cycle(self.connections, key):
             return False

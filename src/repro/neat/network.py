@@ -5,20 +5,26 @@ The compiler prunes nodes that cannot influence an output, topologically
 orders the rest, and produces a flat evaluation plan so ``activate`` is a
 tight loop. Policy helpers map network outputs to discrete gym actions.
 
-Two backends share the same pruning/ordering front-end:
+Two backends, each with its own lowering of the same pruning and
+node order:
 
 * :class:`FeedForwardNetwork` — the scalar interpreter: one dict lookup
-  and one Python call per gene per observation.
-* :class:`BatchedFeedForwardNetwork` — a NumPy engine. A lowering pass
-  (:func:`compile_batched`) groups the topological order into layers and
-  emits flat per-layer weight/bias/response arrays, so a whole batch of
-  observations is evaluated in a few vectorized ops per layer. Outputs
-  match the interpreter to float64 rounding (tested at 1e-9).
+  and one Python call per gene per observation. Its gene-by-gene
+  lowering (:func:`_evaluation_order`) is the reference.
+* :class:`BatchedFeedForwardNetwork` — a NumPy engine. An array-native
+  lowering pass (:func:`compile_batched`, reading the columnar genome
+  arrays of :mod:`repro.neat.arrays`) groups the topological order into
+  layers and emits flat per-layer weight/bias/response arrays, so a
+  whole batch of observations is evaluated in a few vectorized ops per
+  layer. Outputs match the interpreter to float64 rounding (tested at
+  1e-9).
 
 A cross-generation :class:`PlanCache` keyed by
-:func:`structural_signature` lets weight-only children (the common case
-under NEAT's mutation rates) re-use their parent topology's lowered
-layout and pay only an array refill — bit-identical to a fresh compile.
+:func:`structural_signature` lets children that keep their parent's
+topology re-use its lowered layout and pay only the value fill —
+bit-identical to a fresh compile. With C connections a child keeps its
+topology with probability ~0.99^C (``enabled_mutate_rate`` alone), so
+the cache carries small genomes and the miss path carries large ones.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.neat.activations import get_activation, get_batched_activation
+from repro.neat.arrays import (
+    _NAMES,
+    GenomeArrays,
+    _intern,
+    _unpack_conn_keys,
+    lower_genome,
+)
 from repro.neat.aggregations import (
     EMPTY_AGGREGATION,
     get_aggregation,
@@ -82,16 +95,23 @@ def _evaluation_order(
     Returns ``(order, incoming)``: required non-input nodes in evaluation
     order, and per-node incoming ``(source, weight)`` links in canonical
     (sorted connection key) order. Raises ``ValueError`` if the enabled
-    connection graph has a cycle (cannot happen for genomes mutated through
-    :class:`Genome`, but deserialised or hand-built genomes are validated
-    here).
+    connection graph has a cycle or needs a node that has no gene (cannot
+    happen for genomes mutated through :class:`Genome`, but deserialised
+    or hand-built genomes are validated here).
+
+    This is the scalar :class:`FeedForwardNetwork`'s lowering — the
+    reference the array-native :func:`compile_batched` is tested against.
     """
+    # the config properties build their tuples per access: read them once
+    input_keys = config.input_keys
+    input_set = set(input_keys)
     enabled = [
         gene.key for gene in genome.connections.values() if gene.enabled
     ]
-    required = required_for_output(
-        config.input_keys, config.output_keys, enabled
-    )
+    required = required_for_output(input_keys, config.output_keys, enabled)
+    missing = required.difference(genome.nodes)
+    if missing:
+        raise _missing_node_error(min(missing), sorted(enabled))
 
     # group incoming links per required node; sorted iteration keeps
     # float summation order canonical across dict insertion histories
@@ -105,12 +125,11 @@ def _evaluation_order(
         in_node, out_node = gene.key
         if out_node not in required:
             continue
-        if in_node not in required and in_node not in config.input_keys:
+        if in_node not in required and in_node not in input_set:
             continue
         incoming[out_node].append((in_node, gene.weight))
 
     # Kahn's algorithm over required nodes
-    input_set = set(config.input_keys)
     pending = {
         key: sum(
             1 for (src, _w) in links if src not in input_set
@@ -267,120 +286,127 @@ class BatchedPlan:
         return len(self.layers)
 
 
-def structural_signature(genome: "Genome", config: "NEATConfig") -> tuple:
+def _lowered(genome: "Genome | GenomeArrays") -> GenomeArrays:
+    if isinstance(genome, GenomeArrays):
+        return genome
+    return lower_genome(genome)
+
+
+def _enabled_rows(arrays: GenomeArrays) -> "np.ndarray":
+    """Positions of the enabled ones among ``arrays``' connection rows."""
+    return arrays.c0[arrays.n_nodes:].nonzero()[0]
+
+
+def _signature(arrays: GenomeArrays, enabled, config: "NEATConfig") -> tuple:
+    n = arrays.n_nodes
+    return (
+        config.num_inputs,
+        config.num_outputs,
+        arrays.keys[:n].tobytes(),
+        arrays.c0[:n].tobytes(),
+        arrays.c1[:n].tobytes(),
+        arrays.keys[n:][enabled].tobytes(),
+    )
+
+
+def structural_signature(
+    genome: "Genome | GenomeArrays", config: "NEATConfig"
+) -> tuple:
     """Exact topology key of a genome's lowered plan.
 
     Two genomes with equal signatures compile to plans that differ only
     in their weight/bias/response values: the layout is fixed by the
     node set (with activations/aggregations), the *enabled* connection
-    key set, and the problem shape. Weight-only children — the common
-    case under NEAT's mutation rates — share their parent's signature.
-    The signature is a plain tuple (not a hash), so cache lookups can
-    never collide.
+    key set, and the problem shape — disabled connections do not count.
+    The signature is the raw bytes of those columns of the genome's
+    array lowering (not a hash), so cache lookups can never collide;
+    activation/aggregation ids are interned per process, so signatures
+    are only comparable within one.
     """
-    return (
-        config.input_keys,
-        config.output_keys,
-        tuple(
-            (key, gene.activation, gene.aggregation)
-            for key, gene in sorted(genome.nodes.items())
-        ),
-        tuple(
-            key
-            for key in sorted(genome.connections)
-            if genome.connections[key].enabled
-        ),
-    )
+    _require_numpy()
+    arrays = _lowered(genome)
+    return _signature(arrays, _enabled_rows(arrays), config)
 
 
-@dataclass
-class _LayerRefill:
-    """Where one layer's data values come from in the source genome."""
-
-    #: node key per row (bias/response refill)
-    node_keys: list[int]
-    #: dense-weight scatter: ``weights[rows, cols] = weight(conn_keys)``
-    weight_rows: "np.ndarray"
-    weight_cols: "np.ndarray"
-    weight_conn_keys: list[tuple[int, int]]
-    #: per generic node, the link connection keys in plan order
-    generic_conn_keys: list[list[tuple[int, int]]]
+def _missing_node_error(node: int, enabled_keys) -> ValueError:
+    """``node`` has to be computed but has no gene: name what needs it
+    (a required node is an output or feeds an enabled connection)."""
+    for key in enabled_keys:
+        if key[0] == node:
+            return ValueError(
+                f"enabled connection {tuple(key)} reads node {node}, "
+                "which is missing from genome.nodes"
+            )
+    return ValueError(f"output node {node} is missing from genome.nodes")
 
 
 @dataclass
 class _PlanSkeleton:
-    """A compiled plan plus the indices to re-fill it from a new genome.
+    """One topology's lowered layout, and where its values come from.
 
-    ``template`` is the plan compiled for the first genome of this
-    topology; instantiation shares its immutable layout arrays
-    (``node_slots``, ``act_groups``, ``output_slots``) and rebuilds only
-    the value arrays.
+    Everything here is fixed by the :func:`structural_signature`;
+    :meth:`fill` gathers one genome's values into it. Rows are the
+    computed nodes in (layer, row-in-layer) order. Plans of one topology
+    share the immutable layout arrays (``node_slots``, ``act_groups``,
+    ``output_slots``, generic source slots) and own their value arrays.
     """
 
-    template: BatchedPlan
-    refills: list[_LayerRefill]
+    input_keys: tuple[int, ...]
+    output_keys: tuple[int, ...]
+    total_slots: int
+    output_slots: "np.ndarray"
+    #: per row, its position among the genome's (sorted) node rows
+    node_rows: "np.ndarray"
+    #: dense-weight scatter ``weights[rows, cols] = link_weights[conns]``;
+    #: ``conns`` index the genome's *enabled* connections, so genomes
+    #: that differ only by disabled connections fill alike
+    dense_rows: "np.ndarray"
+    dense_cols: "np.ndarray"
+    dense_conns: "np.ndarray"
+    #: enabled-connection positions of every non-``sum`` node's links
+    generic_conns: "np.ndarray"
+    #: per layer ``(first row, end row, node_slots, act_groups, generic)``
+    #: with ``generic`` rows ``(row in layer, aggregation, source slots,
+    #: start, stop)`` slicing ``generic_conns``
+    layers: list[tuple]
 
-    def instantiate(self, genome: "Genome") -> BatchedPlan:
-        """A fresh plan for ``genome``, bit-identical to a full compile."""
-        layers: list[LayerPlan] = []
-        for tmpl, refill in zip(self.template.layers, self.refills):
-            n = len(refill.node_keys)
-            bias = np.fromiter(
-                (genome.nodes[key].bias for key in refill.node_keys),
-                dtype=np.float64,
-                count=n,
-            )
-            response = np.fromiter(
-                (genome.nodes[key].response for key in refill.node_keys),
-                dtype=np.float64,
-                count=n,
-            )
-            weights = np.zeros_like(tmpl.weights)
-            if refill.weight_rows.size:
-                # each (row, col) pair is unique (one connection per
-                # source/target pair), so a scatter assignment matches
-                # the compiler's accumulating fill bit-for-bit
-                weights[refill.weight_rows, refill.weight_cols] = (
-                    np.fromiter(
-                        (
-                            genome.connections[key].weight
-                            for key in refill.weight_conn_keys
-                        ),
-                        dtype=np.float64,
-                        count=len(refill.weight_conn_keys),
-                    )
-                )
-            generic_nodes = [
-                (
-                    row,
-                    agg,
-                    src_slots,
-                    np.fromiter(
-                        (genome.connections[key].weight for key in keys),
-                        dtype=np.float64,
-                        count=len(keys),
-                    ),
-                )
-                for (row, agg, src_slots, _w), keys in zip(
-                    tmpl.generic_nodes, refill.generic_conn_keys
-                )
-            ]
-            layers.append(
-                LayerPlan(
-                    node_slots=tmpl.node_slots,
-                    weights=weights,
-                    bias=bias,
-                    response=response,
-                    act_groups=tmpl.act_groups,
-                    generic_nodes=generic_nodes,
-                )
-            )
+    def fill(self, arrays: GenomeArrays, enabled) -> BatchedPlan:
+        """A fresh plan carrying ``arrays``' values."""
+        n = arrays.n_nodes
+        bias = arrays.f0[:n][self.node_rows]
+        response = arrays.f1[:n][self.node_rows]
+        link_weights = arrays.f0[n:][enabled]
+        # one matrix for every layer, sliced by rows below; each
+        # (row, col) pair is unique (one connection per source/target
+        # pair), so the scatter needs no accumulation
+        weights = np.zeros(
+            (len(self.node_rows), self.total_slots), dtype=np.float64
+        )
+        weights[self.dense_rows, self.dense_cols] = link_weights[
+            self.dense_conns
+        ]
+        generic_weights = link_weights[self.generic_conns]
         return BatchedPlan(
-            input_keys=self.template.input_keys,
-            output_keys=self.template.output_keys,
-            total_slots=self.template.total_slots,
-            output_slots=self.template.output_slots,
-            layers=layers,
+            input_keys=self.input_keys,
+            output_keys=self.output_keys,
+            total_slots=self.total_slots,
+            output_slots=self.output_slots,
+            layers=[
+                LayerPlan(
+                    node_slots=node_slots,
+                    weights=weights[first:end],
+                    bias=bias[first:end],
+                    response=response[first:end],
+                    act_groups=act_groups,
+                    generic_nodes=[
+                        (row, aggregation, slots, generic_weights[a:b])
+                        for row, aggregation, slots, a, b in generic
+                    ],
+                )
+                for first, end, node_slots, act_groups, generic in (
+                    self.layers
+                )
+            ],
         )
 
 
@@ -389,16 +415,21 @@ class PlanCache:
 
     Re-lowering a genome through :func:`compile_batched` repeats the
     pruning, topological sort and layer layout even when only weights
-    changed — and weight-only children dominate NEAT broods (structural
-    mutation rates are a few percent per child). The cache keys each
-    skeleton by :func:`structural_signature`, so a weight-only child
-    re-uses its parent's layout and pays only the array refill.
+    changed. The cache keys each skeleton by
+    :func:`structural_signature`, so a child that kept its parent's
+    topology re-uses the layout and pays only the value fill. How often
+    that happens depends on genome size: every connection flips its
+    enabled flag with ``enabled_mutate_rate`` (0.01), so a child of C
+    connections keeps its topology with probability ~0.99^C — ~0.9 hits
+    on CartPole-sized genomes, ~0.25 on Atari-RAM ones (768
+    connections), where the miss path is the hot path.
 
     Thread-safe: the serving registry publishes champions from the
     evolution thread while benchmarks compile on the main thread.
-    Instantiated plans share the skeleton's immutable layout arrays but
-    own their value arrays, so cached re-compiles stay bit-identical to
-    fresh ones (asserted by ``benchmarks/bench_genetics.py``).
+    Filled plans share the skeleton's immutable layout arrays but own
+    their value arrays, and a hit runs the same fill a miss does, so
+    cached re-compiles stay bit-identical to fresh ones (asserted by
+    ``benchmarks/bench_genetics.py``).
     """
 
     def __init__(self, maxsize: int = 256):
@@ -459,150 +490,196 @@ class PlanCache:
 
 
 def compile_batched(
-    genome: "Genome",
+    genome: "Genome | GenomeArrays",
     config: "NEATConfig",
     cache: PlanCache | None = None,
 ) -> BatchedPlan:
-    """Lower a pruned, topologically-ordered genome into a batched plan.
+    """Lower a genome into a batched plan.
 
     Value slots are laid out as ``[inputs..., computed nodes in topological
     order...]``. Nodes are grouped into layers by longest path from the
     inputs, so each layer reads only slots written by earlier layers and the
     whole layer evaluates as one matmul (plus per-activation ufuncs).
 
+    The compiler reads the genome's columnar lowering
+    (:mod:`repro.neat.arrays`). Callers compiling a block of genomes
+    lower it once and pass each genome's :class:`GenomeArrays` view; a
+    plain :class:`Genome` is lowered on entry. Plans are self-contained:
+    they hold no reference to the lowered buffers.
+
     ``cache`` (a :class:`PlanCache`) short-circuits the graph work for
-    genomes whose topology was lowered before: the cached skeleton is
-    re-filled with this genome's weight/bias/response values, producing a
-    plan bit-identical to an uncached compile.
+    genomes whose topology was lowered before: the cached layout is
+    filled with this genome's weight/bias/response values, exactly as a
+    fresh compile fills the layout it just built.
     """
     _require_numpy()
-    if cache is not None:
-        signature = structural_signature(genome, config)
-        skeleton = cache.lookup(signature)
-        if skeleton is not None:
-            return skeleton.instantiate(genome)
-        plan, skeleton = _compile_with_refill(genome, config)
+    arrays = _lowered(genome)
+    enabled = _enabled_rows(arrays)
+    if cache is None:
+        return _lay_out(arrays, enabled, config).fill(arrays, enabled)
+    signature = _signature(arrays, enabled, config)
+    skeleton = cache.lookup(signature)
+    if skeleton is None:
+        skeleton = _lay_out(arrays, enabled, config)
         cache.store(signature, skeleton)
-        return plan
-    return _compile_with_refill(genome, config, record_refill=False)[0]
+    return skeleton.fill(arrays, enabled)
 
 
-def _compile_with_refill(
-    genome: "Genome",
-    config: "NEATConfig",
-    record_refill: bool = True,
-) -> tuple[BatchedPlan, _PlanSkeleton | None]:
-    """The compiler body; optionally records the refill index maps."""
-    order, incoming = _evaluation_order(genome, config)
+def _lay_out(
+    arrays: GenomeArrays, enabled, config: "NEATConfig"
+) -> _PlanSkeleton:
+    """The compiler's graph work: prune, order, layer, index.
 
-    slot: dict[int, int] = {
-        key: i for i, key in enumerate(config.input_keys)
-    }
-    n_inputs = len(config.input_keys)
-    for i, key in enumerate(order):
-        slot[key] = n_inputs + i
-    total_slots = n_inputs + len(order)
+    Per-connection work is NumPy over the genome's slice. Only the
+    per-node walk (reachability, Kahn order, longest-path levels) runs
+    in Python, over the computed nodes and the few edges whose source
+    is itself computed; it reproduces :func:`_evaluation_order`'s
+    pruning and tie-breaks, so both backends evaluate nodes in one
+    order. Raises ``ValueError`` on a cycle or a missing node gene.
+    """
+    n_in, n_out = config.num_inputs, config.num_outputs
+    n = arrays.n_nodes
+    node_keys = arrays.keys[:n].astype(np.int64)
+    src, dst = _unpack_conn_keys(arrays.keys[n:][enabled])
+    from_input = (src < 0) & (src >= -n_in)  # input keys are -1..-n_in
+    inner = ~from_input
+    # sorted by (source, target), like every connection column
+    inner_edges = list(zip(src[inner].tolist(), dst[inner].tolist()))
+
+    feeders: dict[int, list[int]] = {}
+    for source, target in inner_edges:
+        feeders.setdefault(target, []).append(source)
+    frontier = list(range(n_out))
+    required = set(frontier)
+    while frontier:
+        for source in feeders.get(frontier.pop(), ()):
+            if source not in required:
+                required.add(source)
+                frontier.append(source)
+    missing = required.difference(node_keys.tolist())
+    if missing:
+        raise _missing_node_error(
+            min(missing), zip(src.tolist(), dst.tolist())
+        )
+
+    # Kahn's algorithm; ``ready`` starts in ascending key order and each
+    # node's dependents are released in ascending key order
+    pending = dict.fromkeys(sorted(required), 0)
+    dependents: dict[int, list[int]] = {}
+    for source, target in inner_edges:
+        if target in pending:
+            pending[target] += 1
+            dependents.setdefault(source, []).append(target)
+    ready = [key for key, count in pending.items() if count == 0]
+    order: list[int] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for dependent in dependents.get(node, ()):
+            pending[dependent] -= 1
+            if pending[dependent] == 0:
+                ready.append(dependent)
+    if len(order) != len(required):
+        raise ValueError(
+            "genome's enabled connection graph contains a cycle"
+        )
 
     # longest-path layering: inputs are level 0; a node sits one past its
     # deepest source, so every source is computed before the node's layer
-    level: dict[int, int] = {key: 0 for key in config.input_keys}
-    layers_nodes: dict[int, list[int]] = {}
+    level: dict[int, int] = {}
     for key in order:
-        depth = 1 + max(
-            (level[src] for src, _w in incoming[key]), default=0
+        level[key] = 1 + max(
+            (level[source] for source in feeders.get(key, ())), default=0
         )
-        level[key] = depth
-        layers_nodes.setdefault(depth, []).append(key)
+    # rows: stable by level, so topological order within a layer; the
+    # node at ``order[i]`` owns value slot ``n_in + i``
+    by_level = sorted(range(len(order)), key=lambda i: level[order[i]])
+    row_key_list = [order[i] for i in by_level]
+    bounds = [
+        row
+        for row in range(1, len(order))
+        if level[row_key_list[row]] != level[row_key_list[row - 1]]
+    ]
+    bounds = [0, *bounds, len(order)]
+    row_keys = np.asarray(row_key_list, dtype=np.int64)
+    node_slots = (n_in + np.asarray(by_level)).astype(np.int32)
+    node_rows = np.searchsorted(node_keys, row_keys)
+    by_key = np.argsort(row_keys)  # sorted computed key -> row
+    sorted_keys = row_keys[by_key]
 
-    layers: list[LayerPlan] = []
-    refills: list[_LayerRefill] = []
-    for depth in sorted(layers_nodes):
-        nodes = layers_nodes[depth]
-        n = len(nodes)
-        node_slots = np.empty(n, dtype=np.int32)
-        weights = np.zeros((n, total_slots), dtype=np.float64)
-        bias = np.empty(n, dtype=np.float64)
-        response = np.empty(n, dtype=np.float64)
-        act_rows: dict[str, list[int]] = {}
-        generic_nodes: list[tuple[int, str, "np.ndarray", "np.ndarray"]] = []
-        weight_rows: list[int] = []
-        weight_cols: list[int] = []
-        weight_conn_keys: list[tuple[int, int]] = []
-        generic_conn_keys: list[list[tuple[int, int]]] = []
-        for row, key in enumerate(nodes):
-            node = genome.nodes[key]
-            node_slots[row] = slot[key]
-            bias[row] = node.bias
-            response[row] = node.response
-            act_rows.setdefault(node.activation, []).append(row)
-            links = incoming[key]
-            if node.aggregation == "sum":
-                for src, weight in links:
-                    weights[row, slot[src]] += weight
-                if record_refill:
-                    for src, _weight in links:
-                        weight_rows.append(row)
-                        weight_cols.append(slot[src])
-                        weight_conn_keys.append((src, key))
-            else:
-                generic_nodes.append(
-                    (
-                        row,
-                        node.aggregation,
-                        np.asarray(
-                            [slot[src] for src, _w in links],
-                            dtype=np.int32,
-                        ),
-                        np.asarray(
-                            [w for _src, w in links], dtype=np.float64
-                        ),
-                    )
-                )
-                if record_refill:
-                    generic_conn_keys.append(
-                        [(src, key) for src, _w in links]
-                    )
-        act_groups = [
-            (name, np.asarray(rows, dtype=np.int32))
-            for name, rows in sorted(act_rows.items())
-        ]
-        layers.append(
-            LayerPlan(
-                node_slots=node_slots,
-                weights=weights,
-                bias=bias,
-                response=response,
-                act_groups=act_groups,
-                generic_nodes=generic_nodes,
-            )
-        )
-        if record_refill:
-            refills.append(
-                _LayerRefill(
-                    node_keys=list(nodes),
-                    weight_rows=np.asarray(weight_rows, dtype=np.int64),
-                    weight_cols=np.asarray(weight_cols, dtype=np.int64),
-                    weight_conn_keys=weight_conn_keys,
-                    generic_conn_keys=generic_conn_keys,
-                )
-            )
+    def rows_of(keys):
+        at = np.searchsorted(sorted_keys, keys)
+        at[at == sorted_keys.size] = 0
+        return at
 
-    output_slots = np.asarray(
-        [slot[key] for key in config.output_keys], dtype=np.int32
+    # edges into computed nodes; the walk above made each one's source
+    # an input or a computed node
+    at = rows_of(dst)
+    kept = (sorted_keys[at] == dst).nonzero()[0]
+    rows = by_key[at[kept]]
+    cols = np.where(
+        from_input[kept],
+        -src[kept] - 1,
+        node_slots[by_key[rows_of(src[kept])]],
     )
-    plan = BatchedPlan(
-        input_keys=tuple(config.input_keys),
-        output_keys=tuple(config.output_keys),
-        total_slots=total_slots,
-        output_slots=output_slots,
+
+    activation_ids = arrays.c0[:n][node_rows].tolist()
+    aggregation_ids = arrays.c1[:n][node_rows]
+    generic_row = aggregation_ids != _intern("sum")
+    is_generic = generic_row.tolist()
+    if any(is_generic):
+        # non-``sum`` nodes stay off the matmul: their links are grouped
+        # by row, in connection-key order within a row
+        dense = ~generic_row[rows]
+        loose = (~dense).nonzero()[0]
+        loose = loose[np.argsort(rows[loose], kind="stable")]
+        link_counts = np.bincount(rows[loose], minlength=len(order))
+        link_stops = np.cumsum(link_counts).tolist()
+        generic_slots = cols[loose].astype(np.int32)
+        generic_conns = kept[loose]
+        rows, cols, kept = rows[dense], cols[dense], kept[dense]
+    else:
+        generic_conns = kept[:0]
+
+    layers = []
+    for first, end in zip(bounds, bounds[1:]):
+        act_rows: dict[str, list[int]] = {}
+        for row, name_id in enumerate(activation_ids[first:end]):
+            act_rows.setdefault(_NAMES[name_id], []).append(row)
+        generic = []
+        for row in range(first, end):
+            if is_generic[row]:
+                b = link_stops[row]
+                a = b - int(link_counts[row])
+                aggregation = _NAMES[aggregation_ids[row]]
+                generic.append(
+                    (row - first, aggregation, generic_slots[a:b], a, b)
+                )
+        layers.append(
+            (
+                first,
+                end,
+                node_slots[first:end],
+                [
+                    (name, np.asarray(members, dtype=np.int32))
+                    for name, members in sorted(act_rows.items())
+                ],
+                generic,
+            )
+        )
+    return _PlanSkeleton(
+        input_keys=config.input_keys,
+        output_keys=config.output_keys,
+        total_slots=n_in + len(order),
+        # computed keys are >= 0, so the outputs 0..n_out-1 sort first
+        output_slots=node_slots[by_key[:n_out]],
+        node_rows=node_rows,
+        dense_rows=rows,
+        dense_cols=cols,
+        dense_conns=kept,
+        generic_conns=generic_conns,
         layers=layers,
     )
-    skeleton = (
-        _PlanSkeleton(template=plan, refills=refills)
-        if record_refill
-        else None
-    )
-    return plan, skeleton
 
 
 class BatchedFeedForwardNetwork:

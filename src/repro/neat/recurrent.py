@@ -53,11 +53,13 @@ class RecurrentNetwork:
         cls, genome: "Genome", config: "NEATConfig"
     ) -> "RecurrentNetwork":
         """Compile ``genome`` (cycles allowed) into a recurrent plan."""
+        input_keys = config.input_keys  # a tuple built per access
+        input_set = set(input_keys)
         enabled = [
             gene.key for gene in genome.connections.values() if gene.enabled
         ]
         required = required_for_output(
-            config.input_keys, config.output_keys, enabled
+            input_keys, config.output_keys, enabled
         )
         incoming: dict[int, list[tuple[int, float]]] = {
             key: [] for key in required
@@ -69,7 +71,7 @@ class RecurrentNetwork:
             in_node, out_node = gene.key
             if out_node not in required:
                 continue
-            if in_node not in required and in_node not in config.input_keys:
+            if in_node not in required and in_node not in input_set:
                 continue
             incoming[out_node].append((in_node, gene.weight))
 

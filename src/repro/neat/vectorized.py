@@ -7,11 +7,11 @@ quadratic sweep of gene-by-gene compatibility comparisons, and GeneSys
 inference is accelerated. This module is the NumPy twin of that scalar
 evolution phase, selected by ``NEATConfig.genetics = "vectorized"``:
 
-* :func:`lower_genome` flattens one genome into sorted gene-key /
-  attribute arrays (:class:`GenomeArrays`) — done once per genome per
-  speciation pass. Node and connection genes share one packed uint64
-  key space (nodes low, packed connections high), so one matching sweep
-  covers both compatibility terms.
+* Genomes are matched on the shared columnar lowering of
+  :mod:`repro.neat.arrays` (:class:`GenomeArrays`: sorted gene-key /
+  attribute arrays, nodes and connections in one packed uint64 key
+  space, so one matching sweep covers both compatibility terms) — the
+  same layout the plan compiler reads.
 * :class:`VectorizedDistanceCache` computes one anchor genome against a
   whole batch of candidates as merged array ops over innovation keys,
   memoising pairs exactly like the scalar
@@ -41,6 +41,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro.neat.arrays import (
+    _MIN_CONN_KEY,
+    GenomeArrays,
+    _FlatPopulation,
+    lower_genome,
+)
 from repro.neat.attributes import (
     float_mutation_params,
     mutate_bool_array,
@@ -66,159 +72,6 @@ def _require_numpy() -> None:
             "numpy is required for the vectorized genetics engine; "
             "install numpy or use genetics='scalar'"
         )
-
-
-#: offset lifting (possibly negative) node keys into unsigned 32-bit range
-_KEY_OFFSET = 1 << 31
-
-#: node keys must stay below every packed connection key so both gene
-#: families can share one sorted key space; the smallest packed key is
-#: ``(in + 2**31) << 32`` for the most negative input key, far above this
-_MAX_NODE_KEY = 1 << 33
-
-#: process-local interning of activation/aggregation names: distances only
-#: need *mismatch* tests, so any stable name -> int mapping works
-_NAME_IDS: dict[str, int] = {}
-
-
-def _intern(name: str) -> int:
-    try:
-        return _NAME_IDS[name]
-    except KeyError:
-        _NAME_IDS[name] = len(_NAME_IDS)
-        return _NAME_IDS[name]
-
-
-def _pack_conn_key(key: tuple[int, int]) -> int:
-    """Pack an (in, out) connection key into one sortable uint64.
-
-    Each component is lifted by ``_KEY_OFFSET`` into unsigned 32-bit
-    range, so unsigned ordering of the packed keys equals lexicographic
-    ordering of the tuples — sorted gene dicts lower to sorted arrays.
-    Every packed key exceeds ``_MAX_NODE_KEY``, keeping the two gene
-    families disjoint in the shared key space.
-    """
-    in_node, out_node = key
-    return ((in_node + _KEY_OFFSET) << 32) | (out_node + _KEY_OFFSET)
-
-
-def _check_node_keys(node_keys) -> None:
-    # NodeGene validates key >= 0, but deserialised or hand-built
-    # genomes bypass it; a negative key would wrap to the top of the
-    # uint64 space and silently break the sorted-key invariant
-    if node_keys.size and (
-        int(node_keys.max()) >= _MAX_NODE_KEY or int(node_keys.min()) < 0
-    ):
-        raise ValueError(
-            "vectorized genetics requires node keys in [0, 2**33) "
-            "(they share a packed key space with connection keys)"
-        )
-
-
-class GenomeArrays:
-    """One genome lowered to sorted gene-key + attribute arrays.
-
-    Both gene families live in one combined layout — node rows first
-    (plain key), then connection rows (packed key). Attributes are
-    columnar 1-D arrays (contiguous ops beat 2-D axis reductions by an
-    order of magnitude): floats ``f0``/``f1`` are (bias, response) for
-    node rows and (weight, 0) for connection rows; categoricals ``c0``/
-    ``c1`` are (activation id, aggregation id) and (enabled, 0). The
-    zero padding is inert in the distance math, and the float /
-    categorical split mirrors the scalar attribute distances — floats
-    contribute ``|a - b|``, categoricals 1.0 per mismatch (see
-    :meth:`NodeGene.distance` / :meth:`ConnectionGene.distance`).
-    """
-
-    __slots__ = ("key", "keys", "f0", "f1", "c0", "c1",
-                 "n_nodes", "n_conns", "key_ids")
-
-    def __init__(self, genome: "Genome"):
-        _require_numpy()
-        self.key = genome.key
-        #: interned key ids, only set for flat-population views
-        self.key_ids = None
-
-        node_genes = [genome.nodes[key] for key in sorted(genome.nodes)]
-        n = len(node_genes)
-        conn_genes = [
-            genome.connections[key] for key in sorted(genome.connections)
-        ]
-        m = len(conn_genes)
-        self.n_nodes = n
-        self.n_conns = m
-
-        keys = np.empty(n + m, dtype=np.uint64)
-        node_keys = np.fromiter(
-            (gene.key for gene in node_genes), dtype=np.int64, count=n
-        )
-        _check_node_keys(node_keys)
-        keys[:n] = node_keys.astype(np.uint64)
-        keys[n:] = np.fromiter(
-            (_pack_conn_key(gene.key) for gene in conn_genes),
-            dtype=np.uint64,
-            count=m,
-        )
-        self.keys = keys
-
-        f0 = np.zeros(n + m, dtype=np.float64)
-        f1 = np.zeros(n + m, dtype=np.float64)
-        f0[:n] = np.fromiter(
-            (gene.bias for gene in node_genes), dtype=np.float64, count=n
-        )
-        f1[:n] = np.fromiter(
-            (gene.response for gene in node_genes),
-            dtype=np.float64, count=n,
-        )
-        f0[n:] = np.fromiter(
-            (gene.weight for gene in conn_genes),
-            dtype=np.float64, count=m,
-        )
-        self.f0 = f0
-        self.f1 = f1
-
-        c0 = np.zeros(n + m, dtype=np.int64)
-        c1 = np.zeros(n + m, dtype=np.int64)
-        c0[:n] = np.fromiter(
-            (_intern(gene.activation) for gene in node_genes),
-            dtype=np.int64, count=n,
-        )
-        c1[:n] = np.fromiter(
-            (_intern(gene.aggregation) for gene in node_genes),
-            dtype=np.int64, count=n,
-        )
-        c0[n:] = np.fromiter(
-            (gene.enabled for gene in conn_genes),
-            dtype=np.int64, count=m,
-        )
-        self.c0 = c0
-        self.c1 = c1
-
-    @classmethod
-    def _view(cls, key, flat: "_FlatPopulation", index: int):
-        """A lowered genome backed by slices of flat population buffers
-        (see :class:`_FlatPopulation`) — no per-genome array building."""
-        self = object.__new__(cls)
-        self.key = key
-        start = int(flat.starts[index])
-        stop = start + int(flat.lens[index])
-        self.keys = flat.keys[start:stop]
-        self.f0 = flat.f0[start:stop]
-        self.f1 = flat.f1[start:stop]
-        self.c0 = flat.c0[start:stop]
-        self.c1 = flat.c1[start:stop]
-        self.key_ids = flat.key_ids[start:stop]
-        self.n_nodes = int(flat.node_lens[index])
-        self.n_conns = int(flat.conn_lens[index])
-        return self
-
-    def gene_count(self) -> int:
-        return self.n_nodes + self.n_conns
-
-
-def lower_genome(genome: "Genome") -> GenomeArrays:
-    """Flatten ``genome`` for batched distance computation."""
-    return GenomeArrays(genome)
 
 
 def _combine_terms(
@@ -330,190 +183,32 @@ def batch_distance(
     )
 
 
-class _FlatPopulation:
-    """A whole population lowered into flat combined-key-space buffers.
-
-    The population is lowered with one ``fromiter`` pass per attribute
-    (rather than one per genome per attribute); node and connection rows
-    are interleaved genome-major (genome ``g``'s nodes, then its
-    connections) with vectorized destination indexing, and each member's
-    :class:`GenomeArrays` is a *view* into the flat buffers. The
-    distinct innovation keys are interned once (``key_ids``), which is
-    what lets :class:`_AnchorTable` match an anchor against candidates
-    by table lookups instead of per-row binary search.
-    """
-
-    def __init__(self, population: dict):
-        genomes = [population[key] for key in sorted(population)]
-        n_genomes = len(genomes)
-        node_lists = [
-            [g.nodes[key] for key in sorted(g.nodes)] for g in genomes
-        ]
-        conn_lists = [
-            [g.connections[key] for key in sorted(g.connections)]
-            for g in genomes
-        ]
-        flat_nodes = [gene for lst in node_lists for gene in lst]
-        flat_conns = [gene for lst in conn_lists for gene in lst]
-        n = len(flat_nodes)
-        m = len(flat_conns)
-
-        self.node_lens = np.fromiter(
-            (len(lst) for lst in node_lists),
-            dtype=np.int64, count=n_genomes,
-        )
-        self.conn_lens = np.fromiter(
-            (len(lst) for lst in conn_lists),
-            dtype=np.int64, count=n_genomes,
-        )
-        self.lens = self.node_lens + self.conn_lens
-        self.starts = np.concatenate(
-            [[0], np.cumsum(self.lens)[:-1]]
-        ).astype(np.int64)
-
-        # combined destinations: genome g's node rows land at its block
-        # start, its connection rows right after them
-        node_starts = np.concatenate(
-            [[0], np.cumsum(self.node_lens)[:-1]]
-        ).astype(np.int64)
-        conn_starts = np.concatenate(
-            [[0], np.cumsum(self.conn_lens)[:-1]]
-        ).astype(np.int64)
-        dest_node = np.arange(n, dtype=np.int64) + np.repeat(
-            conn_starts, self.node_lens
-        )
-        dest_conn = np.arange(m, dtype=np.int64) + np.repeat(
-            node_starts + self.node_lens, self.conn_lens
-        )
-
-        node_keys = np.fromiter(
-            (g.key for g in flat_nodes), dtype=np.int64, count=n
-        )
-        _check_node_keys(node_keys)
-        in_keys = np.fromiter(
-            (g.key[0] for g in flat_conns), dtype=np.int64, count=m
-        )
-        out_keys = np.fromiter(
-            (g.key[1] for g in flat_conns), dtype=np.int64, count=m
-        )
-        keys = np.empty(n + m, dtype=np.uint64)
-        keys[dest_node] = node_keys.astype(np.uint64)
-        keys[dest_conn] = (
-            (in_keys + _KEY_OFFSET).astype(np.uint64) << np.uint64(32)
-        ) | (out_keys + _KEY_OFFSET).astype(np.uint64)
-        self.keys = keys
-
-        f0 = np.zeros(n + m, dtype=np.float64)
-        f1 = np.zeros(n + m, dtype=np.float64)
-        f0[dest_node] = np.fromiter(
-            (g.bias for g in flat_nodes), dtype=np.float64, count=n
-        )
-        f1[dest_node] = np.fromiter(
-            (g.response for g in flat_nodes), dtype=np.float64, count=n
-        )
-        f0[dest_conn] = np.fromiter(
-            (g.weight for g in flat_conns), dtype=np.float64, count=m
-        )
-        self.f0 = f0
-        self.f1 = f1
-
-        c0 = np.zeros(n + m, dtype=np.int64)
-        c1 = np.zeros(n + m, dtype=np.int64)
-        c0[dest_node] = np.fromiter(
-            (_intern(g.activation) for g in flat_nodes),
-            dtype=np.int64, count=n,
-        )
-        c1[dest_node] = np.fromiter(
-            (_intern(g.aggregation) for g in flat_nodes),
-            dtype=np.int64, count=n,
-        )
-        c0[dest_conn] = np.fromiter(
-            (g.enabled for g in flat_conns), dtype=np.int64, count=m
-        )
-        self.c0 = c0
-        self.c1 = c1
-
-        #: dense id per flat row over the population's distinct keys
-        self.unique_keys, self.key_ids = np.unique(
-            keys, return_inverse=True
-        )
-        self.key_ids = self.key_ids.astype(np.int64, copy=False)
-
-        is_conn = np.zeros(n + m, dtype=np.int64)
-        is_conn[dest_conn] = 1
-        full_seg = np.repeat(
-            np.arange(n_genomes, dtype=np.int64), self.lens
-        )
-        #: ``2 * genome + is_conn`` per flat row, for full-population
-        #: batches (gather-free fast path)
-        self.full_seg2 = 2 * full_seg + is_conn
-
-        self.position_by_id = {
-            id(genome): index for index, genome in enumerate(genomes)
-        }
-        self.arrays_by_id = {
-            id(genome): GenomeArrays._view(genome.key, self, index)
-            for index, genome in enumerate(genomes)
-        }
-        #: keeps the genome objects alive so ids cannot be recycled
-        self._genomes = genomes
-
-    def positions_for(self, genomes) -> "np.ndarray | None":
-        """Flat positions of ``genomes``, or None if any is foreign."""
-        positions = np.empty(len(genomes), dtype=np.int64)
-        position_by_id = self.position_by_id
-        for i, genome in enumerate(genomes):
-            position = position_by_id.get(id(genome))
-            if position is None:
-                return None
-            positions[i] = position
-        return positions
-
-    def gather(self, positions):
-        """Subset rows: (key_ids, f0, f1, c0, c1, seg2, node/conn sizes)."""
-        sizes = self.lens[positions]
-        total = int(sizes.sum())
-        node_sizes = self.node_lens[positions]
-        conn_sizes = self.conn_lens[positions]
-        if not total:
-            empty = np.zeros(0, dtype=np.int64)
-            return (
-                empty, self.f0[:0], self.f1[:0], empty, empty, empty,
-                node_sizes, conn_sizes,
-            )
-        # flat gather indices: each block's start repeated over its
-        # length, plus the within-block offset
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(sizes)[:-1]]), sizes
-        )
-        flat_idx = np.repeat(self.starts[positions], sizes) + within
-        seg2 = 2 * np.repeat(np.arange(len(positions)), sizes) + (
-            self.full_seg2[flat_idx] & 1
-        )
-        return (
-            self.key_ids[flat_idx],
-            self.f0[flat_idx],
-            self.f1[flat_idx],
-            self.c0[flat_idx],
-            self.c1[flat_idx],
-            seg2,
-            node_sizes,
-            conn_sizes,
-        )
-
-
 class _AnchorTable:
     """Scatter/gather matcher over a population's interned key space.
 
-    Loading an anchor scatters its attribute columns into dense tables
-    indexed by key id; a batch against candidates is then five O(rows)
-    gathers plus two segmented ``bincount`` reductions — no per-row
-    binary search. Stale table rows from the previous anchor are inert:
-    the ``valid`` mask zeroes their contribution.
+    Construction interns the flat population's distinct innovation keys
+    (``key_ids``: a dense id per flat row) — speciation's own index over
+    the shared lowering, which no other consumer pays for. Loading an
+    anchor scatters its attribute columns into dense tables indexed by
+    key id; a batch against candidates is then five O(rows) gathers
+    plus two segmented ``bincount`` reductions — no per-row binary
+    search. Stale table rows from the previous anchor are inert: the
+    ``valid`` mask zeroes their contribution.
     """
 
     def __init__(self, flat: _FlatPopulation):
-        size = int(flat.unique_keys.size)
+        self.flat = flat
+        self.unique_keys, key_ids = np.unique(
+            flat.keys, return_inverse=True
+        )
+        self.key_ids = key_ids.astype(np.int64, copy=False)
+        is_conn = flat.keys >= np.uint64(_MIN_CONN_KEY)
+        #: ``2 * genome + is_conn`` per flat row, for full-population
+        #: batches (gather-free fast path)
+        self.full_seg2 = 2 * np.repeat(
+            np.arange(len(flat.lens), dtype=np.int64), flat.lens
+        ) + is_conn
+        size = int(self.unique_keys.size)
         self.valid = np.zeros(size, dtype=bool)
         self.f0 = np.zeros(size, dtype=np.float64)
         self.f1 = np.zeros(size, dtype=np.float64)
@@ -521,26 +216,62 @@ class _AnchorTable:
         self.c1 = np.zeros(size, dtype=np.int64)
         self._last_ids = None
 
-    def load(self, anchor: GenomeArrays, flat: _FlatPopulation) -> None:
+    def gather(self, positions):
+        """Subset rows: (key_ids, f0, f1, c0, c1, seg2, node/conn sizes)."""
+        flat = self.flat
+        sizes = flat.lens[positions]
+        total = int(sizes.sum())
+        node_sizes = flat.node_lens[positions]
+        conn_sizes = flat.conn_lens[positions]
+        if not total:
+            empty = np.zeros(0, dtype=np.int64)
+            return (
+                empty, flat.f0[:0], flat.f1[:0], empty, empty, empty,
+                node_sizes, conn_sizes,
+            )
+        # flat gather indices: each block's start repeated over its
+        # length, plus the within-block offset
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        flat_idx = np.repeat(flat.starts[positions], sizes) + within
+        seg2 = 2 * np.repeat(np.arange(len(positions)), sizes) + (
+            self.full_seg2[flat_idx] & 1
+        )
+        return (
+            self.key_ids[flat_idx],
+            flat.f0[flat_idx],
+            flat.f1[flat_idx],
+            flat.c0[flat_idx],
+            flat.c1[flat_idx],
+            seg2,
+            node_sizes,
+            conn_sizes,
+        )
+
+    def load(self, anchor: GenomeArrays, position: int | None) -> None:
+        """Scatter ``anchor`` into the tables; ``position`` is its block
+        in the flat population, or None for a foreign genome."""
         if self._last_ids is not None:
             self.valid[self._last_ids] = False
-        ids = anchor.key_ids
-        if ids is None:
+        if position is None:
             # foreign anchor (e.g. a previous generation's
             # representative): map its keys into the interned space;
             # keys absent from the population can match nothing and are
             # simply left out of the table
             idx = np.minimum(
-                np.searchsorted(flat.unique_keys, anchor.keys),
-                flat.unique_keys.size - 1,
+                np.searchsorted(self.unique_keys, anchor.keys),
+                self.unique_keys.size - 1,
             )
-            found = flat.unique_keys[idx] == anchor.keys
+            found = self.unique_keys[idx] == anchor.keys
             ids = idx[found]
             self.f0[ids] = anchor.f0[found]
             self.f1[ids] = anchor.f1[found]
             self.c0[ids] = anchor.c0[found]
             self.c1[ids] = anchor.c1[found]
         else:
+            start = int(self.flat.starts[position])
+            ids = self.key_ids[start:start + anchor.gene_count()]
             self.f0[ids] = anchor.f0
             self.f1[ids] = anchor.f1
             self.c0[ids] = anchor.c0
@@ -619,31 +350,42 @@ class VectorizedDistanceCache:
         #: that reuse keys. Entries keep their genomes alive for the
         #: pass, so ids cannot be recycled underneath the cache.
         self._arrays: dict[int, tuple["Genome", GenomeArrays]] = {}
+        #: flat-population block index per member, by object identity
+        #: (the flat population keeps its genomes alive)
+        self._positions: dict[int, int] = {}
+        self._table: _AnchorTable | None = None
         with lower_span:
-            self._flat = (
-                _FlatPopulation(population) if population else None
-            )
-            self._table = (
-                _AnchorTable(self._flat)
-                if self._flat is not None
-                else None
-            )
+            if population:
+                flat = _FlatPopulation(
+                    [population[key] for key in sorted(population)]
+                )
+                self._table = _AnchorTable(flat)
+                self._positions = {
+                    id(genome): index
+                    for index, genome in enumerate(flat.genomes)
+                }
 
     def _lower(self, genome: "Genome") -> GenomeArrays:
-        if self._flat is not None:
-            arrays = self._flat.arrays_by_id.get(id(genome))
-            if arrays is not None:
-                return arrays
+        position = self._positions.get(id(genome))
+        if position is not None:
+            return self._table.flat.views[position]
         entry = self._arrays.get(id(genome))
         if entry is None:
             entry = (genome, lower_genome(genome))
             self._arrays[id(genome)] = entry
         return entry[1]
 
+    def _positions_for(self, genomes) -> "np.ndarray | None":
+        """Flat positions of ``genomes``, or None if any is foreign."""
+        positions = [self._positions.get(id(g)) for g in genomes]
+        if None in positions:
+            return None
+        return np.asarray(positions, dtype=np.int64)
+
     #: same memo key scheme as the scalar twin, by construction
     _pair_key = staticmethod(DistanceCache._pair_key)
 
-    def _distances_flat(self, anchor_arrays, positions):
+    def _distances_flat(self, anchor, anchor_arrays, positions):
         """Anchor-vs-subset distances on the flat population buffers.
 
         Subsets spanning most of the population skip the gather: the
@@ -652,20 +394,20 @@ class VectorizedDistanceCache:
         discarded (never memoised or counted) — per-candidate terms are
         independent, so the kept values are bit-identical either way.
         """
-        flat = self._flat
         table = self._table
-        table.load(anchor_arrays, flat)
+        flat = table.flat
+        table.load(anchor_arrays, self._positions.get(id(anchor)))
         cw = self.config.compatibility_weight_coefficient
         cd = self.config.compatibility_disjoint_coefficient
         if 2 * len(positions) >= len(flat.lens):
             full = table.distances(
-                anchor_arrays, flat.key_ids, flat.f0, flat.f1,
-                flat.c0, flat.c1, flat.full_seg2,
+                anchor_arrays, table.key_ids, flat.f0, flat.f1,
+                flat.c0, flat.c1, table.full_seg2,
                 flat.node_lens, flat.conn_lens, cw, cd,
             )
             return full[positions]
         return table.distances(
-            anchor_arrays, *flat.gather(positions), cw, cd
+            anchor_arrays, *table.gather(positions), cw, cd
         )
 
     def batch(
@@ -693,14 +435,12 @@ class VectorizedDistanceCache:
         if missing:
             anchor_arrays = self._lower(anchor)
             missing_genomes = [genomes[i] for i in missing]
-            positions = (
-                self._flat.positions_for(missing_genomes)
-                if self._flat is not None
-                else None
-            )
+            positions = self._positions_for(missing_genomes)
             if positions is not None:
-                dists = self._distances_flat(anchor_arrays, positions)
-                total_genes = int(self._flat.lens[positions].sum())
+                dists = self._distances_flat(
+                    anchor, anchor_arrays, positions
+                )
+                total_genes = int(self._table.flat.lens[positions].sum())
             else:
                 cands = [self._lower(g) for g in missing_genomes]
                 dists = batch_distance(anchor_arrays, cands, self.config)
