@@ -919,13 +919,12 @@ def _cmd_serve(args) -> int:
         )
     respawns = health.get("replica_respawns", 0)
     fleet_retries = health.get("requests_retried", 0)
-    hedged = health.get("requests_hedged", 0)
-    if respawns or fleet_retries or hedged:
+    if respawns or fleet_retries:
         # the self-healing rollup appears only when the fleet actually
         # healed something — a clean run keeps its summary clean
         print(
             f"healing: {respawns} replica respawn(s), {fleet_retries} "
-            f"in-flight request(s) retried, {hedged} hedged"
+            f"in-flight request(s) retried"
         )
     if service.autotuner is not None:
         tuner = service.autotuner

@@ -11,8 +11,10 @@ measure real wall-clock. Two runtimes mirror the two interesting designs:
   each worker hosts a clan and runs complete local generations.
 
 Both reproduce the logical engines' results exactly: evaluation is
-deterministic per (seed, generation), and clans use the same named RNG
-streams as :class:`repro.core.protocols.CLAN_DDA`.
+deterministic per (seed, generation), and a worker's clan is the same
+:class:`~repro.neat.population.Population`, seeded by the same
+:func:`~repro.core.partition.clan_seeds`, that
+:class:`repro.core.protocols.CLAN_DDA` hosts in-process.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.cluster.transport import (
     WorkerTimeout,
 )
 from repro.core.metrics import ChurnStats
-from repro.core.partition import contiguous_blocks, round_robin
+from repro.core.partition import clan_seeds, round_robin
 from repro.neat.checkpoint import decode_genome_hex
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
@@ -284,10 +286,6 @@ class DistributedClanRuntime:
         #: back to their last checkpoint
         self._lost: set[int] = set()
 
-        # identical initial population + partition to the logical engine
-        seed_population = Population(self.config, seed=seed)
-        blocks = contiguous_blocks(sorted(seed_population.genomes), n_clans)
-
         self.pool = WorkerPool(
             n_clans,
             env_id,
@@ -299,21 +297,18 @@ class DistributedClanRuntime:
             chaos=chaos,
         )
         self._store = checkpoint_store
-        payloads = []
-        for clan_id, block in enumerate(blocks):
-            members = [seed_population.genomes[key] for key in block]
-            payloads.append(
-                {
-                    "clan_id": clan_id,
-                    "n_clans": n_clans,
-                    "members_wire": encode_genomes(members),
-                    "rng_seed": self.rngs.child(
-                        f"clan:{clan_id}"
-                    ).root_seed,
-                    "next_genome_key": self.config.pop_size + clan_id,
-                    "num_outputs": self.config.num_outputs,
-                }
-            )
+        # the same clans as the logical engine, in WorkerClan's wire names
+        payloads = [
+            {
+                "clan_id": clan["clan_id"],
+                "n_clans": n_clans,
+                "members_wire": encode_genomes(clan["members"]),
+                "rng_seed": clan["seed"],
+                "next_genome_key": clan["next_genome_key"],
+                "num_outputs": self.config.num_outputs,
+            }
+            for clan in clan_seeds(self.config, seed, n_clans)
+        ]
         # clan_init replies with each clan's *initial* checkpoint, so a
         # worker that dies before its first streamed checkpoint can still
         # be respawned from generation zero
@@ -455,16 +450,51 @@ class DistributedClanRuntime:
     ) -> bool:
         """Respawn ``worker`` and replay it up to the in-flight barrier
         generation; False when it is abandoned instead (budget spent)."""
+        resume = self._note_death(worker, churn, self._generation - 1)
+
+        def replay() -> None:
+            # deterministic catch-up: re-run every generation since the
+            # checkpoint, then re-issue the in-flight one (caller collects)
+            for generation in range(resume, self._generation):
+                self.pool._request(worker, "clan_step", generation)
+                self.pool._collect(worker, timeout=self.heartbeat_timeout_s)
+            self.pool._request(worker, "clan_step", self._generation)
+
+        return self._respawn(worker, churn, respawns_used, resume, replay)
+
+    def _note_death(
+        self, worker: int, churn: "ChurnStats", max_done: int
+    ) -> int:
+        """Count the death of a clan that had completed ``max_done``;
+        returns the generation its latest checkpoint resumes at."""
         churn.deaths += 1
-        obs.instant("clan_death", clan=worker, gen=self._generation)
-        checkpoint = self._checkpoints[worker]
-        completed = checkpoint.get("completed_generation")
+        obs.instant("clan_death", clan=worker, gen=max_done + 1)
+        completed = self._checkpoints[worker].get("completed_generation")
         resume = 0 if completed is None else completed + 1
-        churn.lost_generations += max(0, self._generation - resume)
+        # completed-but-uncheckpointed generations must be re-run (or
+        # die with the clan)
+        churn.lost_generations += max(0, max_done - resume + 1)
+        return resume
+
+    def _respawn(
+        self,
+        worker: int,
+        churn: "ChurnStats",
+        respawns_used: dict[int, int],
+        resume: int,
+        reissue: Callable[[], None],
+    ) -> bool:
+        """Bring a dead clan back from its latest checkpoint.
+
+        ``reissue()`` re-sends the work the dead process still owed, once
+        the fresh one holds the checkpointed clan (which resumes at
+        generation ``resume``). False when the clan's respawn budget is
+        spent: it is abandoned for good instead.
+        """
         if respawns_used[worker] >= self.max_respawns:
             self._lost.add(worker)
             churn.clans_lost += 1
-            obs.instant("clan_lost", clan=worker, gen=self._generation)
+            obs.instant("clan_lost", clan=worker)
             return False
         respawns_used[worker] += 1
         started = clock.perf()
@@ -474,14 +504,11 @@ class DistributedClanRuntime:
         if backoff:
             time.sleep(backoff)
         self.pool.respawn(worker)
-        self.pool._request(worker, "clan_restore", checkpoint)
+        self.pool._request(
+            worker, "clan_restore", self._checkpoints[worker]
+        )
         self.pool._collect(worker, timeout=self.command_timeout_s)
-        # deterministic catch-up: re-run every generation since the
-        # checkpoint, then re-issue the in-flight one (caller collects)
-        for generation in range(resume, self._generation):
-            self.pool._request(worker, "clan_step", generation)
-            self.pool._collect(worker, timeout=self.heartbeat_timeout_s)
-        self.pool._request(worker, "clan_step", self._generation)
+        reissue()
         churn.respawns += 1
         churn.recovery_latency_s.append(clock.perf() - started)
         obs.instant("respawn", clan=worker, resume=resume)
@@ -582,54 +609,28 @@ class DistributedClanRuntime:
         def fail(worker: int) -> None:
             """Death handler: respawn from checkpoint or abandon."""
             nonlocal reassign_pool
-            churn.deaths += 1
-            obs.instant("clan_death", clan=worker)
             active.discard(worker)
-            completed = self._checkpoints[worker].get(
-                "completed_generation"
-            )
-            resume = 0 if completed is None else completed + 1
-            # completed-but-uncheckpointed generations must be re-run
-            # (or die with the clan)
-            churn.lost_generations += max(
-                0, max_done[worker] - resume + 1
-            )
+            resume = self._note_death(worker, churn, max_done[worker])
             if halt_sent or stats.converged:
                 # winding down anyway; recovery would re-do work only to
                 # halt it again
                 return
-            if respawns_used[worker] >= self.max_respawns:
-                self._lost.add(worker)
-                churn.clans_lost += 1
-                obs.instant("clan_lost", clan=worker)
+
+            def free_run() -> None:
+                budget = clan_end[worker] - resume + 1
+                if budget > 0:
+                    self.pool.send(
+                        worker, "clan_run", run_payload(resume, budget)
+                    )
+                    active.add(worker)
+
+            if self._respawn(worker, churn, respawns_used, resume, free_run):
+                last_seen[worker] = clock.perf()
+            else:
+                # abandoned: a survivor inherits its unspent budget
                 reassign_pool += max(
                     0, clan_end[worker] - max(max_done[worker], resume - 1)
                 )
-                return
-            respawns_used[worker] += 1
-            started = clock.perf()
-            backoff = self.respawn_backoff_s * (
-                2 ** (respawns_used[worker] - 1)
-            )
-            if backoff:
-                time.sleep(backoff)
-            self.pool.respawn(worker)
-            self.pool._request(
-                worker, "clan_restore", self._checkpoints[worker]
-            )
-            self.pool._collect(worker, timeout=self.command_timeout_s)
-            budget = clan_end[worker] - resume + 1
-            if budget > 0:
-                self.pool.send(
-                    worker, "clan_run", run_payload(resume, budget)
-                )
-                active.add(worker)
-            churn.respawns += 1
-            churn.recovery_latency_s.append(
-                clock.perf() - started
-            )
-            obs.instant("respawn", clan=worker, resume=resume)
-            last_seen[worker] = clock.perf()
 
         now = clock.perf()
         for worker in range(self.n_clans):

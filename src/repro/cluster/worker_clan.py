@@ -1,10 +1,13 @@
 """Clan state hosted inside a worker process (real CLAN_DDA backend).
 
-A ``WorkerClan`` is the in-process twin of
-:class:`repro.core.protocols._Clan`: it owns a sub-population, speciates it
-locally, plans and reproduces — the full asynchronous-speciation loop — and
-only ever reports fitness summaries back through the pipe. Kept in its own
-module so worker processes import it lazily without dragging the whole
+A ``WorkerClan`` hosts one clan-shaped
+:class:`~repro.neat.population.Population` — the same class, and so the
+same generation loop, that the logical
+:class:`repro.core.protocols.CLAN_DDA` engine hosts in-process — and hides
+the formats of the pipe around it: members arrive as canonical wire bytes,
+each generation leaves as a :class:`ClanGenerationSummary`, and the
+checkpoint payload is JSON-serialisable hex. Kept in its own module so
+worker processes import it lazily without dragging the whole
 ``repro.core`` package into the hot path.
 """
 
@@ -17,23 +20,10 @@ from repro.cluster.serialization import (
     encode_genome,
     encode_genomes,
 )
-from repro.neat.checkpoint import (
-    decode_genome_hex,
-    encode_genome_hex,
-    species_from_blob,
-    species_to_blob,
-)
+from repro.neat.checkpoint import decode_genome_hex, encode_genome_hex
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import GenomeEvaluator
-from repro.neat.innovation import InnovationTracker
-from repro.neat.reproduction import (
-    brood_rng,
-    execute_plan,
-    plan_generation,
-)
-from repro.neat.species import SpeciesSet
-from repro.obs import tracer as obs
-from repro.utils.rng import RngFactory
+from repro.neat.population import Population
 
 #: format version of the per-clan checkpoint payload (independent of the
 #: population checkpoint version in :mod:`repro.neat.checkpoint`, but the
@@ -55,7 +45,12 @@ class ClanGenerationSummary:
 
 
 class WorkerClan:
-    """One clan evolving independently inside a worker process."""
+    """One clan evolving independently inside a worker process.
+
+    Algorithm state (``config``, ``species_set``, ``innovation``,
+    ``rngs``, ``clan_id``, ...) is the hosted population's and reads
+    through to it.
+    """
 
     def __init__(
         self,
@@ -69,101 +64,58 @@ class WorkerClan:
         next_genome_key: int,
         num_outputs: int,
     ):
-        members = decode_genomes(members_wire)
+        # ``num_outputs`` rides in the clan_init payload; the population
+        # reads the same number from ``config``
         self.env_id = env_id
-        self.clan_id = clan_id
         self.evaluator = evaluator
-        self.config = config.evolve_with(pop_size=len(members))
-        self.members = {g.key: g for g in members}
-        self.rngs = RngFactory(rng_seed)
-        self.species_set = SpeciesSet(
-            species_id_offset=clan_id, species_id_stride=n_clans
+        self.population = Population(
+            config,
+            rng_seed,
+            members=decode_genomes(members_wire),
+            clan_id=clan_id,
+            n_clans=n_clans,
+            next_genome_key=next_genome_key,
         )
-        max_node = max(
-            (g.max_node_id() for g in self.members.values()),
-            default=num_outputs - 1,
-        )
-        self.innovation = InnovationTracker(
-            next_node_id=max(max_node + 1, num_outputs),
-            agent_offset=clan_id,
-            agent_stride=n_clans,
-        )
-        self.n_clans = n_clans
-        self._next_key = next_genome_key
-        self._key_stride = n_clans
-        self._best = None
-        #: number of the last *completed* local generation (None before
-        #: any generation has run) — checkpoints resume at the next one
-        self.last_generation: int | None = None
 
-    def _allocate_key(self) -> int:
-        key = self._next_key
-        self._next_key += self._key_stride
-        return key
+    def __getattr__(self, name):
+        # only reached for names the clan itself lacks
+        if name == "population":
+            raise AttributeError(name)
+        return getattr(self.population, name)
 
-    def run_generation(self, generation: int) -> ClanGenerationSummary:
-        """One full local generation: I -> S -> plan -> R."""
-        solved = False
+    @property
+    def members(self) -> dict:
+        return self.population.genomes
+
+    @property
+    def last_generation(self) -> int | None:
+        """Number of the last *completed* local generation (None before
+        any generation has run) — checkpoints resume at the next one."""
+        completed = self.population.generation
+        return completed - 1 if completed else None
+
+    def _evaluate(self, genomes, generation):
         # the evaluator's configured backend applies here: with
         # backend="batched" each member's episodes run in lockstep through
         # the NumPy engine instead of the scalar interpreter
-        with obs.span(
-            "evaluate", gen=generation, genomes=len(self.members)
-        ):
-            results = self.evaluator.evaluate_many(
-                self.members.values(), self.config, generation
-            )
-        for genome in self.members.values():
-            result = results[genome.key]
-            genome.fitness = result.fitness
-            solved = solved or result.solved
-
-        best = max(
-            self.members.values(), key=lambda g: (g.fitness, -g.key)
-        )
-        if self._best is None or best.fitness > self._best.fitness:
-            self._best = best.copy()
-        mean = sum(g.fitness for g in self.members.values()) / len(
-            self.members
+        return self.evaluator.evaluate_many(
+            genomes, self.population.config, generation
         )
 
-        with obs.span("speciate", gen=generation):
-            stats = self.species_set.speciate(
-                self.members,
-                generation,
-                self.config,
-                self.rngs.get(f"speciate:{generation}"),
-            )
-        with obs.span("reproduce", gen=generation):
-            plan = plan_generation(
-                self.config,
-                self.species_set,
-                generation,
-                self.rngs.get(f"plan:{generation}"),
-                self._allocate_key,
-            )
-            next_members, _repro = execute_plan(
-                plan,
-                self.members,
-                self.config,
-                lambda spec: self.rngs.get(
-                    f"child:{generation}:{spec.child_key}"
-                ),
-                self.innovation,
-                np_rng=brood_rng(self.config, self.rngs, generation),
-            )
-        self.members = next_members
-        self.innovation.advance_generation()
-        self.last_generation = generation
-
+    def run_generation(self, generation: int) -> ClanGenerationSummary:
+        """One full local generation: I -> S -> plan -> R."""
+        stats = self.population.run_generation(self._evaluate, generation)
+        # a worker lives as long as its fleet: each generation is
+        # reported and dropped, never accumulated
+        self.population.history.clear()
         return ClanGenerationSummary(
-            clan_id=self.clan_id,
+            clan_id=self.population.clan_id,
             generation=generation,
-            best_fitness=best.fitness,
-            mean_fitness=mean,
+            best_fitness=stats.best_fitness,
+            mean_fitness=stats.mean_fitness,
             n_species=stats.n_species,
             n_members=len(self.members),
-            solved=solved,
+            solved=stats.solved,
         )
 
     @property
@@ -173,51 +125,45 @@ class WorkerClan:
         The barrier-free worker loop compares this across generations to
         decide when to stream a champion-changed message to the centre.
         """
-        if self._best is None:
-            return float("-inf")
-        return self._best.fitness
+        best = self.population.best_genome
+        return float("-inf") if best is None else best.fitness
 
     def best_genome_wire(self) -> bytes:
         """The clan's best-ever genome, serialised (for final collection)."""
-        if self._best is None:
+        if self.population.best_genome is None:
             raise RuntimeError("no generation has run yet")
-        return encode_genome(self._best)
+        return encode_genome(self.population.best_genome)
 
     # -- checkpoint / restore (fault tolerance) ---------------------------
 
     def checkpoint_payload(self) -> dict:
         """Everything a fresh worker process needs to resume this clan.
 
-        Taken *between* generations (the innovation tracker's split
-        window is empty then, so it needs only its counter). Every RNG
-        stream is derived by name from ``rng_seed``, so the restored clan
-        re-running generation ``last_generation + 1`` is bit-identical to
-        the original having run it — the property the supervision loop of
+        Taken *between* generations, from the population's
+        :meth:`~repro.neat.population.Population.snapshot`: the restored
+        clan re-running generation ``completed_generation + 1`` is
+        bit-identical to the original having run it — the property the
+        supervision loop of
         :class:`repro.cluster.runtime.DistributedClanRuntime` relies on.
         Genome payloads are hex-encoded canonical wire bytes (the
         checkpoint-v2 convention), so the payload is JSON-serialisable.
         """
+        state = self.population.snapshot()
+        best = state["best_genome"]
         return {
             "version": CLAN_CHECKPOINT_VERSION,
-            "clan_id": self.clan_id,
-            "n_clans": self.n_clans,
+            "clan_id": state["clan_id"],
+            "n_clans": state["n_clans"],
             "completed_generation": self.last_generation,
             "members_hex": encode_genomes(
-                [self.members[key] for key in sorted(self.members)]
+                sorted(state["genomes"], key=lambda g: g.key)
             ).hex(),
-            "rng_seed": self.rngs.root_seed,
-            "next_genome_key": self._next_key,
-            "next_node_id": self.innovation.next_node_id,
-            "next_species_id": self.species_set._next_species_id,
-            "species": [
-                species_to_blob(species, self.members)
-                for species in self.species_set.iter_species()
-            ],
-            "best_hex": (
-                encode_genome_hex(self._best)
-                if self._best is not None
-                else None
-            ),
+            "rng_seed": state["seed"],
+            "next_genome_key": state["next_genome_key"],
+            "next_node_id": state["next_node_id"],
+            "next_species_id": state["next_species_id"],
+            "species": state["species"],
+            "best_hex": None if best is None else encode_genome_hex(best),
         }
 
     @classmethod
@@ -234,37 +180,28 @@ class WorkerClan:
             raise ValueError(
                 f"unsupported clan checkpoint version {version!r}"
             )
-        clan = cls(
-            env_id=env_id,
-            config=config,
-            evaluator=evaluator,
-            clan_id=payload["clan_id"],
-            n_clans=payload["n_clans"],
-            members_wire=bytes.fromhex(payload["members_hex"]),
-            rng_seed=payload["rng_seed"],
-            next_genome_key=payload["next_genome_key"],
-            num_outputs=config.num_outputs,
+        completed = payload["completed_generation"]
+        best = payload["best_hex"]
+        clan = cls.__new__(cls)
+        clan.env_id = env_id
+        clan.evaluator = evaluator
+        clan.population = Population.restore(
+            config,
+            {
+                "seed": payload["rng_seed"],
+                "clan_id": payload["clan_id"],
+                "n_clans": payload["n_clans"],
+                "generation": 0 if completed is None else completed + 1,
+                "genomes": decode_genomes(
+                    bytes.fromhex(payload["members_hex"])
+                ),
+                "next_genome_key": payload["next_genome_key"],
+                "next_node_id": payload["next_node_id"],
+                "next_species_id": payload["next_species_id"],
+                "species": payload["species"],
+                "best_genome": (
+                    None if best is None else decode_genome_hex(best)
+                ),
+            },
         )
-        # __init__ derives counters from the membership; override them
-        # with the checkpointed state (ids observed from migrations or
-        # prior generations may run ahead of what the members imply)
-        clan.innovation = InnovationTracker(
-            next_node_id=payload["next_node_id"],
-            agent_offset=payload["clan_id"],
-            agent_stride=payload["n_clans"],
-        )
-        species_set = SpeciesSet(
-            species_id_offset=payload["clan_id"],
-            species_id_stride=payload["n_clans"],
-        )
-        species_set._next_species_id = payload["next_species_id"]
-        for blob in payload["species"]:
-            species_from_blob(blob, clan.members, species_set)
-        clan.species_set = species_set
-        clan._best = (
-            decode_genome_hex(payload["best_hex"])
-            if payload["best_hex"] is not None
-            else None
-        )
-        clan.last_generation = payload["completed_generation"]
         return clan

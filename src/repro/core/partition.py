@@ -7,7 +7,13 @@ iteration order (which matters for cross-process reproducibility).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+
+from repro.neat.population import Population
+from repro.utils.rng import RngFactory
+
+if TYPE_CHECKING:
+    from repro.neat.config import NEATConfig
 
 T = TypeVar("T")
 
@@ -45,6 +51,37 @@ def contiguous_blocks(items: Sequence[T], n_shards: int) -> list[list[T]]:
         blocks.append(list(items[start: start + size]))
         start += size
     return blocks
+
+
+def clan_seeds(
+    config: "NEATConfig", seed: int, n_clans: int
+) -> list[dict]:
+    """Split serial NEAT's initial population into ``n_clans`` clans.
+
+    One dict of :class:`~repro.neat.population.Population` keyword
+    arguments per clan: ``members`` is a contiguous block of the
+    population ``Population(config, seed)`` starts from, ``seed`` the
+    clan's own RNG root (child stream ``clan:<id>`` of the run seed) and
+    ``next_genome_key`` its first fresh genome key (``pop_size +
+    clan_id``; keys then advance by ``n_clans``, so no two clans ever
+    mint the same one). The logical CLAN_DDA engine and the
+    process-backed runtime both seed their clans from here, which is
+    what makes them walk the same trajectory.
+    """
+    rngs = RngFactory(seed)
+    initial = Population(config, seed=seed).genomes
+    return [
+        {
+            "clan_id": clan_id,
+            "n_clans": n_clans,
+            "members": [initial[key] for key in block],
+            "seed": rngs.child(f"clan:{clan_id}").root_seed,
+            "next_genome_key": config.pop_size + clan_id,
+        }
+        for clan_id, block in enumerate(
+            contiguous_blocks(sorted(initial), n_clans)
+        )
+    ]
 
 
 def assign_genomes(

@@ -7,11 +7,14 @@ and every message that would cross the WiFi network, producing one
 are exact, while wall-clock time is assigned later by the cluster timing
 models (:mod:`repro.cluster.analytic` / :mod:`repro.cluster.simulator`).
 A physically parallel backend with one OS process per agent lives in
-:mod:`repro.cluster.runtime` and reuses these same engines.
+:mod:`repro.cluster.runtime`. Every engine drives the one generation loop,
+:meth:`repro.neat.population.Population.run_generation`: over the whole
+population (Serial, DCS, DDS) or over one clan-shaped population per agent
+(DDA) — the class a worker process hosts too.
 
 Design note — placement-independent evolution: child genomes are formed
 from RNG streams keyed by ``(seed, generation, child key)`` (see
-:meth:`repro.neat.population.Population.child_rng_for_generation`), so
+:meth:`repro.neat.population.Population.run_generation`), so
 SerialNEAT, CLAN_DCS and CLAN_DDS produce *bit-identical* populations for
 the same seed. Distribution changes who computes, not what is computed —
 the tests assert this. CLAN_DDA genuinely changes the algorithm
@@ -21,26 +24,21 @@ convergence cost separately (Fig 7b).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.obs import tracer as obs
 from repro.core.messages import CENTER, Message, MessageType
 from repro.core.metrics import AgentLoad, GenerationRecord, RunResult
-from repro.core.partition import assign_genomes, contiguous_blocks
+from repro.core.partition import (
+    assign_genomes,
+    clan_seeds,
+    contiguous_blocks,
+)
 from repro.cluster.serialization import genome_wire_floats
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import FitnessResult, GenomeEvaluator
 from repro.neat.genome import Genome
-from repro.neat.innovation import InnovationTracker
 from repro.neat.population import Population
-from repro.neat.reproduction import (
-    GenerationPlan,
-    brood_rng,
-    execute_plan,
-    plan_generation,
-)
-from repro.neat.species import SpeciationStats, SpeciesSet
+from repro.neat.reproduction import GenerationPlan
 from repro.utils.rng import RngFactory
 
 #: 32-bit words per reported fitness entry: (genome key, fitness)
@@ -173,6 +171,36 @@ class ProtocolBase:
             agent_loads=[AgentLoad() for _ in range(self.n_agents)],
         )
 
+    def _close_generation(self, record, stats) -> GenerationRecord:
+        """Copy the population's generation summary onto ``record``,
+        note its best-ever genome and advance (one-population engines)."""
+        record.speciation_comparisons = stats.speciation_comparisons
+        record.best_fitness = stats.best_fitness
+        record.mean_fitness = stats.mean_fitness
+        record.n_species = stats.n_species
+        record.population_size = stats.population_size
+        record.solved = stats.solved
+        self._note_best(self.population.best_genome)
+        self.generation += 1
+        self.records.append(record)
+        return record
+
+    @staticmethod
+    def _log_genomes(record, msg_type, source, destination, genomes, **tags):
+        """Log one genome shipment with its wire and gene sizes."""
+        genomes = list(genomes)
+        record.messages.append(
+            Message(
+                msg_type,
+                source,
+                destination,
+                n_floats=sum(genome_wire_floats(g) for g in genomes),
+                n_genes=sum(g.gene_count() for g in genomes),
+                n_units=len(genomes),
+                **tags,
+            )
+        )
+
     def _note_best(self, genome: Genome) -> None:
         if genome.fitness is not None and genome.fitness > self.best_fitness:
             self.best_fitness = genome.fitness
@@ -231,27 +259,12 @@ class SerialNEAT(ProtocolBase):
         load = record.agent_loads[0]
 
         def evaluate(genomes, generation):
-            genomes = list(genomes)
-            with obs.span(
-                "evaluate", track="clan:0", genomes=len(genomes)
-            ):
-                return self._evaluate_block_on_agent(
-                    genomes, load, generation
-                )
+            return self._evaluate_block_on_agent(genomes, load, generation)
 
         stats = self.population.run_generation(evaluate)
         load.speciation_gene_ops = stats.speciation_genes
         load.reproduction_gene_ops = stats.reproduction_genes
-        record.speciation_comparisons = stats.speciation_comparisons
-        record.best_fitness = stats.best_fitness
-        record.mean_fitness = stats.mean_fitness
-        record.n_species = stats.n_species
-        record.population_size = stats.population_size
-        record.solved = stats.solved
-        self._note_best(self.population.best_genome)
-        self.generation += 1
-        self.records.append(record)
-        return record
+        return self._close_generation(record, stats)
 
 
 class CLAN_DCS(ProtocolBase):
@@ -282,17 +295,8 @@ class CLAN_DCS(ProtocolBase):
             for agent, shard in enumerate(shards):
                 if not shard:
                     continue
-                record.messages.append(
-                    Message(
-                        MessageType.SENDING_GENOMES,
-                        CENTER,
-                        agent,
-                        n_floats=sum(
-                            genome_wire_floats(g) for g in shard
-                        ),
-                        n_genes=sum(g.gene_count() for g in shard),
-                        n_units=len(shard),
-                    )
+                self._log_genomes(
+                    record, MessageType.SENDING_GENOMES, CENTER, agent, shard
                 )
                 load = record.agent_loads[agent]
                 with obs.span(
@@ -318,16 +322,7 @@ class CLAN_DCS(ProtocolBase):
         record.center_speciation_gene_ops = stats.speciation_genes
         record.center_reproduction_gene_ops = stats.reproduction_genes
         record.center_planning_ops = stats.population_size
-        record.speciation_comparisons = stats.speciation_comparisons
-        record.best_fitness = stats.best_fitness
-        record.mean_fitness = stats.mean_fitness
-        record.n_species = stats.n_species
-        record.population_size = stats.population_size
-        record.solved = stats.solved
-        self._note_best(self.population.best_genome)
-        self.generation += 1
-        self.records.append(record)
-        return record
+        return self._close_generation(record, stats)
 
 
 class CLAN_DDS(ProtocolBase):
@@ -408,19 +403,8 @@ class CLAN_DDS(ProtocolBase):
         plan = self.population.last_plan
         record.center_speciation_gene_ops = stats.speciation_genes
         record.center_planning_ops = stats.population_size
-        record.speciation_comparisons = stats.speciation_comparisons
-
         self._place_reproduction(record, plan, previous_genomes)
-
-        record.best_fitness = stats.best_fitness
-        record.mean_fitness = stats.mean_fitness
-        record.n_species = stats.n_species
-        record.population_size = stats.population_size
-        record.solved = stats.solved
-        self._note_best(self.population.best_genome)
-        self.generation += 1
-        self.records.append(record)
-        return record
+        return self._close_generation(record, stats)
 
     # -- placement ------------------------------------------------------------
 
@@ -436,16 +420,8 @@ class CLAN_DDS(ProtocolBase):
         for key, genome in genomes.items():
             per_agent.setdefault(destination[key], []).append(genome)
         for agent in sorted(per_agent):
-            batch = per_agent[agent]
-            record.messages.append(
-                Message(
-                    msg_type,
-                    CENTER,
-                    agent,
-                    n_floats=sum(genome_wire_floats(g) for g in batch),
-                    n_genes=sum(g.gene_count() for g in batch),
-                    n_units=len(batch),
-                )
+            self._log_genomes(
+                record, msg_type, CENTER, agent, per_agent[agent]
             )
 
     def _place_reproduction(
@@ -499,19 +475,9 @@ class CLAN_DDS(ProtocolBase):
                     if self.residency.get(parent_key) != agent:
                         needed[parent_key] = parents_view[parent_key]
             if needed:
-                record.messages.append(
-                    Message(
-                        MessageType.SENDING_PARENT_GENOMES,
-                        CENTER,
-                        agent,
-                        n_floats=sum(
-                            genome_wire_floats(g) for g in needed.values()
-                        ),
-                        n_genes=sum(
-                            g.gene_count() for g in needed.values()
-                        ),
-                        n_units=len(needed),
-                    )
+                self._log_genomes(
+                    record, MessageType.SENDING_PARENT_GENOMES, CENTER,
+                    agent, needed.values(),
                 )
 
             # child formation work on this agent + children shipped back
@@ -575,85 +541,52 @@ class CLAN_DDA(ProtocolBase):
             raise ValueError("resync_period must be >= 1")
         self.resync_period = resync_period
 
-        # centre builds the same initial population as serial NEAT, then
-        # partitions it into contiguous clans
-        seed_population = Population(self.config, seed=self.seed)
-        initial = seed_population.genomes
-        blocks = contiguous_blocks(sorted(initial), n_agents)
-
-        self._clans: list[_Clan] = []
-        self._initial_distribution_pending = True
-        self._initial_blocks = blocks
-        self._all_initial = initial
-        next_key = self.config.pop_size
-        for clan_id, block in enumerate(blocks):
-            members = {key: initial[key] for key in block}
-            self._clans.append(
-                _Clan(
-                    clan_id=clan_id,
-                    n_clans=n_agents,
-                    members=members,
-                    config=self.config.evolve_with(pop_size=len(block)),
-                    rngs=self.rngs.child(f"clan:{clan_id}"),
-                    next_genome_key=next_key + clan_id,
-                    genome_key_stride=n_agents,
-                    num_outputs=self.config.num_outputs,
-                )
-            )
+        # the centre builds the same initial population as serial NEAT and
+        # partitions it into contiguous clans, one population per agent
+        self._clans = [
+            Population(self.config, **clan)
+            for clan in clan_seeds(self.config, self.seed, n_agents)
+        ]
 
     @property
     def clan_sizes(self) -> list[int]:
-        return [len(clan.members) for clan in self._clans]
+        return [clan.size for clan in self._clans]
 
     def run_generation(self) -> GenerationRecord:
         record = self._new_record()
 
-        if self._initial_distribution_pending:
-            for clan_id, block in enumerate(self._initial_blocks):
-                genomes = [self._all_initial[key] for key in block]
-                record.messages.append(
-                    Message(
-                        MessageType.SENDING_GENOMES,
-                        CENTER,
-                        clan_id,
-                        n_floats=sum(
-                            genome_wire_floats(g) for g in genomes
-                        ),
-                        n_genes=sum(g.gene_count() for g in genomes),
-                        n_units=len(genomes),
-                    )
+        if self.generation == 0:
+            # genomes cross the network exactly once, at initialisation
+            for clan in self._clans:
+                self._log_genomes(
+                    record, MessageType.SENDING_GENOMES, CENTER,
+                    clan.clan_id, clan.genomes.values(),
                 )
-            self._initial_distribution_pending = False
 
-        best_fitness = float("-inf")
-        fitness_sum = 0.0
-        total_members = 0
-        n_species = 0
-        solved = False
+        clan_stats = []
         for clan in self._clans:
             load = record.agent_loads[clan.clan_id]
-            clan_best, clan_sum, clan_solved, clan_stats = (
-                clan.run_generation(
-                    self.generation, self, load
+
+            def evaluate(genomes, generation):
+                return self._evaluate_block_on_agent(
+                    genomes, load, generation
                 )
-            )
-            record.speciation_comparisons += clan_stats.comparisons
+
+            stats = clan.run_generation(evaluate, self.generation)
+            load.speciation_gene_ops += stats.speciation_genes
+            load.reproduction_gene_ops += stats.reproduction_genes
+            record.speciation_comparisons += stats.speciation_comparisons
             record.messages.append(
                 Message(
                     MessageType.SENDING_FITNESS,
                     clan.clan_id,
                     CENTER,
-                    n_floats=FITNESS_ENTRY_FLOATS * len(clan.members),
-                    n_units=len(clan.members),
+                    n_floats=FITNESS_ENTRY_FLOATS * clan.size,
+                    n_units=clan.size,
                 )
             )
-            best_fitness = max(best_fitness, clan_best)
-            fitness_sum += clan_sum
-            total_members += len(clan.members)
-            n_species += clan_stats.n_species
-            solved = solved or clan_solved
-            if clan.best_genome is not None:
-                self._note_best(clan.best_genome)
+            clan_stats.append(stats)
+            self._note_best(clan.best_genome)
 
         if (
             self.resync_period is not None
@@ -663,11 +596,14 @@ class CLAN_DDA(ProtocolBase):
             with obs.span("resync", gen=self.generation):
                 self._global_resync(record)
 
-        record.best_fitness = best_fitness
-        record.mean_fitness = fitness_sum / max(total_members, 1)
-        record.n_species = n_species
+        total_members = sum(s.population_size for s in clan_stats)
+        record.best_fitness = max(s.best_fitness for s in clan_stats)
+        record.mean_fitness = (
+            sum(s.fitness_sum for s in clan_stats) / total_members
+        )
+        record.n_species = sum(s.n_species for s in clan_stats)
         record.population_size = total_members
-        record.solved = solved
+        record.solved = any(s.solved for s in clan_stats)
         self.generation += 1
         self.records.append(record)
         return record
@@ -683,22 +619,11 @@ class CLAN_DDA(ProtocolBase):
         """
         merged: dict[int, Genome] = {}
         for clan in self._clans:
-            floats = sum(
-                genome_wire_floats(g) for g in clan.members.values()
+            self._log_genomes(
+                record, MessageType.SENDING_CHILDREN, clan.clan_id,
+                CENTER, clan.genomes.values(), phase="resync",
             )
-            genes = sum(g.gene_count() for g in clan.members.values())
-            record.messages.append(
-                Message(
-                    MessageType.SENDING_CHILDREN,
-                    clan.clan_id,
-                    CENTER,
-                    n_floats=floats,
-                    n_genes=genes,
-                    n_units=len(clan.members),
-                    phase="resync",
-                )
-            )
-            merged.update(clan.members)
+            merged.update(clan.genomes)
 
         blocks = contiguous_blocks(sorted(merged), self.n_agents)
         for clan, block in zip(self._clans, blocks):
@@ -706,133 +631,11 @@ class CLAN_DDA(ProtocolBase):
                 "resync", track=f"clan:{clan.clan_id}", members=len(block)
             ):
                 members = {key: merged[key] for key in block}
-                floats = sum(
-                    genome_wire_floats(g) for g in members.values()
-                )
-                genes = sum(g.gene_count() for g in members.values())
-                record.messages.append(
-                    Message(
-                        MessageType.SENDING_GENOMES,
-                        CENTER,
-                        clan.clan_id,
-                        n_floats=floats,
-                        n_genes=genes,
-                        n_units=len(members),
-                        phase="resync",
-                    )
+                self._log_genomes(
+                    record, MessageType.SENDING_GENOMES, CENTER,
+                    clan.clan_id, members.values(), phase="resync",
                 )
                 clan.adopt_members(members)
-
-
-class _Clan:
-    """One agent's independent NEAT loop inside CLAN_DDA."""
-
-    def __init__(
-        self,
-        clan_id: int,
-        n_clans: int,
-        members: dict[int, Genome],
-        config: NEATConfig,
-        rngs: RngFactory,
-        next_genome_key: int,
-        genome_key_stride: int,
-        num_outputs: int,
-    ):
-        self.clan_id = clan_id
-        self.members = members
-        self.config = config
-        self.rngs = rngs
-        self.species_set = SpeciesSet(
-            species_id_offset=clan_id, species_id_stride=n_clans
-        )
-        max_node = max(
-            (genome.max_node_id() for genome in members.values()),
-            default=num_outputs - 1,
-        )
-        self.innovation = InnovationTracker(
-            next_node_id=max(max_node + 1, num_outputs),
-            agent_offset=clan_id,
-            agent_stride=n_clans,
-        )
-        self._next_key = next_genome_key
-        self._key_stride = genome_key_stride
-        self.best_genome: Genome | None = None
-
-    def _allocate_key(self) -> int:
-        key = self._next_key
-        self._next_key += self._key_stride
-        return key
-
-    def adopt_members(self, members: dict[int, Genome]) -> None:
-        """Replace the clan population after a global resync."""
-        self.members = members
-        self.species_set = SpeciesSet(
-            species_id_offset=self.species_set._next_species_id,
-            species_id_stride=self.species_set._stride,
-        )
-        for genome in members.values():
-            self.innovation.observe_node_id(genome.max_node_id())
-        self.config = self.config.evolve_with(pop_size=len(members))
-
-    def run_generation(
-        self,
-        generation: int,
-        protocol: "CLAN_DDA",
-        load: AgentLoad,
-    ) -> tuple[float, float, bool, "SpeciationStats"]:
-        """One clan-local generation; returns (best, sum, solved, stats)."""
-        track = f"clan:{self.clan_id}"
-        solved = False
-        with obs.span(
-            "evaluate", track=track, gen=generation,
-            genomes=len(self.members),
-        ):
-            results = protocol._evaluate_block_on_agent(
-                list(self.members.values()), load, generation
-            )
-        for genome in self.members.values():
-            result = results[genome.key]
-            genome.fitness = result.fitness
-            solved = solved or result.solved
-
-        best = max(
-            self.members.values(), key=lambda g: (g.fitness, -g.key)
-        )
-        if (
-            self.best_genome is None
-            or best.fitness > (self.best_genome.fitness or float("-inf"))
-        ):
-            self.best_genome = best.copy()
-        fitness_sum = sum(g.fitness for g in self.members.values())
-
-        with obs.span("speciate", track=track, gen=generation):
-            speciation_stats = self.species_set.speciate(
-                self.members,
-                generation,
-                self.config,
-                self.rngs.get(f"speciate:{generation}"),
-            )
-        load.speciation_gene_ops += speciation_stats.genes_compared
-
-        with obs.span("reproduce", track=track, gen=generation):
-            plan = plan_generation(
-                self.config,
-                self.species_set,
-                generation,
-                self.rngs.get(f"plan:{generation}"),
-                self._allocate_key,
-            )
-            child_rng: Callable = lambda spec: self.rngs.get(  # noqa: E731
-                f"child:{generation}:{spec.child_key}"
-            )
-            next_members, repro_stats = execute_plan(
-                plan, self.members, self.config, child_rng, self.innovation,
-                np_rng=brood_rng(self.config, self.rngs, generation),
-            )
-        load.reproduction_gene_ops += repro_stats.genes_processed
-        self.members = next_members
-        self.innovation.advance_generation()
-        return best.fitness, fitness_sum, solved, speciation_stats
 
 
 _PROTOCOLS = {

@@ -13,7 +13,8 @@ structure as the `neat-python` library the paper builds on:
 * :mod:`repro.neat.reproduction` — generation planning (spawn counts, parent
   pools) separated from child formation, mirroring the paper's compute-block
   decomposition so the CLAN protocols can distribute each block.
-* :mod:`repro.neat.population` — the serial generation loop (paper Fig 2a).
+* :mod:`repro.neat.population` — the generation loop (paper Fig 2a), for
+  a whole population and for a CLAN_DDA clan alike.
 * :mod:`repro.neat.network` — feed-forward network compilers: the scalar
   interpreter and the batched NumPy engine (see ``docs/backends.md``),
   plus the topology-keyed :class:`PlanCache` that lets weight-only
@@ -34,7 +35,6 @@ from repro.neat.network import (
     compile_batched,
     structural_signature,
 )
-from repro.neat.recurrent import RecurrentNetwork
 from repro.neat.population import GenerationStats, Population
 from repro.neat.evaluation import FitnessResult, GenomeEvaluator
 from repro.neat.checkpoint import load_population, save_population
@@ -51,7 +51,6 @@ __all__ = [
     "PlanCache",
     "compile_batched",
     "structural_signature",
-    "RecurrentNetwork",
     "Population",
     "GenerationStats",
     "FitnessResult",

@@ -23,7 +23,6 @@ import zlib
 
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
-from repro.neat.innovation import InnovationTracker
 from repro.neat.population import Population
 from repro.neat.species import Species, SpeciesSet
 
@@ -135,11 +134,6 @@ def decode_genome_hex(payload: str) -> Genome:
     return decode_genome(bytes.fromhex(payload))
 
 
-# backwards-compatible private aliases (pre-docs-PR internal names)
-_encode_genome_hex = encode_genome_hex
-_decode_genome_hex = decode_genome_hex
-
-
 def species_to_blob(species: Species, live_genomes: dict) -> dict:
     """Serialise one species to the checkpoint-v2 blob format.
 
@@ -208,29 +202,20 @@ def save_population(population: Population, path) -> None:
     so a crash mid-write leaves the previous checkpoint intact and a
     damaged file is detected on load rather than silently resumed from.
     """
-    species_blobs = [
-        species_to_blob(species, population.genomes)
-        for species in population.species_set.iter_species()
-    ]
+    state = population.snapshot()
+    best = state["best_genome"]
     document = {
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(population.config),
-        "seed": population.seed,
-        "generation": population.generation,
-        "next_genome_key": population._next_key,
-        "next_node_id": population.innovation.next_node_id,
-        "next_species_id": population.species_set._next_species_id,
-        "species_id_stride": population.species_set._stride,
-        "genomes": [
-            _encode_genome_hex(genome)
-            for genome in population.genomes.values()
-        ],
-        "species": species_blobs,
-        "best_genome": (
-            _encode_genome_hex(population.best_genome)
-            if population.best_genome is not None
-            else None
-        ),
+        "seed": state["seed"],
+        "generation": state["generation"],
+        "next_genome_key": state["next_genome_key"],
+        "next_node_id": state["next_node_id"],
+        "next_species_id": state["next_species_id"],
+        "species_id_stride": state["n_clans"],
+        "genomes": [encode_genome_hex(g) for g in state["genomes"]],
+        "species": state["species"],
+        "best_genome": None if best is None else encode_genome_hex(best),
     }
     atomic_write_json(path, document)
 
@@ -261,38 +246,23 @@ def _population_from_document(document: dict) -> Population:
     config_data = dict(document["config"])
     for field in _TUPLE_FIELDS:
         config_data[field] = tuple(config_data[field])
-    config = NEATConfig(**config_data)
-
-    population = Population.__new__(Population)
-    population.config = config
-    population.seed = document["seed"]
-    from repro.utils.rng import RngFactory
-
-    population.rngs = RngFactory(population.seed)
-    population.generation = document["generation"]
-    population._next_key = document["next_genome_key"]
-    population.history = []
-    population.last_plan = None
-    population.last_children_profile = {}
-
-    population.genomes = {}
-    for payload in document["genomes"]:
-        genome = _decode_genome_hex(payload)
-        population.genomes[genome.key] = genome
-
-    population.innovation = InnovationTracker(
-        next_node_id=document["next_node_id"]
-    )
-
-    stride = document["species_id_stride"]
-    species_set = SpeciesSet(species_id_stride=stride)
-    species_set._next_species_id = document["next_species_id"]
-    for blob in document["species"]:
-        species_from_blob(blob, population.genomes, species_set)
-    population.species_set = species_set
-
     best = document["best_genome"]
-    population.best_genome = (
-        _decode_genome_hex(best) if best is not None else None
+    return Population.restore(
+        NEATConfig(**config_data),
+        {
+            "seed": document["seed"],
+            # the document predates clans: it describes clan 0, and its
+            # species-id stride is the clan count
+            "clan_id": 0,
+            "n_clans": document["species_id_stride"],
+            "generation": document["generation"],
+            "genomes": [
+                decode_genome_hex(payload) for payload in document["genomes"]
+            ],
+            "next_genome_key": document["next_genome_key"],
+            "next_node_id": document["next_node_id"],
+            "next_species_id": document["next_species_id"],
+            "species": document["species"],
+            "best_genome": None if best is None else decode_genome_hex(best),
+        },
     )
-    return population

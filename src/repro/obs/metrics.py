@@ -304,7 +304,7 @@ class MetricsRegistry:
         """Fold a serving fleet's self-healing counters in.
 
         ``health`` is the dict :meth:`repro.serve.fleet.ServingFleet
-        .health` returns — respawn/retry/hedge totals, per-replica
+        .health` returns — respawn/retry totals, per-replica
         circuit-breaker states, and the chaos injector's fired-fault
         tally (empty without a fault plan). Ingest one final snapshot
         per run, like the other ``ingest_*`` surfaces.
@@ -315,8 +315,6 @@ class MetricsRegistry:
             ("repro_requests_retried_total", "requests_retried",
              "in-flight requests transparently re-dispatched after a "
              "replica death"),
-            ("repro_requests_hedged_total", "requests_hedged",
-             "duplicate hedged dispatches racing a slow replica"),
         ):
             self.counter(name, help_, **labels).inc(
                 health.get(key, 0)

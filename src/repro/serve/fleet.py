@@ -514,7 +514,6 @@ class ServingFleet:
         respawn_backoff_s: float = 0.05,
         submit_retries: int = 2,
         retry_jitter_s: float = 0.002,
-        hedge_after_s: float | None = None,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 1.0,
         deploy_repair_s: float = 0.25,
@@ -549,7 +548,6 @@ class ServingFleet:
         self.respawn_backoff_s = respawn_backoff_s
         self.submit_retries = submit_retries
         self.retry_jitter_s = retry_jitter_s
-        self.hedge_after_s = hedge_after_s
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self.deploy_repair_s = deploy_repair_s
@@ -560,9 +558,8 @@ class ServingFleet:
         #: repro_requests_retried_total — see obs/metrics.py)
         self.replica_respawns = 0
         self.requests_retried = 0
-        self.requests_hedged = 0
         self._rng = random.Random(seed)
-        #: retry/hedge placement draws come from a *separate* seeded
+        #: retry placement draws come from a *separate* seeded
         #: stream so healing never shifts the balancer's deterministic
         #: pick sequence for healthy traffic
         self._retry_rng = random.Random(seed ^ 0x9E3779B1)
@@ -879,34 +876,7 @@ class ServingFleet:
         if not handle.flush_scheduled:
             handle.flush_scheduled = True
             self._loop.call_soon(self._flush_outbox, handle)
-        if self.hedge_after_s is not None and len(self._live) > 1:
-            self._loop.call_later(
-                self.hedge_after_s,
-                self._maybe_hedge,
-                observation,
-                future,
-                handle,
-            )
         return await future
-
-    def _maybe_hedge(self, observation, future, first: _ReplicaHandle):
-        """Optional hedged re-dispatch: if the request is still
-        unanswered after ``hedge_after_s``, race a duplicate on another
-        replica — first answer wins (the loser's outcome finds the
-        future already resolved and is dropped)."""
-        if future.done() or self._closed:
-            return
-        others = [h for h in self._live if h is not first]
-        if not others:
-            return
-        target = self._retry_rng.choice(others)
-        self.requests_hedged += 1
-        target.outbox.append(
-            (observation, future, self._loop.time(), self.submit_retries)
-        )
-        if not target.flush_scheduled:
-            target.flush_scheduled = True
-            self._loop.call_soon(self._flush_outbox, target)
 
     def _flush_outbox(self, handle: _ReplicaHandle) -> None:
         """Forward the accepted backlog in chunks (loop thread only)."""
@@ -968,7 +938,7 @@ class ServingFleet:
             now = self._loop.time()
             for entry, outcome in zip(waiters, outcomes):
                 _, future, submitted_at, _ = entry
-                if future.done():  # hedged twin won, or caller cancelled
+                if future.done():  # caller cancelled
                     continue
                 if outcome[0] == "ok":
                     _, action, version, _, batch_size = outcome
@@ -1369,7 +1339,6 @@ class ServingFleet:
         return {
             "replica_respawns": self.replica_respawns,
             "requests_retried": self.requests_retried,
-            "requests_hedged": self.requests_hedged,
             "fleet_shed": self.fleet_shed,
             "breaker_states": self.breaker_states(),
             "live_replicas": self.live_replicas,

@@ -316,7 +316,6 @@ class ContinuousService:
         return {
             "replica_respawns": 0,
             "requests_retried": 0,
-            "requests_hedged": 0,
             "fleet_shed": 0,
             "breaker_states": {},
             "live_replicas": [0],

@@ -248,7 +248,7 @@ class TestDDA:
         engine = CLAN_DDA(ENV, n_agents=4, config=config, seed=21)
         engine.run(max_generations=4, fitness_threshold=1e9)
         all_keys = [
-            key for clan in engine._clans for key in clan.members
+            key for clan in engine._clans for key in clan.genomes
         ]
         assert len(all_keys) == len(set(all_keys))
 
@@ -257,7 +257,7 @@ class TestDDA:
         engine.run(max_generations=5, fitness_threshold=1e9)
         hidden_owner = {}
         for clan in engine._clans:
-            for genome in clan.members.values():
+            for genome in clan.genomes.values():
                 for node_id in genome.nodes:
                     if node_id < config.num_outputs:
                         continue  # outputs shared by construction

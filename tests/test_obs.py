@@ -364,7 +364,6 @@ class TestMetricsRegistry:
         health = {
             "replica_respawns": 2,
             "requests_retried": 5,
-            "requests_hedged": 1,
             "fleet_shed": 0,
             "breaker_states": {0: 1.0, 1: 0.0},
             "live_replicas": [1],
@@ -374,7 +373,6 @@ class TestMetricsRegistry:
         registry.ingest_fleet_health(health)
         assert registry.value("repro_replica_respawns_total") == 2
         assert registry.value("repro_requests_retried_total") == 5
-        assert registry.value("repro_requests_hedged_total") == 1
         assert (
             registry.value("repro_faults_injected_total", action="kill")
             == 1

@@ -64,7 +64,7 @@ class TestProtocolInvariants:
     def test_dda_clans_partition_population(self, n_clans, seed):
         engine = engine_for(CLAN_DDA, n_clans, seed)
         engine.run(max_generations=2, fitness_threshold=1e9)
-        keys = [key for clan in engine._clans for key in clan.members]
+        keys = [key for clan in engine._clans for key in clan.genomes]
         assert len(keys) == len(set(keys)) == POP
 
     @given(st.sampled_from([CLAN_DCS, CLAN_DDS, CLAN_DDA]), agents, seeds)
