@@ -134,6 +134,9 @@ def _export_telemetry(args, tracer, registry) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the serving knobs have one definition, next to the batcher
+    from repro.serve.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_S
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CLAN: collaborative neuroevolution on edge clusters",
@@ -239,12 +242,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="total synthetic requests to offer",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=32,
+        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
         help="most requests coalesced into one forward pass",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="longest a request waits for batch-mates before flushing",
+        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_S * 1e3,
+        help="extra time a batch that is not full is held for "
+        "batch-mates. The default 0 flushes whatever is queued as soon "
+        "as the replica is free (batches still grow with load); a "
+        "non-zero window buys bigger batches at low request rates and "
+        "adds up to that much to every request's latency",
     )
     serve.add_argument(
         "--replicas", type=int, default=1, metavar="N",

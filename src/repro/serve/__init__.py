@@ -5,8 +5,9 @@ evolving while the deployed champion keeps answering requests.
 
 * :class:`ChampionRegistry` — versioned, pre-compiled champions with
   atomic hot-swap and rollback.
-* :class:`MicroBatcher` — coalesces concurrent requests into one batched
-  forward pass (scalar-parity per request).
+* :class:`MicroBatcher` — work-conserving coalescing of concurrent
+  requests (single observations or whole blocks) into batched forward
+  passes (scalar-parity per row).
 * :class:`InferenceGateway` — asyncio ``submit(obs) -> action`` plus
   service-quality stats (p50/p95, qps, batch histogram, shed count).
 * :class:`ContinuousService` — background barrier-free evolution
@@ -25,6 +26,7 @@ from repro.serve.batcher import (
     MicroBatcher,
     Overloaded,
     ServedAction,
+    ServedBlock,
     ServiceClosed,
 )
 from repro.serve.fleet import (

@@ -2,17 +2,33 @@
 
 The scalar interpreter costs one Python call per gene per request; the
 batched engine amortises that over a whole observation batch (PR 1
-measured ~14x at population scale). A serving gateway sees *concurrent
-single* requests, so the win has to be manufactured: the
-:class:`MicroBatcher` holds the first request of a batch for at most
-``max_wait_s`` while more arrive, then runs them all through one
-``policy_batch`` call.
+measured ~14x at population scale). A serving gateway sees *concurrent*
+requests, and the :class:`MicroBatcher` turns them into batches without
+charging anyone for the privilege:
 
-Per-request semantics are unchanged — each request's action equals what
-the then-current champion's scalar interpreter would have produced for
-that observation alone (the hypothesis suite in
-``tests/test_serve_batcher.py`` drives arbitrary interleavings against
-per-request ``FeedForwardNetwork.activate``).
+* **Work-conserving collector.** The moment the collector is free it
+  flushes whatever is queued, up to ``max_batch`` rows, through one
+  ``policy_batch`` call. Requests that arrive during a forward pass
+  form the next batch, so batches still grow with load — but an idle
+  batcher never parks a request on a timer. ``max_wait_s > 0`` is an
+  opt-in extra window: a batch that is not yet full is held that long
+  for batch-mates (bigger batches at low rates, paid for in p50).
+* **Block-native queue.** The queue holds *blocks* — a
+  ``(k, n_inputs)`` float64 matrix with one future and one
+  ``submitted_at``. :meth:`MicroBatcher.submit` is the 1-row block;
+  :meth:`MicroBatcher.submit_block` is what a fleet replica feeds a
+  whole forwarded chunk through, so a 256-row chunk costs one future
+  and a handful of array slices rather than 256 of everything. The
+  collector packs rows from consecutive blocks, splitting a block
+  across flushes when it must; a block's answer is one run per flush
+  that served it, expandable to per-row columns.
+
+Per-request semantics are unchanged — each row's action equals what
+the champion named in its version column would have produced for that
+observation alone through the scalar interpreter (the hypothesis suite
+in ``tests/test_serve_batcher.py`` drives arbitrary interleavings of
+single and block submits against per-row
+``FeedForwardNetwork.activate``).
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from repro.obs import clock
 from repro.obs import tracer as obs
@@ -29,6 +46,19 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - serving requires the numpy engine
     np = None
+
+# The serving defaults, defined once: every constructor that takes the
+# knobs (``MicroBatcher``, ``InferenceGateway``, ``ServingFleet``,
+# ``ContinuousService``, ``SLOBatchController``) and the ``repro serve``
+# flags default to these (``tests/test_serve_batcher.py`` asserts they
+# agree).
+
+#: most rows coalesced into one forward pass
+DEFAULT_MAX_BATCH = 32
+#: extra coalescing window, seconds — 0 is work-conserving batching
+DEFAULT_MAX_WAIT_S = 0.0
+#: rows queued ahead of the collector before new ones are shed
+DEFAULT_MAX_PENDING = 4096
 
 
 class ServiceClosed(RuntimeError):
@@ -57,14 +87,56 @@ class ServedAction:
     replica: int | None = None
 
 
-@dataclass
-class _Pending:
-    observation: tuple
-    future: asyncio.Future
-    submitted_at: float
+class ServedBlock:
+    """One submitted block: its accepted rows and, once its future
+    resolves, the answer to them.
 
+    ``rows`` is the head of the submitted matrix that was queued
+    (``accepted`` of them); the tail beyond it was shed at
+    ``max_pending``. ``runs`` holds one ``(actions, version, size,
+    latency_s)`` per flush that served part of the block, in row order:
+    the greedy actions of those rows, the champion version and row
+    count of that forward pass, and the submit-to-answer latency its
+    rows saw. A block that fits one flush has one run; one split across
+    flushes may name more than one version — never a decreasing
+    sequence, since flushes run in order.
+    """
 
-_CLOSE = object()
+    __slots__ = ("rows", "runs", "_future", "_submitted_at", "_taken")
+
+    def __init__(self, rows, future, submitted_at):
+        self.rows = rows
+        self.runs = []
+        self._future = future
+        self._submitted_at = submitted_at
+        #: rows already packed into a flush
+        self._taken = 0
+
+    @property
+    def accepted(self) -> int:
+        return len(self.rows)
+
+    def columns(self):
+        """Per-row ``(actions, versions, sizes, latencies_s)`` arrays,
+        each ``accepted`` long — row ``i`` describes ``rows[i]``."""
+        runs = self.runs
+        counts = [len(run[0]) for run in runs]
+
+        def column(field, dtype):
+            values = np.array([run[field] for run in runs], dtype=dtype)
+            return np.repeat(values, counts)
+
+        actions = (
+            np.concatenate([run[0] for run in runs])
+            if runs
+            else np.empty(0, dtype=np.int64)
+        )
+        return (
+            actions,
+            column(1, np.int64),
+            column(2, np.int64),
+            column(3, np.float64),
+        )
 
 
 class MicroBatcher:
@@ -78,17 +150,18 @@ class MicroBatcher:
     one champion version.
 
     Lifecycle: ``start`` spawns the collector task on the running loop;
-    ``close`` stops intake, **drains every already-accepted request**,
-    then returns — accepted requests are never dropped (see
+    ``close`` stops intake, **drains every already-accepted row**
+    (including the rest of a half-flushed block), then returns —
+    accepted requests are never dropped (see
     ``tests/test_serve_gateway.py``).
     """
 
     def __init__(
         self,
         infer,
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
-        max_pending: int = 4096,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
+        max_pending: int = DEFAULT_MAX_PENDING,
     ):
         if np is None:  # pragma: no cover - exercised only without numpy
             raise RuntimeError(
@@ -103,19 +176,28 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.max_pending = max_pending
-        self._queue: asyncio.Queue | None = None
+        #: accepted blocks in arrival order; the head stays queued until
+        #: its last row is packed into a flush (loop thread only)
+        self._blocks: deque[ServedBlock] = deque()
+        #: rows in ``_blocks`` not yet packed into a flush — what
+        #: ``max_pending`` bounds
+        self._pending_rows = 0
+        #: pending while the collector sleeps; resolved by an arriving
+        #: block or by ``close``
+        self._wakeup: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
         self._closed = False
         # flushes mutate the counters on the loop thread while stats
         # scrapers may snapshot from any other thread; one lock per
         # batch keeps the snapshot coherent
         self._metrics_lock = threading.Lock()
-        #: batch-size -> flush count — guarded-by: _metrics_lock
+        #: flush size -> flush count — guarded-by: _metrics_lock
         self.batch_size_histogram: dict[int, int] = {}
-        #: answered-request latencies (bounded window for quantiles)
+        #: answered-row latencies (bounded window for quantiles)
         self.latencies_s: deque[float] = deque(  # guarded-by: _metrics_lock
             maxlen=65536
         )
+        #: all three count rows
         self.accepted = 0  # guarded-by: _metrics_lock
         self.served = 0  # guarded-by: _metrics_lock
         self.shed = 0  # guarded-by: _metrics_lock
@@ -124,7 +206,6 @@ class MicroBatcher:
         """Spawn the collector on the running event loop."""
         if self._task is not None:
             raise RuntimeError("batcher already started")
-        self._queue = asyncio.Queue()
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     def reconfigure(
@@ -153,125 +234,213 @@ class MicroBatcher:
 
     async def submit(self, observation) -> ServedAction:
         """Queue one observation; resolves with its batched answer."""
-        if self._queue is None:
+        future = self._enqueue(np.array([observation], dtype=np.float64))
+        if future is None:
+            raise Overloaded(f"{self.max_pending} requests already pending")
+        answer = await future
+        actions, version, size, latency_s = answer.runs[0]
+        return ServedAction(
+            action=int(actions[0]),
+            champion_version=version,
+            latency_s=latency_s,
+            batch_size=size,
+        )
+
+    async def submit_block(self, observations) -> ServedBlock:
+        """Queue a ``(k, n_inputs)`` block; resolves with its answer.
+
+        Rows are accepted while the pending queue has room: the head of
+        the block that fits is queued and answered, the tail is shed
+        (``ServedBlock.accepted`` says where the cut fell). The block is
+        read when it is flushed, so the caller must not write to it in
+        the meantime.
+        """
+        rows = np.asarray(observations, dtype=np.float64)
+        future = self._enqueue(rows)
+        if future is None:
+            return ServedBlock(rows[:0], None, 0.0)
+        return await future
+
+    def _enqueue(self, rows) -> asyncio.Future | None:
+        """Queue the head of ``rows`` that fits under ``max_pending``
+        and shed the rest; the future of the queued block (it resolves
+        with the block), or None when no row fits."""
+        if self._task is None:
             raise RuntimeError("batcher not started")
         if self._closed:
             raise ServiceClosed("gateway is closing; request rejected")
-        if self._queue.qsize() >= self.max_pending:
-            with self._metrics_lock:
-                self.shed += 1
-            raise Overloaded(
-                f"{self.max_pending} requests already pending"
+        if rows.ndim != 2:
+            raise ValueError(
+                "a block is a (k, n_inputs) matrix, got shape "
+                f"{rows.shape}"
             )
-        item = _Pending(
-            observation=tuple(float(v) for v in observation),
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=clock.perf(),
-        )
-        self._queue.put_nowait(item)
+        offered = len(rows)
+        accepted = min(offered, max(0, self.max_pending - self._pending_rows))
         with self._metrics_lock:
-            self.accepted += 1
-        return await item.future
+            self.accepted += accepted
+            self.shed += offered - accepted
+        if not accepted:
+            return None
+        future = asyncio.get_running_loop().create_future()
+        self._blocks.append(
+            ServedBlock(
+                rows if accepted == offered else rows[:accepted],
+                future,
+                clock.perf(),
+            )
+        )
+        self._pending_rows += accepted
+        self._wake()
+        return future
 
     async def close(self) -> None:
-        """Stop intake, drain every accepted request, stop the collector.
+        """Stop intake, drain every accepted row, stop the collector.
 
-        The close sentinel is enqueued *behind* all accepted requests
-        (FIFO), so the collector answers everything in flight before it
-        sees the sentinel — mirroring the stale-message drain the worker
-        pool does on shutdown.
+        Nothing joins the queue once intake has stopped, so the
+        collector answers everything in flight — the rest of a
+        half-flushed block included — and exits when the queue is empty,
+        mirroring the stale-message drain the worker pool does on
+        shutdown.
         """
-        if self._queue is None or self._closed:
+        if self._task is None or self._closed:
             return
         self._closed = True
-        self._queue.put_nowait(_CLOSE)
+        self._wake()
         await self._task
 
+    def _wake(self) -> None:
+        if self._wakeup is not None and not self._wakeup.done():
+            self._wakeup.set_result(None)
+
+    async def _sleep(self, timeout_s: float | None) -> None:
+        """Park the collector until a block arrives, ``close`` is
+        called, or ``timeout_s`` (None = no limit) runs out."""
+        self._wakeup = asyncio.get_running_loop().create_future()
+        try:
+            if timeout_s is None:
+                await self._wakeup
+            else:
+                await asyncio.wait_for(self._wakeup, timeout_s)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            self._wakeup = None
+
     async def _run(self) -> None:
+        """Pack queued rows into flushes until closed and drained.
+
+        Work-conserving: a flush takes what is queued *now*, up to
+        ``max_batch`` rows, splitting a block when it does not fit.
+        Only a non-zero ``max_wait_s`` makes the collector wait — for
+        at most that long, and only while the batch has room.
+        """
         loop = asyncio.get_running_loop()
-        while True:
-            first = await self._queue.get()
-            if first is _CLOSE:
-                return
-            batch = [first]
-            closing = False
-            deadline = loop.time() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                if not self._queue.empty():
-                    item = self._queue.get_nowait()
-                else:
+        blocks = self._blocks
+        while blocks or not self._closed:
+            if not blocks:
+                await self._sleep(None)
+                continue
+            parts = []
+            room = self.max_batch
+            wait_s = self.max_wait_s
+            deadline = loop.time() + wait_s if wait_s > 0 else None
+            while room:
+                if not blocks:
+                    if deadline is None or not parts or self._closed:
+                        break
                     remaining = deadline - loop.time()
                     if remaining <= 0:
                         break
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                if item is _CLOSE:
-                    closing = True
-                    break
-                batch.append(item)
-            self._flush(batch)
-            if closing:
-                return
+                    await self._sleep(remaining)
+                    continue
+                head = blocks[0]
+                taken = head._taken
+                rest = len(head.rows) - taken
+                if head._future.done():
+                    # cancelled by its caller, or failed by an earlier
+                    # flush: nobody is waiting for the remaining rows
+                    take = rest
+                else:
+                    take = min(rest, room)
+                    parts.append((head, taken, taken + take))
+                    head._taken = taken + take
+                    room -= take
+                self._pending_rows -= take
+                if take == rest:
+                    blocks.popleft()
+            if parts:
+                self._flush(parts)
 
-    def _flush(self, batch: list[_Pending]) -> None:
-        """One batched forward pass; resolve every request's future.
+    def _flush(self, parts: list[tuple[ServedBlock, int, int]]) -> None:
+        """One batched forward pass over ``(block, lo, hi)`` row ranges;
+        give every block its run and resolve the completed ones.
 
-        Any failure — a ragged observation breaking the array stack as
-        much as a backend error — fails only this batch's futures; the
+        Any failure — blocks of different widths breaking the stack as
+        much as a backend error — fails only this flush's blocks; the
         collector itself must survive to serve the next batch.
         """
-        flush_span = obs.span("batch_flush", size=len(batch))
+        size = sum(hi - lo for _, lo, hi in parts)
+        flush_span = obs.span("batch_flush", size=size)
         with flush_span:
             try:
-                observations = np.asarray(
-                    [item.observation for item in batch], dtype=np.float64
+                observations = [
+                    block.rows if hi - lo == len(block.rows)
+                    else block.rows[lo:hi]
+                    for block, lo, hi in parts
+                ]
+                version, actions = self._infer(
+                    observations[0] if len(parts) == 1
+                    else np.concatenate(observations)
                 )
-                version, actions = self._infer(observations)
             except Exception as exc:
                 flush_span.add(error=type(exc).__name__)
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
+                for block, _, _ in parts:
+                    if not block._future.done():
+                        block._future.set_exception(exc)
                 return
             # the champion version is the deployment sequence number the
             # whole batch was served under
             flush_span.add(version=version)
         now = clock.perf()
-        size = len(batch)
         with self._metrics_lock:
             self.batch_size_histogram[size] = (
                 self.batch_size_histogram.get(size, 0) + 1
             )
-            for item in batch:
-                self.latencies_s.append(now - item.submitted_at)
-            self.served += size
-        for i, item in enumerate(batch):
-            if not item.future.done():
-                item.future.set_result(
-                    ServedAction(
-                        action=int(actions[i]),
-                        champion_version=version,
-                        latency_s=now - item.submitted_at,
-                        batch_size=size,
-                    )
+            for block, lo, hi in parts:
+                self.latencies_s.extend(
+                    repeat(now - block._submitted_at, hi - lo)
                 )
+            self.served += size
+        start = 0
+        for block, lo, hi in parts:
+            stop = start + hi - lo
+            latency_s = now - block._submitted_at
+            block.runs.append((actions[start:stop], version, size, latency_s))
+            start = stop
+            if hi == len(block.rows) and not block._future.done():
+                block._future.set_result(block)
 
-    def metrics_snapshot(self) -> tuple[int, int, int, list, dict]:
+    def metrics_snapshot(
+        self, tail: int | None = None
+    ) -> tuple[int, int, int, list, dict]:
         """Coherent ``(accepted, served, shed, latencies, histogram)``.
 
-        Safe from any thread — the same lock that guards flush-side
-        updates guards the copies, so a scraper never iterates a deque
-        or dict mid-mutation.
+        ``tail`` bounds the latency copy to the most recent ``tail``
+        samples (a controller polling every few milliseconds must not
+        copy the whole reservoir each time). Safe from any thread — the
+        same lock that guards flush-side updates guards the copies, so
+        a scraper never iterates a deque or dict mid-mutation.
         """
         with self._metrics_lock:
+            if tail is None:
+                latencies = list(self.latencies_s)
+            else:
+                latencies = list(islice(reversed(self.latencies_s), tail))
+                latencies.reverse()
             return (
                 self.accepted,
                 self.served,
                 self.shed,
-                list(self.latencies_s),
+                latencies,
                 dict(self.batch_size_histogram),
             )

@@ -17,10 +17,23 @@ propagation is monotone: once a replica acks seq ``s`` it can never
 serve a deployment older than ``s`` — even across a rollback, which
 lowers the champion *version* but still raises the *seq*.
 
+The request path is block-native on both sides of the pipe. The parent
+keeps one waiter — ``(observation, future, submitted_at, retries)`` —
+per request and forwards each replica's backlog in chunks; a chunk
+crosses the pipe as ``("infer", (chunk_id, observations))`` with
+``observations`` one ``(k, n_inputs)`` float64 matrix. The replica feeds
+the matrix to its micro-batcher as *one block* (one future, no
+per-request task or object; see :mod:`repro.serve.batcher`) and replies
+``("answers", (chunk_id, status, accepted, actions, versions, sizes))``
+— three ``(accepted,)`` integer arrays, one entry per answered row —
+which the parent fans out to the waiting futures in order. Rows past
+``accepted`` were shed by the replica's pending queue.
+
 Overload surfaces at two levels: each replica sheds via its own bounded
 micro-batcher queue, and the parent sheds (``fleet_shed``) when a
 replica's in-flight window is full — callers see the same
-:class:`~repro.serve.batcher.Overloaded` either way. The
+:class:`~repro.serve.batcher.Overloaded` either way. Batching is
+work-conserving by default (no coalescing window); the
 :class:`SLOBatchController` closes the loop on the latency side: an
 AIMD controller that widens the batching window (more throughput per
 forward pass) while p95 is under the SLO and shrinks it multiplicatively
@@ -68,6 +81,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
 
+import numpy as np
+
 from repro.cluster.serialization import (
     decode_batched_plan,
     encode_batched_plan,
@@ -76,7 +91,14 @@ from repro.core.metrics import ServiceStats
 from repro.neat.network import BatchedFeedForwardNetwork
 from repro.obs import clock
 from repro.obs import tracer as obs_tracer
-from repro.serve.batcher import Overloaded, ServedAction, ServiceClosed
+from repro.serve.batcher import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_MAX_WAIT_S,
+    Overloaded,
+    ServedAction,
+    ServiceClosed,
+)
 from repro.serve.gateway import InferenceGateway
 from repro.serve.registry import ChampionRegistry, Subscription
 
@@ -118,8 +140,8 @@ class SLOBatchController:
     def __init__(
         self,
         target_p95_s: float,
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         min_batch: int = 1,
         batch_cap: int = 512,
         min_wait_s: float = 0.0,
@@ -253,34 +275,26 @@ class _ReplicaChampionStore:
             self._closed = True
 
 
-async def _answer_chunk(gateway: InferenceGateway, observations) -> list:
-    """Serve one forwarded chunk; per-request outcome tuples.
+async def _answer_chunk(gateway: InferenceGateway, observations) -> tuple:
+    """Serve one forwarded chunk as one block; the reply columns.
 
-    All requests of a chunk are submitted concurrently so the replica's
-    micro-batcher can coalesce them — forwarding in chunks only
-    amortises pipe/pickle cost, it must not serialise inference.
+    Returns ``(status, accepted, actions, versions, sizes)``: with
+    status ``"ok"`` the three integer arrays hold one entry per
+    accepted row (the head of the chunk; rows past ``accepted`` were
+    shed by the replica's pending queue) — greedy action, champion
+    version and flush size. Any other status (``"closed"``, or the repr
+    of the exception that failed the block) applies to the whole chunk.
+    The chunk rides the batcher as a single block — one future, no
+    per-request task — and coalesces with whatever else is queued.
     """
-
-    async def one(observation):
-        try:
-            served = await gateway.submit(observation)
-            return (
-                "ok",
-                served.action,
-                served.champion_version,
-                served.latency_s,
-                served.batch_size,
-            )
-        except Overloaded:
-            return ("shed",)
-        except ServiceClosed:
-            return ("closed",)
-        except Exception as exc:  # pragma: no cover - defensive
-            return ("error", repr(exc))
-
-    return list(
-        await asyncio.gather(*(one(obs) for obs in observations))
-    )
+    try:
+        served = await gateway.submit_block(observations)
+    except ServiceClosed:
+        return ("closed", 0, None, None, None)
+    except Exception as exc:
+        return (repr(exc), 0, None, None, None)
+    actions, versions, sizes, _ = served.columns()
+    return ("ok", served.accepted, actions, versions, sizes)
 
 
 async def _replica_serve(
@@ -341,8 +355,8 @@ async def _replica_serve(
             conn.send(("spans", spans))
 
     async def handle_chunk(chunk_id, observations):
-        outcomes = await _answer_chunk(gateway, observations)
-        conn.send(("answers", (chunk_id, outcomes)))
+        reply = await _answer_chunk(gateway, observations)
+        conn.send(("answers", (chunk_id, *reply)))
         ship_spans()
 
     while True:
@@ -362,7 +376,10 @@ async def _replica_serve(
                 ("reconfigured", (gateway.max_batch, gateway.max_wait_s))
             )
         elif kind == "stats":
-            conn.send(("stats", gateway.stats()))
+            # payload: how many recent latency samples the caller wants
+            # (None = the whole reservoir); echoed so the parent knows
+            # which kind of snapshot it is holding
+            conn.send(("stats", (payload, gateway.stats(payload))))
         elif kind == "ping":
             conn.send(("pong", None))
         elif kind == "close":
@@ -424,6 +441,7 @@ class _ReplicaHandle:
         "last_stats",
         "final_stats",
         "stats_future",
+        "closed_future",
         "version_trace",
         "dead_handled",
         "catching_up",
@@ -454,6 +472,9 @@ class _ReplicaHandle:
         self.last_stats: ServiceStats | None = None
         self.final_stats: ServiceStats | None = None
         self.stats_future: asyncio.Future | None = None
+        #: set by ``close``; resolved by the replica's ``closed`` reply
+        #: or by its death, whichever comes first
+        self.closed_future: asyncio.Future | None = None
         #: champion versions in served order (consecutive dedup) — the
         #: stale-serve audit asserts this never regresses between acks
         self.version_trace: list[int] = []
@@ -503,9 +524,9 @@ class ServingFleet:
         self,
         registry: ChampionRegistry,
         replicas: int = 2,
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
-        max_pending: int = 4096,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
+        max_pending: int = DEFAULT_MAX_PENDING,
         seed: int = 0,
         max_inflight: int = 4096,
         chunk_size: int = 256,
@@ -703,19 +724,17 @@ class ServingFleet:
             task.cancel()
         live = [h for h in self._handles.values() if h.alive]
         for handle in live:
+            handle.closed_future = self._loop.create_future()
             self._flush_outbox(handle)
             try:
                 handle.send(("close", None))
             except (OSError, ValueError):
-                pass
-        deadline = clock.perf() + self.close_timeout_s
-        for handle in live:
-            while (
-                handle.alive
-                and handle.final_stats is None
-                and clock.perf() < deadline
-            ):
-                await asyncio.sleep(0.005)
+                self._on_replica_death(handle)
+        if live:
+            await asyncio.wait(
+                [handle.closed_future for handle in live],
+                timeout=self.close_timeout_s,
+            )
         self._reader_stop.set()
         if self._reader is not None:
             await self._loop.run_in_executor(None, self._reader.join)
@@ -879,18 +898,33 @@ class ServingFleet:
         return await future
 
     def _flush_outbox(self, handle: _ReplicaHandle) -> None:
-        """Forward the accepted backlog in chunks (loop thread only)."""
+        """Forward the accepted backlog in chunks (loop thread only).
+
+        A chunk crosses the pipe as one ``(k, n_inputs)`` float64
+        matrix; the waiters keep their own observation so a chunk that
+        is lost, or caught on a dying replica, can be re-dispatched.
+        """
         handle.flush_scheduled = False
         if not handle.alive:
             self._on_replica_death(handle)
             return
-        while handle.outbox:
-            observations = []
-            waiters = []
-            for _ in range(min(self.chunk_size, len(handle.outbox))):
-                entry = handle.outbox.popleft()
-                observations.append(entry[0])
-                waiters.append(entry)
+        outbox = handle.outbox
+        while outbox:
+            waiters = [
+                outbox.popleft()
+                for _ in range(min(self.chunk_size, len(outbox)))
+            ]
+            try:
+                observations = np.array(
+                    [entry[0] for entry in waiters], dtype=np.float64
+                )
+            except (TypeError, ValueError) as exc:
+                # a non-numeric or ragged observation fails the chunk it
+                # rides in, as it fails its batch in a direct gateway
+                for _, future, _, _ in waiters:
+                    if not future.done():
+                        future.set_exception(exc)
+                continue
             chunk_id = self._next_chunk_id
             self._next_chunk_id += 1
             if self._chaos is not None:
@@ -932,45 +966,27 @@ class ServingFleet:
         """Dispatch one replica reply (loop thread only)."""
         kind, payload = message
         if kind == "answers":
-            chunk_id, outcomes = payload
-            waiters = handle.inflight.pop(chunk_id, [])
+            chunk_id, status, accepted, actions, versions, sizes = payload
+            # a duplicated chunk's second answer finds no waiters
+            waiters = handle.inflight.pop(chunk_id, ())
             handle.inflight_count -= len(waiters)
-            now = self._loop.time()
-            for entry, outcome in zip(waiters, outcomes):
-                _, future, submitted_at, _ = entry
-                if future.done():  # caller cancelled
-                    continue
-                if outcome[0] == "ok":
-                    _, action, version, _, batch_size = outcome
-                    # an answered request closes the circuit breaker:
-                    # the replica is demonstrably serving again
-                    handle.breaker_failures = 0
-                    trace = handle.version_trace
-                    if not trace or trace[-1] != version:
-                        trace.append(version)
-                    future.set_result(
-                        ServedAction(
-                            action=action,
-                            champion_version=version,
-                            latency_s=now - submitted_at,
-                            batch_size=batch_size,
-                            replica=handle.id,
-                        )
-                    )
-                elif outcome[0] == "shed":
-                    future.set_exception(
-                        Overloaded(f"replica {handle.id} shed the request")
-                    )
-                elif outcome[0] == "closed":
-                    future.set_exception(
-                        ServiceClosed(f"replica {handle.id} was closing")
+            if status == "ok":
+                self._fan_out(
+                    handle, waiters, accepted,
+                    actions.tolist(), versions.tolist(), sizes.tolist(),
+                )
+            else:
+                if status == "closed":
+                    error = ServiceClosed(
+                        f"replica {handle.id} was closing"
                     )
                 else:
-                    future.set_exception(
-                        RuntimeError(
-                            f"replica {handle.id} failed: {outcome[1]}"
-                        )
+                    error = RuntimeError(
+                        f"replica {handle.id} failed: {status}"
                     )
+                for _, future, _, _ in waiters:
+                    if not future.done():
+                        future.set_exception(error)
         elif kind == "spans":
             tracer = obs_tracer.current()
             if tracer is not None:
@@ -988,14 +1004,55 @@ class ServingFleet:
                     self._admit(handle)
             self._check_deploy_waiters()
         elif kind == "stats":
-            handle.last_stats = payload
+            latency_tail, stats = payload
+            if latency_tail is None:
+                # only a whole-reservoir snapshot is worth caching for
+                # ``stats()``; a tail-bounded one answers its poll only
+                handle.last_stats = stats
             if handle.stats_future and not handle.stats_future.done():
-                handle.stats_future.set_result(payload)
+                handle.stats_future.set_result(stats)
         elif kind == "closed":
             handle.final_stats = payload
             handle.last_stats = payload
+            if handle.closed_future and not handle.closed_future.done():
+                handle.closed_future.set_result(None)
         elif kind in ("reconfigured", "pong"):
             pass
+
+    def _fan_out(
+        self, handle, waiters, accepted, actions, versions, sizes
+    ) -> None:
+        """Resolve one answered chunk's futures from its columns: row
+        ``i`` answers waiter ``i``; waiters past ``accepted`` were shed
+        by the replica. A caller-cancelled future is skipped."""
+        now = self._loop.time()
+        trace = handle.version_trace
+        replica = handle.id
+        for (_, future, submitted_at, _), action, version, size in zip(
+            waiters, actions, versions, sizes
+        ):
+            if future.done():
+                continue
+            if not trace or trace[-1] != version:
+                trace.append(version)
+            future.set_result(
+                ServedAction(
+                    action=action,
+                    champion_version=version,
+                    latency_s=now - submitted_at,
+                    batch_size=size,
+                    replica=replica,
+                )
+            )
+        if accepted:
+            # an answered request closes the circuit breaker: the
+            # replica is demonstrably serving again
+            handle.breaker_failures = 0
+        for _, future, _, _ in waiters[accepted:]:
+            if not future.done():
+                future.set_exception(
+                    Overloaded(f"replica {replica} shed the request")
+                )
 
     def _rebuild_live(self) -> None:
         """Recompute the routable set: alive, caught up, breaker closed."""
@@ -1051,7 +1108,9 @@ class ServingFleet:
         for waiters in pending:
             self._redispatch(waiters, handle, error, parkable=respawnable)
         if handle.stats_future and not handle.stats_future.done():
-            handle.stats_future.set_result(handle.last_stats)
+            handle.stats_future.set_result(None)
+        if handle.closed_future and not handle.closed_future.done():
+            handle.closed_future.set_result(None)
         if respawnable:
             handle.respawns += 1
             self._respawning.add(handle.id)
@@ -1265,21 +1324,48 @@ class ServingFleet:
 
     async def scrape(self) -> ServiceStats:
         """Refresh per-replica stats over the pipes; return the rollup."""
+        await self._poll_stats(None)
+        return self.stats()
+
+    async def recent_latencies(self, samples: int) -> list[float]:
+        """The most recent ``samples`` answered-request latencies of
+        *every* live replica, pooled — what the SLO autotuner ranks.
+
+        Cheap enough to poll every few milliseconds: each replica
+        copies, ranks and ships only that tail, where :meth:`scrape`
+        moves whole 65 536-sample reservoirs. The cached snapshots
+        behind :meth:`stats` are left alone.
+        """
+        return [
+            latency
+            for stats in await self._poll_stats(samples)
+            if stats is not None
+            for latency in stats.latency_window
+        ]
+
+    async def _poll_stats(self, latency_tail: int | None) -> list:
+        """One ``stats`` round trip to every live replica; their
+        replies in handle order (None for a replica that died on the
+        way)."""
         async with self._scrape_lock:
             live = [h for h in self._handles.values() if h.alive]
             for handle in live:
                 handle.stats_future = self._loop.create_future()
                 try:
-                    handle.send(("stats", None))
+                    handle.send(("stats", latency_tail))
                 except (OSError, ValueError):
-                    handle.stats_future.set_result(handle.last_stats)
+                    handle.stats_future.set_result(None)
             if live:
                 await asyncio.wait(
                     [h.stats_future for h in live], timeout=5.0
                 )
+            replies = [
+                h.stats_future.result() if h.stats_future.done() else None
+                for h in live
+            ]
             for handle in live:
                 handle.stats_future = None
-        return self.stats()
+        return replies
 
     def stats(self) -> ServiceStats:
         """Fleet-wide rollup of the latest known per-replica stats.

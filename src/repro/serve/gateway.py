@@ -6,14 +6,23 @@ once and runs the whole batch through that champion's pre-compiled
 batched network. A hot-swap therefore lands *between* batches — requests
 already coalesced finish on the champion they were batched under, the
 next batch picks up the new one, and no request ever sees a half-swapped
-policy.
+policy. (A block submitted through :meth:`InferenceGateway.submit_block`
+may be split across batches and so straddle a swap; each of its rows
+names the version that served it.)
 """
 
 from __future__ import annotations
 
 from repro.core.metrics import ServiceStats, percentile
 from repro.obs import clock
-from repro.serve.batcher import MicroBatcher, ServedAction
+from repro.serve.batcher import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_MAX_WAIT_S,
+    MicroBatcher,
+    ServedAction,
+    ServedBlock,
+)
 from repro.serve.registry import ChampionRegistry
 
 
@@ -34,9 +43,9 @@ class InferenceGateway:
     def __init__(
         self,
         registry: ChampionRegistry,
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
-        max_pending: int = 4096,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
+        max_pending: int = DEFAULT_MAX_PENDING,
         close_registry: bool = True,
     ):
         """``close_registry=False`` leaves the registry open after
@@ -72,6 +81,14 @@ class InferenceGateway:
         :class:`~repro.serve.batcher.ServiceClosed` after ``close``.
         """
         return await self._batcher.submit(observation)
+
+    async def submit_block(self, observations) -> ServedBlock:
+        """Answer a ``(k, n_inputs)`` block of observations as per-row
+        columns (see :meth:`~repro.serve.batcher.MicroBatcher
+        .submit_block`) — the path a fleet replica serves forwarded
+        chunks through. Rows the pending queue has no room for are shed
+        from the tail (``ServedBlock.accepted``), not raised."""
+        return await self._batcher.submit_block(observations)
 
     def reconfigure(
         self,
@@ -109,17 +126,23 @@ class InferenceGateway:
         if self._close_registry:
             self.registry.close()
 
-    def stats(self) -> ServiceStats:
-        """Current service-quality snapshot (cheap; callable from any
-        thread — the batcher snapshot and the registry reads are each
-        taken under their own lock)."""
+    def stats(self, latency_tail: int | None = None) -> ServiceStats:
+        """Current service-quality snapshot (callable from any thread —
+        the batcher snapshot and the registry reads are each taken
+        under their own lock).
+
+        ``latency_tail`` bounds the snapshot to the most recent that
+        many latency samples — percentiles and ``latency_window`` then
+        describe only that tail. A controller polling on a short period
+        asks for a tail; the default copies and ranks the whole
+        reservoir (up to 65 536 samples)."""
         elapsed = (
             clock.perf() - self._started_at
             if self._started_at is not None
             else 0.0
         )
         accepted, served, shed, latencies, histogram = (
-            self._batcher.metrics_snapshot()
+            self._batcher.metrics_snapshot(latency_tail)
         )
         return ServiceStats(
             requests=accepted,

@@ -31,10 +31,19 @@ from repro.core.metrics import percentile
 from repro.neat.config import NEATConfig
 from repro.obs import tracer as obs
 from repro.neat.population import Population
-from repro.serve.batcher import ServedAction
+from repro.serve.batcher import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_MAX_WAIT_S,
+    ServedAction,
+)
 from repro.serve.fleet import ServingFleet, SLOBatchController
 from repro.serve.gateway import InferenceGateway
 from repro.serve.registry import ChampionRegistry, ChampionRecord
+
+
+#: latency samples per replica one autotune tick ranks
+_AUTOTUNE_TAIL = 512
 
 
 class ContinuousService:
@@ -67,9 +76,9 @@ class ContinuousService:
         max_steps: int | None = None,
         backend: str = "batched",
         eval_mode: str = "per_genome",
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
-        max_pending: int = 4096,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
+        max_pending: int = DEFAULT_MAX_PENDING,
         max_respawns: int = 2,
         heartbeat_timeout_s: float | None = 30.0,
         checkpoint_period: int = 1,
@@ -325,21 +334,26 @@ class ContinuousService:
     async def _autotune(self) -> None:
         """Drive the AIMD controller from live p95 samples.
 
-        Samples the recent latency tail every ``autotune_interval_s``
-        and pushes changed knobs to the gateway/fleet via the loop-safe
-        ``reconfigure`` path. Cancelled at close.
+        Every ``autotune_interval_s`` it ranks the most recent
+        ``_AUTOTUNE_TAIL`` latencies — of every replica, pooled, so one
+        slow replica is seen whichever slot it holds — and pushes
+        changed knobs to the gateway/fleet via the loop-safe
+        ``reconfigure`` path. Only those tails are copied and shipped:
+        a tick that moved the whole reservoirs would stall the serving
+        loops whose p95 it steers. Cancelled at close.
         """
         target = self.fleet if self.fleet is not None else self.gateway
         while True:
             await asyncio.sleep(self.autotune_interval_s)
             if self.fleet is not None:
                 try:
-                    stats = await self.fleet.scrape()
+                    tail = await self.fleet.recent_latencies(
+                        _AUTOTUNE_TAIL
+                    )
                 except Exception:  # pragma: no cover - closing race
                     return
             else:
-                stats = self.gateway.stats()
-            tail = stats.latency_window[-512:]
+                tail = self.gateway.stats(_AUTOTUNE_TAIL).latency_window
             if self.autotuner.update(percentile(tail, 95)):
                 target.reconfigure(
                     max_batch=self.autotuner.max_batch,

@@ -17,7 +17,12 @@ from repro.neat.network import (
     BatchedFeedForwardNetwork,
     FeedForwardNetwork,
 )
-from repro.serve import MicroBatcher, Overloaded, ServiceClosed
+from repro.serve import (
+    MicroBatcher,
+    Overloaded,
+    ServedAction,
+    ServiceClosed,
+)
 
 from tests.conftest import make_evolved_genome
 
@@ -316,3 +321,330 @@ class TestReconfigure:
         observations, results = asyncio.run(run())
         expected = _scalar_actions(observations)
         assert [r.action for r in results] == expected
+
+
+# -- the block path ----------------------------------------------------------
+
+OTHER = make_evolved_genome(CONFIG, seed=9, mutations=40, key=2)
+
+
+def _oracle(genome):
+    scalar = FeedForwardNetwork.create(genome, CONFIG)
+    return lambda obs: scalar.policy(obs)
+
+
+#: one submit: a single observation, or a block whose size is
+#: ``max_batch + delta`` rows (so below, at and above the flush cap
+#: whatever cap the example drew), cut from 24 drawn observations
+submission = st.one_of(
+    st.tuples(st.just("one"), observation),
+    st.tuples(
+        st.sampled_from([-3, -1, 0, 1, 8, 13]),
+        st.lists(observation, min_size=24, max_size=24),
+    ),
+)
+mixed_interleaving = st.lists(
+    st.lists(submission, min_size=1, max_size=4),
+    min_size=1,
+    max_size=5,
+)
+
+
+async def _drive_mixed(rounds, max_batch, max_wait_s):
+    """Submit singles and blocks in bursts; returns ``(rows, answer)``
+    per submission, in submission order, and the drained batcher."""
+    batcher = MicroBatcher(
+        _INFER, max_batch=max_batch, max_wait_s=max_wait_s
+    )
+    await batcher.start()
+    submitted = []
+    for burst in rounds:
+        for kind, payload in burst:
+            if kind == "one":
+                rows = [payload]
+                task = asyncio.ensure_future(batcher.submit(payload))
+            else:
+                rows = payload[: max(1, min(24, max_batch + kind))]
+                task = asyncio.ensure_future(batcher.submit_block(rows))
+            submitted.append((rows, task))
+        await asyncio.sleep(0)
+    answers = await asyncio.gather(*(task for _, task in submitted))
+    await batcher.close()
+    return [
+        (rows, answer) for (rows, _), answer in zip(submitted, answers)
+    ], batcher
+
+
+class TestBlockParityProperty:
+    @given(
+        rounds=mixed_interleaving,
+        max_batch=st.integers(min_value=1, max_value=8),
+        max_wait_s=st.sampled_from([0.0, 0.0005, 0.003]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_mixed_single_and_block_submits_match_scalar_inference(
+        self, rounds, max_batch, max_wait_s
+    ):
+        answered, batcher = asyncio.run(
+            _drive_mixed(rounds, max_batch, max_wait_s)
+        )
+        total = 0
+        for rows, answer in answered:
+            expected = _scalar_actions(rows)
+            total += len(rows)
+            if isinstance(answer, ServedAction):
+                assert [answer.action] == expected
+                assert 1 <= answer.batch_size <= max_batch
+                continue
+            # every row of the block answered exactly once, in order
+            assert answer.accepted == len(rows)
+            actions, versions, sizes, latencies = answer.columns()
+            assert actions.tolist() == expected
+            assert versions.tolist() == [1] * len(rows)
+            assert all(1 <= size <= max_batch for size in sizes.tolist())
+            assert len(latencies) == len(rows)
+            assert sum(len(run[0]) for run in answer.runs) == len(rows)
+        assert batcher.accepted == batcher.served == total
+        assert batcher.shed == 0
+        assert max(batcher.batch_size_histogram) <= max_batch
+        assert sum(
+            size * count
+            for size, count in batcher.batch_size_histogram.items()
+        ) == total
+        # the reservoir stays per row
+        assert len(batcher.latencies_s) == total
+
+
+class TestBlockPath:
+    def test_swap_between_flushes_of_one_block(self):
+        """A block split across flushes may straddle a hot-swap: its
+        version column is non-decreasing and every row matches the
+        scalar oracle of the version it names."""
+        genomes = {1: CHAMPION, 2: OTHER}
+        networks = {
+            version: BatchedFeedForwardNetwork.create(genome, CONFIG)
+            for version, genome in genomes.items()
+        }
+        calls = []
+
+        def infer(observations):
+            # the swap lands after the first flush
+            version = 1 if not calls else 2
+            calls.append(len(observations))
+            return version, networks[version].policy_batch(observations)
+
+        rows = [[0.1 * i, -0.2, 0.05 * i, 0.3] for i in range(10)]
+
+        async def run():
+            batcher = MicroBatcher(infer, max_batch=4, max_wait_s=0.0)
+            await batcher.start()
+            answer = await batcher.submit_block(rows)
+            await batcher.close()
+            return answer
+
+        answer = asyncio.run(run())
+        assert calls == [4, 4, 2]
+        actions, versions, sizes, _ = answer.columns()
+        assert versions.tolist() == [1] * 4 + [2] * 6
+        assert sizes.tolist() == [4] * 8 + [2] * 2
+        oracles = {v: _oracle(g) for v, g in genomes.items()}
+        assert actions.tolist() == [
+            oracles[version](obs)
+            for version, obs in zip(versions.tolist(), rows)
+        ]
+
+    def test_partial_shed_counts_rows(self):
+        """``max_pending`` counts rows: the head of a block that fits is
+        answered, the tail is shed, and a single submit behind it gets
+        the same ``Overloaded``."""
+
+        async def run():
+            batcher = MicroBatcher(
+                _INFER, max_batch=4, max_wait_s=0.0, max_pending=5
+            )
+            await batcher.start()
+            rows = [[0.1 * i, 0.0, 0.0, 0.0] for i in range(8)]
+            block = asyncio.ensure_future(batcher.submit_block(rows))
+            await asyncio.sleep(0)  # queued, the collector has not run
+            counters = (batcher.accepted, batcher.shed)
+            with pytest.raises(Overloaded):
+                await batcher.submit([0.0] * 4)
+            empty = await batcher.submit_block(rows[:2])
+            answer = await block
+            await batcher.close()
+            return rows, counters, empty, answer, batcher
+
+        rows, counters, empty, answer, batcher = asyncio.run(run())
+        assert counters == (5, 3)
+        assert empty.accepted == 0 and empty.runs == []
+        assert [len(column) for column in empty.columns()] == [0] * 4
+        assert answer.accepted == 5
+        assert answer.columns()[0].tolist() == _scalar_actions(rows[:5])
+        # 3 (block tail) + 1 (single) + 2 (the all-shed block)
+        assert (batcher.accepted, batcher.served, batcher.shed) == (5, 5, 6)
+
+    def test_close_drains_a_half_flushed_block(self):
+        """``close`` lands while a block is half consumed (here: from
+        inside its first flush — the only place single-threaded code
+        can observe that state): the rest of the block is still
+        answered before the sentinel stops the collector."""
+        closing = []
+
+        async def run():
+            def infer(observations):
+                if not closing:
+                    # runs close() up to its first await: intake stops
+                    # and the sentinel is queued behind the block's tail
+                    closer = batcher.close()
+                    closer.send(None)
+                    closing.append(closer)
+                return _INFER(observations)
+
+            batcher = MicroBatcher(infer, max_batch=4, max_wait_s=0.0)
+            await batcher.start()
+            rows = [[0.05 * i, 0.1, -0.1, 0.2] for i in range(10)]
+            answer = await batcher.submit_block(rows)
+            with pytest.raises(ServiceClosed):
+                await batcher.submit(rows[0])
+            closing[0].close()
+            await batcher._task
+            return rows, answer, batcher
+
+        rows, answer, batcher = asyncio.run(run())
+        assert answer.accepted == 10
+        assert answer.columns()[0].tolist() == _scalar_actions(rows)
+        assert batcher.served == 10
+        assert batcher.batch_size_histogram == {4: 2, 2: 1}
+
+    def test_cancelled_block_is_skipped(self):
+        async def run():
+            batcher = MicroBatcher(_INFER, max_batch=4, max_wait_s=0.0)
+            await batcher.start()
+            doomed = asyncio.ensure_future(
+                batcher.submit_block([[0.0] * 4] * 6)
+            )
+            kept = asyncio.ensure_future(batcher.submit([0.1] * 4))
+            await asyncio.sleep(0)
+            doomed.cancel()
+            served = await kept
+            await batcher.close()
+            return served, batcher
+
+        served, batcher = asyncio.run(run())
+        assert served.batch_size == 1
+        assert batcher.accepted == 7
+        assert batcher.served == 1
+        assert batcher._pending_rows == 0
+
+    def test_one_flush_span_per_flush(self):
+        from repro.obs import tracer as obs_tracer
+
+        async def run():
+            batcher = MicroBatcher(_INFER, max_batch=4, max_wait_s=0.0)
+            await batcher.start()
+            await batcher.submit_block([[0.0] * 4] * 10)
+            await batcher.close()
+
+        tracer = obs_tracer.Tracer(track="test")
+        obs_tracer.activate(tracer)
+        try:
+            asyncio.run(run())
+        finally:
+            obs_tracer.deactivate()
+        flushes = [
+            event for event in tracer.drain()
+            if event["name"] == "batch_flush"
+        ]
+        assert [event["args"]["size"] for event in flushes] == [4, 4, 2]
+        assert all(event["args"]["version"] == 1 for event in flushes)
+
+    def test_rejects_a_block_that_is_not_a_matrix(self):
+        async def run():
+            batcher = MicroBatcher(_INFER)
+            await batcher.start()
+            with pytest.raises(ValueError):
+                await batcher.submit_block([0.0] * 4)
+            with pytest.raises(ValueError):
+                await batcher.submit(0.5)
+            await batcher.close()
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("max_wait_s", [0.0, 0.002])
+    def test_zero_window_never_arms_a_timer(self, monkeypatch, max_wait_s):
+        """Work-conserving means no coalescing timer: draining a burst
+        with ``max_wait_s=0`` reaches neither ``asyncio.wait_for`` nor
+        ``loop.call_later``; the opt-in window (control) does."""
+        armed = []
+        real_wait_for = asyncio.wait_for
+
+        async def wait_for(*args, **kwargs):
+            armed.append("wait_for")
+            return await real_wait_for(*args, **kwargs)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            real_call_later = loop.call_later
+
+            def call_later(*args, **kwargs):
+                armed.append("call_later")
+                return real_call_later(*args, **kwargs)
+
+            monkeypatch.setattr(asyncio, "wait_for", wait_for)
+            monkeypatch.setattr(loop, "call_later", call_later)
+            batcher = MicroBatcher(
+                _INFER, max_batch=8, max_wait_s=max_wait_s
+            )
+            await batcher.start()
+            for _ in range(3):
+                await asyncio.gather(
+                    *(batcher.submit([0.1] * 4) for _ in range(20)),
+                    batcher.submit_block([[0.2] * 4] * 11),
+                )
+            await batcher.close()
+            return batcher
+
+        batcher = asyncio.run(run())
+        assert batcher.served == 3 * 31
+        assert bool(armed) == (max_wait_s > 0)
+
+
+class TestServingDefaults:
+    def test_every_spelling_of_the_defaults_agrees(self):
+        """One definition: the six places that take the batching knobs
+        all default to the module constants next to ``MicroBatcher``."""
+        import inspect
+
+        from repro.cli import _build_parser
+        from repro.serve import (
+            ContinuousService,
+            InferenceGateway,
+            ServingFleet,
+            SLOBatchController,
+            batcher,
+        )
+
+        expected = {
+            "max_batch": batcher.DEFAULT_MAX_BATCH,
+            "max_wait_s": batcher.DEFAULT_MAX_WAIT_S,
+            "max_pending": batcher.DEFAULT_MAX_PENDING,
+        }
+        assert expected["max_wait_s"] == 0.0  # work-conserving
+        for owner in (
+            MicroBatcher,
+            InferenceGateway,
+            ServingFleet,
+            ContinuousService,
+            SLOBatchController,
+        ):
+            parameters = inspect.signature(owner).parameters
+            spelled = {
+                name: parameters[name].default
+                for name in expected
+                if name in parameters
+            }
+            assert len(spelled) >= 2, owner
+            assert spelled == {name: expected[name] for name in spelled}
+        args = _build_parser().parse_args(["serve", "CartPole-v0"])
+        assert args.max_batch == expected["max_batch"]
+        assert args.max_wait_ms == expected["max_wait_s"] * 1e3

@@ -585,3 +585,275 @@ class TestAutotuneAgainstLoadGenerator:
         assert controller.widenings > 0
         assert gateway.max_batch > 8
         assert gateway.max_wait_s > 0.002
+
+
+class TestBlockPath:
+    """The request path behind the pipe is block-native: a forwarded
+    chunk is one matrix, one batcher block and one columnar reply."""
+
+    def test_chunk_answer_is_columns_and_creates_no_per_request_task(
+        self,
+    ):
+        import numpy as np
+
+        from repro.serve.fleet import _answer_chunk
+
+        observations = _observations(256)
+
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            registry.publish(CHAMPIONS[0], source="test")
+            gateway = InferenceGateway(registry, max_batch=32)
+            await gateway.start()
+            loop = asyncio.get_running_loop()
+            created = {"tasks": 0, "futures": 0}
+            real_task, real_future = loop.create_task, loop.create_future
+
+            def create_task(*args, **kwargs):
+                created["tasks"] += 1
+                return real_task(*args, **kwargs)
+
+            def create_future():
+                created["futures"] += 1
+                return real_future()
+
+            loop.create_task, loop.create_future = create_task, create_future
+            try:
+                reply = await _answer_chunk(
+                    gateway, np.array(observations, dtype=np.float64)
+                )
+            finally:
+                del loop.create_task, loop.create_future
+            scalar = registry.record_for(1).scalar_network()
+            await gateway.close()
+            return reply, created, scalar
+
+        reply, created, scalar = asyncio.run(run())
+        status, accepted, actions, versions, sizes = reply
+        assert (status, accepted) == ("ok", 256)
+        # O(1) asyncio objects for the whole chunk, not O(256): the
+        # block's future and the idle collector's next queue wait
+        assert created == {"tasks": 0, "futures": 2}
+        for column in (actions, versions, sizes):
+            assert isinstance(column, np.ndarray) and column.shape == (256,)
+        assert actions.tolist() == [scalar.policy(o) for o in observations]
+        assert versions.tolist() == [1] * 256
+        assert sizes.tolist() == [32] * 256
+
+    def test_shed_tail_and_cancelled_caller_inside_one_chunk(self):
+        """One 30-row chunk against a replica with room for 20: rows
+        0-19 are answered (each with its *own* observation's action),
+        rows 20-29 shed, and a caller cancelled mid-flight is skipped
+        without shifting anyone else's answer."""
+        observations = _observations(30, seed=23)
+        cancelled = (3, 11)
+
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(
+                registry, replicas=1, max_pending=20
+            )
+            tasks = [
+                asyncio.ensure_future(fleet.submit(obs))
+                for obs in observations
+            ]
+            # every submit lands in the outbox before its one flush runs
+            await asyncio.sleep(0)
+            for index in cancelled:
+                tasks[index].cancel()
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            stats = await fleet.scrape()
+            inflight = fleet._handles[0].inflight_count
+            await fleet.close()
+            record = registry.record_for(1)
+            registry.close()
+            return outcomes, stats, inflight, record
+
+        outcomes, stats, inflight, record = asyncio.run(run())
+        scalar = record.scalar_network()
+        for index, (obs, outcome) in enumerate(zip(observations, outcomes)):
+            if index in cancelled:
+                assert isinstance(outcome, asyncio.CancelledError)
+            elif index < 20:
+                assert outcome.action == scalar.policy(obs)
+                assert outcome.replica == 0
+            else:
+                assert isinstance(outcome, Overloaded)
+        # the replica counts rows: 20 accepted and served, 10 shed
+        assert (stats.requests, stats.served, stats.shed) == (20, 20, 10)
+        assert inflight == 0
+
+    def test_lost_and_duplicated_chunks_answer_every_caller_once(self):
+        from repro.chaos import ChaosInjector, Fault, FaultPlan
+
+        observations = _observations(40, seed=31)
+        plan = FaultPlan(
+            faults=(
+                Fault(action="drop", scope="replica", target=0,
+                      kind="infer", at=1),
+                Fault(action="duplicate", scope="replica", target=1,
+                      kind="infer", at=1),
+            )
+        )
+
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(
+                registry, chaos=ChaosInjector(plan)
+            )
+            served = await asyncio.gather(
+                *(fleet.submit(obs) for obs in observations)
+            )
+            health = fleet.health()
+            await fleet.close()
+            record = registry.record_for(1)
+            registry.close()
+            return served, health, record
+
+        served, health, record = asyncio.run(run())
+        scalar = record.scalar_network()
+        # the lost chunk was re-dispatched with each waiter's own
+        # observation; the duplicate's second answer found no waiters
+        assert [r.action for r in served] == [
+            scalar.policy(obs) for obs in observations
+        ]
+        assert health["requests_retried"] > 0
+        assert health["faults_injected"] == {"drop": 1, "duplicate": 1}
+
+    def test_ragged_observation_fails_only_its_chunk(self):
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(registry, replicas=1)
+            outcomes = await asyncio.gather(
+                fleet.submit([0.1, 0.2, 0.3, 0.4]),
+                fleet.submit([0.1, 0.2]),  # wrong arity
+                return_exceptions=True,
+            )
+            later = await fleet.submit([0.5] * 4)
+            await fleet.close()
+            registry.close()
+            return outcomes, later
+
+        outcomes, later = asyncio.run(run())
+        assert all(isinstance(o, ValueError) for o in outcomes)
+        assert later.action in (0, 1)
+
+
+class TestClose:
+    def test_close_waits_on_replica_replies_not_on_a_poll(
+        self, monkeypatch
+    ):
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(registry)
+            await asyncio.gather(
+                *(fleet.submit(obs) for obs in _observations(20))
+            )
+            sleeps = []
+            real_sleep = asyncio.sleep
+
+            async def sleep(delay, *args):
+                sleeps.append(delay)
+                return await real_sleep(delay, *args)
+
+            monkeypatch.setattr(asyncio, "sleep", sleep)
+            await fleet.close()
+            monkeypatch.undo()
+            stats = fleet.stats()
+            registry.close()
+            return sleeps, stats
+
+        sleeps, stats = asyncio.run(run())
+        assert sleeps == []
+        # final stats arrived with the ``closed`` replies
+        assert stats.served == 20
+
+    def test_close_returns_when_a_replica_dies_instead_of_replying(self):
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(
+                registry, max_replica_respawns=0
+            )
+            fleet._handles[0].proc.kill()
+            # close_timeout_s is 30 s: only the death handler resolving
+            # the victim's close future lets this finish in time
+            await asyncio.wait_for(fleet.close(), timeout=10.0)
+            stats = fleet.replica_stats()
+            registry.close()
+            return stats
+
+        stats = asyncio.run(run())
+        assert stats[1] is not None
+
+
+class TestAutotuneTick:
+    """One ``ContinuousService`` autotune tick against a fleet whose
+    replicas hold full 65 536-sample reservoirs."""
+
+    def test_tick_moves_a_bounded_tail_and_sees_every_replica(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.serve import ContinuousService
+        from repro.serve import fleet as fleet_module
+
+        class Prefilled(InferenceGateway):
+            """Replica gateways fork with this class: a full reservoir,
+            and on replica 0 alone a slow recent tail."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                name = multiprocessing.current_process().name
+                samples = [0.001] * 65536
+                if name == "serve-replica-0":
+                    samples[-512:] = [0.5] * 512
+                self._batcher.latencies_s.extend(samples)
+
+        monkeypatch.setattr(fleet_module, "InferenceGateway", Prefilled)
+        moved = []
+        on_message = ServingFleet._on_message
+
+        def spy(self, handle, message):
+            if message[0] == "stats":
+                moved.append(len(message[1][1].latency_window))
+            on_message(self, handle, message)
+
+        monkeypatch.setattr(ServingFleet, "_on_message", spy)
+
+        async def run():
+            service = ContinuousService(
+                "CartPole-v0",
+                config=CONFIG,
+                replicas=2,
+                max_wait_s=0.004,
+                slo_p95_s=0.05,
+                autotune_interval_s=0.01,
+            )
+            # the serving tier alone: a tick needs no evolution thread
+            await service.fleet.start()
+            service.registry.publish(CHAMPIONS[0], source="test")
+            await service.fleet.wait_deployed()
+            ticker = asyncio.ensure_future(service._autotune())
+            for _ in range(1000):
+                if service.autotuner.history:
+                    break
+                await asyncio.sleep(0.005)
+            ticker.cancel()
+            ticked = list(moved)
+            full = await service.fleet.scrape()
+            await service.fleet.close()
+            service.registry.close()
+            return service.autotuner, ticked, full
+
+        controller, ticked, full = asyncio.run(run())
+        # a tick ships at most 512 samples per replica, not 65 536
+        assert ticked and max(ticked) <= 512
+        # the slow tail lives on replica 0 only — the *first* window of
+        # the rollup — and still reads as a violation
+        p95, _, max_wait_s = controller.history[0]
+        assert p95 == 0.5
+        assert controller.violations >= 1
+        assert max_wait_s == pytest.approx(0.002)
+        # a plain scrape still carries the whole reservoirs
+        assert len(full.latency_window) == 2 * 65536
