@@ -48,9 +48,8 @@ N_REQUESTS = 4000
 OBS_DIM = 4
 #: champion mutation budget (forward passes must dominate, as in prod)
 MUTATIONS = 300
-#: gateway coalescing knobs
+#: gateway coalescing cap
 MAX_BATCH = 128
-MAX_WAIT_S = 0.001
 #: sandwich repetitions per variant; the gate takes the median ratio
 REPEATS = 5
 #: acceptance ceilings, as fractions of the untraced baseline
@@ -75,7 +74,6 @@ def _serve_burst(registry, observations) -> float:
         gateway = InferenceGateway(
             registry,
             max_batch=MAX_BATCH,
-            max_wait_s=MAX_WAIT_S,
             close_registry=False,
         )
         await gateway.start()

@@ -38,9 +38,8 @@ OBS_DIM = 4
 #: asyncio overhead (~450 genes here; deployed continuous-learning
 #: champions grow unbounded, unlike the paper's small converged policies)
 MUTATIONS = 300
-#: gateway coalescing knobs for the burst
+#: gateway coalescing cap for the burst
 MAX_BATCH = 128
-MAX_WAIT_S = 0.001
 #: timing repetitions; the minimum is reported
 REPEATS = 3
 #: acceptance floor: the micro-batched gateway must beat sequential
@@ -74,7 +73,6 @@ def _serve_burst(registry, observations):
         gateway = InferenceGateway(
             registry,
             max_batch=MAX_BATCH,
-            max_wait_s=MAX_WAIT_S,
             close_registry=False,
         )
         await gateway.start()
@@ -159,7 +157,6 @@ def test_serving_latency_speedup(benchmark, report_sink, json_sink):
             "n_requests": N_REQUESTS,
             "champion_genes": champion.gene_count(),
             "max_batch": MAX_BATCH,
-            "max_wait_s": MAX_WAIT_S,
             "sequential_s": sequential_s,
             "micro_batched_s": best_s,
             "speedup": speedup,

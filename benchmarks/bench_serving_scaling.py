@@ -47,15 +47,12 @@ OBS_DIM = 4
 #: where batched-vs-scalar float accumulation order cannot flip a
 #: near-tied argmax — the parity gate is *exact* by design
 MUTATIONS = 400
-#: replica batching knobs (static here; autotuning is benchmarked via
-#: its unit tests — a moving knob would confound the scaling number).
-#: A latency-oriented batch cap keeps per-request replica compute well
-#: above the parent's per-request dispatch cost — the regime where
-#: adding replicas buys throughput (a huge batch cap amortises the
-#: replica's work so far down that the shared dispatch path becomes
-#: the ceiling instead)
+#: replica batch cap. A latency-oriented cap keeps per-request replica
+#: compute well above the parent's per-request dispatch cost — the
+#: regime where adding replicas buys throughput (a huge batch cap
+#: amortises the replica's work so far down that the shared dispatch
+#: path becomes the ceiling instead)
 MAX_BATCH = 8
-MAX_WAIT_S = 0.001
 #: effectively-unbounded queues: shedding would hide the capacity gap
 MAX_PENDING = 1 << 16
 #: fleet sizes under test
@@ -104,7 +101,6 @@ def _drive_fleet(config, champions, phases, replicas):
             registry,
             replicas=replicas,
             max_batch=MAX_BATCH,
-            max_wait_s=MAX_WAIT_S,
             max_pending=MAX_PENDING,
             seed=7,
             max_inflight=MAX_PENDING,
@@ -249,7 +245,6 @@ def test_fleet_scaling(benchmark, report_sink, json_sink):
             "rate_hz": RATE_HZ,
             "champion_genes": champions[0].gene_count(),
             "max_batch": MAX_BATCH,
-            "max_wait_s": MAX_WAIT_S,
             "cores": os.cpu_count(),
             "gate_active": GATE_ACTIVE,
             "min_speedup": MIN_SPEEDUP,

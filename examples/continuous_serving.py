@@ -42,7 +42,6 @@ async def serve() -> None:
         max_generations=GENERATION_BUDGET,
         fitness_threshold=1e9,  # spend the whole budget improving
         max_batch=16,
-        max_wait_s=0.001,
     )
     bootstrap = await service.start()
     print(

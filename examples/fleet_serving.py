@@ -42,7 +42,6 @@ async def serve() -> None:
         registry,
         replicas=REPLICAS,
         max_batch=16,
-        max_wait_s=0.001,
         seed=SEED,
     )
     await fleet.start()

@@ -134,9 +134,6 @@ def _export_telemetry(args, tracer, registry) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # the serving knobs have one definition, next to the batcher
-    from repro.serve.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_S
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CLAN: collaborative neuroevolution on edge clusters",
@@ -242,16 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="total synthetic requests to offer",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
-        help="most requests coalesced into one forward pass",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_S * 1e3,
-        help="extra time a batch that is not full is held for "
-        "batch-mates. The default 0 flushes whatever is queued as soon "
-        "as the replica is free (batches still grow with load); a "
-        "non-zero window buys bigger batches at low request rates and "
-        "adds up to that much to every request's latency",
+        "--max-batch", type=int, default=None,
+        help="most requests coalesced into one forward pass (default: "
+        "the serving library's DEFAULT_MAX_BATCH)",
     )
     serve.add_argument(
         "--replicas", type=int, default=1, metavar="N",
@@ -269,11 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--client-retries", type=int, default=0, metavar="N",
         help="times the load generator retries a shed or replica-death "
         "failure before counting the request as shed/failed",
-    )
-    serve.add_argument(
-        "--slo-p95-ms", type=float, default=None, metavar="MS",
-        help="target p95 latency; enables the AIMD batch autotuner "
-        "(widens the batching window under SLO, shrinks on violation)",
     )
     serve.add_argument(
         "--threshold", type=float, default=None,
@@ -775,6 +760,11 @@ def _cmd_serve(args) -> int:
         LoadGenerator,
         observation_sampler,
     )
+    from repro.serve.batcher import DEFAULT_MAX_BATCH
+
+    max_batch = (
+        DEFAULT_MAX_BATCH if args.max_batch is None else args.max_batch
+    )
 
     if args.clans < 1:
         print("--clans must be >= 1", file=sys.stderr)
@@ -785,11 +775,8 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.max_batch < 1 or args.max_wait_ms < 0:
-        print(
-            "--max-batch must be >= 1 and --max-wait-ms >= 0",
-            file=sys.stderr,
-        )
+    if max_batch < 1:
+        print("--max-batch must be >= 1", file=sys.stderr)
         return 2
     if args.max_respawns < 0 or args.checkpoint_period < 1:
         print(
@@ -806,9 +793,6 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.slo_p95_ms is not None and args.slo_p95_ms <= 0:
-        print("--slo-p95-ms must be positive", file=sys.stderr)
-        return 2
     # must be active before the service starts: the fleet checks for a
     # driver tracer when spawning replicas, and run_async tells clan
     # workers to trace over the same check
@@ -822,8 +806,7 @@ def _cmd_serve(args) -> int:
             seed=args.seed,
             max_generations=args.generations,
             fitness_threshold=args.threshold,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
+            max_batch=max_batch,
             max_respawns=args.max_respawns,
             heartbeat_timeout_s=(
                 args.heartbeat_timeout if args.heartbeat_timeout > 0
@@ -832,11 +815,6 @@ def _cmd_serve(args) -> int:
             checkpoint_period=args.checkpoint_period,
             replicas=args.replicas,
             max_replica_respawns=args.max_replica_respawns,
-            slo_p95_s=(
-                args.slo_p95_ms / 1e3
-                if args.slo_p95_ms is not None
-                else None
-            ),
         )
         await service.start()
         generator = LoadGenerator(
@@ -932,14 +910,6 @@ def _cmd_serve(args) -> int:
         print(
             f"healing: {respawns} replica respawn(s), {fleet_retries} "
             f"in-flight request(s) retried"
-        )
-    if service.autotuner is not None:
-        tuner = service.autotuner
-        print(
-            f"autotuner: target p95 {args.slo_p95_ms:.1f}ms, "
-            f"{tuner.violations} violation(s), {tuner.widenings} "
-            f"widening(s), final max_batch {tuner.max_batch}, "
-            f"max_wait {tuner.max_wait_s * 1e3:.2f}ms"
         )
     print(
         f"evolution: {evolution.generations} generations/clan, best "

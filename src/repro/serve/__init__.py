@@ -7,15 +7,13 @@ evolving while the deployed champion keeps answering requests.
   atomic hot-swap and rollback.
 * :class:`MicroBatcher` — work-conserving coalescing of concurrent
   requests (single observations or whole blocks) into batched forward
-  passes (scalar-parity per row).
+  passes (scalar-parity per row); no coalescing window, nothing to tune.
 * :class:`InferenceGateway` — asyncio ``submit(obs) -> action`` plus
   service-quality stats (p50/p95, qps, batch histogram, shed count).
 * :class:`ContinuousService` — background barrier-free evolution
   promoting new champions into the registry mid-traffic.
 * :class:`ServingFleet` — N gateway replicas in worker processes behind
   a seeded balancer, with monotone champion propagation over pipes.
-* :class:`SLOBatchController` — AIMD autotuner mapping observed p95 to
-  the live micro-batching knobs.
 * :class:`LoadGenerator` — seeded open-loop Poisson arrivals to drive it.
 
 See ``docs/serving.md``, ``examples/continuous_serving.py`` and
@@ -29,11 +27,7 @@ from repro.serve.batcher import (
     ServedBlock,
     ServiceClosed,
 )
-from repro.serve.fleet import (
-    ReplicaDied,
-    ServingFleet,
-    SLOBatchController,
-)
+from repro.serve.fleet import ReplicaDied, ServingFleet
 from repro.serve.gateway import InferenceGateway
 from repro.serve.loadgen import (
     LoadGenerator,

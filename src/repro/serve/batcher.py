@@ -10,9 +10,9 @@ charging anyone for the privilege:
   flushes whatever is queued, up to ``max_batch`` rows, through one
   ``policy_batch`` call. Requests that arrive during a forward pass
   form the next batch, so batches still grow with load — but an idle
-  batcher never parks a request on a timer. ``max_wait_s > 0`` is an
-  opt-in extra window: a batch that is not yet full is held that long
-  for batch-mates (bigger batches at low rates, paid for in p50).
+  batcher never parks a request on a timer. There is no coalescing
+  window: a measured sweep found none that won any end-to-end metric
+  (``docs/serving.md``, "Why there is no coalescing window").
 * **Block-native queue.** The queue holds *blocks* — a
   ``(k, n_inputs)`` float64 matrix with one future and one
   ``submitted_at``. :meth:`MicroBatcher.submit` is the 1-row block;
@@ -37,7 +37,7 @@ import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 from repro.obs import clock
 from repro.obs import tracer as obs
@@ -49,14 +49,12 @@ except ImportError:  # pragma: no cover - serving requires the numpy engine
 
 # The serving defaults, defined once: every constructor that takes the
 # knobs (``MicroBatcher``, ``InferenceGateway``, ``ServingFleet``,
-# ``ContinuousService``, ``SLOBatchController``) and the ``repro serve``
-# flags default to these (``tests/test_serve_batcher.py`` asserts they
-# agree).
+# ``ContinuousService``) and ``repro serve --max-batch`` default to
+# these (``tests/test_serve_batcher.py`` asserts they agree). Both are
+# fixed for a batcher's lifetime.
 
 #: most rows coalesced into one forward pass
 DEFAULT_MAX_BATCH = 32
-#: extra coalescing window, seconds — 0 is work-conserving batching
-DEFAULT_MAX_WAIT_S = 0.0
 #: rows queued ahead of the collector before new ones are shed
 DEFAULT_MAX_PENDING = 4096
 
@@ -77,7 +75,7 @@ class ServedAction:
     action: int
     #: registry version of the champion that served the whole batch
     champion_version: int
-    #: submit-to-answer latency, seconds (includes coalescing wait)
+    #: submit-to-answer latency, seconds (includes queueing)
     latency_s: float
     #: how many requests shared this forward pass
     batch_size: int
@@ -160,7 +158,6 @@ class MicroBatcher:
         self,
         infer,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         max_pending: int = DEFAULT_MAX_PENDING,
     ):
         if np is None:  # pragma: no cover - exercised only without numpy
@@ -170,11 +167,8 @@ class MicroBatcher:
             )
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         self._infer = infer
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.max_pending = max_pending
         #: accepted blocks in arrival order; the head stays queued until
         #: its last row is packed into a flush (loop thread only)
@@ -207,30 +201,6 @@ class MicroBatcher:
         if self._task is not None:
             raise RuntimeError("batcher already started")
         self._task = asyncio.get_running_loop().create_task(self._run())
-
-    def reconfigure(
-        self,
-        max_batch: int | None = None,
-        max_wait_s: float | None = None,
-    ) -> None:
-        """Live-update the coalescing knobs without recreating the batcher.
-
-        Safe to call mid-traffic from the loop or from another thread
-        (plain attribute stores; the collector re-reads both knobs on
-        every batch, so a change takes effect from the next batch — the
-        batch currently coalescing keeps the deadline it computed). Both
-        values are validated *before* either is applied, so an invalid
-        pair leaves the running configuration untouched. This is the
-        hook the SLO autotuner (:mod:`repro.serve.fleet`) drives.
-        """
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_s is not None and max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        if max_batch is not None:
-            self.max_batch = int(max_batch)
-        if max_wait_s is not None:
-            self.max_wait_s = float(max_wait_s)
 
     async def submit(self, observation) -> ServedAction:
         """Queue one observation; resolves with its batched answer."""
@@ -312,47 +282,27 @@ class MicroBatcher:
         if self._wakeup is not None and not self._wakeup.done():
             self._wakeup.set_result(None)
 
-    async def _sleep(self, timeout_s: float | None) -> None:
-        """Park the collector until a block arrives, ``close`` is
-        called, or ``timeout_s`` (None = no limit) runs out."""
-        self._wakeup = asyncio.get_running_loop().create_future()
-        try:
-            if timeout_s is None:
-                await self._wakeup
-            else:
-                await asyncio.wait_for(self._wakeup, timeout_s)
-        except asyncio.TimeoutError:
-            pass
-        finally:
-            self._wakeup = None
-
     async def _run(self) -> None:
         """Pack queued rows into flushes until closed and drained.
 
         Work-conserving: a flush takes what is queued *now*, up to
-        ``max_batch`` rows, splitting a block when it does not fit.
-        Only a non-zero ``max_wait_s`` makes the collector wait — for
-        at most that long, and only while the batch has room.
+        ``max_batch`` rows, splitting a block when it does not fit. The
+        collector sleeps only on an empty queue, until a block arrives
+        or ``close`` is called.
         """
         loop = asyncio.get_running_loop()
         blocks = self._blocks
         while blocks or not self._closed:
             if not blocks:
-                await self._sleep(None)
+                self._wakeup = loop.create_future()
+                try:
+                    await self._wakeup
+                finally:
+                    self._wakeup = None
                 continue
             parts = []
             room = self.max_batch
-            wait_s = self.max_wait_s
-            deadline = loop.time() + wait_s if wait_s > 0 else None
-            while room:
-                if not blocks:
-                    if deadline is None or not parts or self._closed:
-                        break
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    await self._sleep(remaining)
-                    continue
+            while room and blocks:
                 head = blocks[0]
                 taken = head._taken
                 rest = len(head.rows) - taken
@@ -420,27 +370,18 @@ class MicroBatcher:
             if hi == len(block.rows) and not block._future.done():
                 block._future.set_result(block)
 
-    def metrics_snapshot(
-        self, tail: int | None = None
-    ) -> tuple[int, int, int, list, dict]:
+    def metrics_snapshot(self) -> tuple[int, int, int, list, dict]:
         """Coherent ``(accepted, served, shed, latencies, histogram)``.
 
-        ``tail`` bounds the latency copy to the most recent ``tail``
-        samples (a controller polling every few milliseconds must not
-        copy the whole reservoir each time). Safe from any thread — the
-        same lock that guards flush-side updates guards the copies, so
-        a scraper never iterates a deque or dict mid-mutation.
+        Safe from any thread — the same lock that guards flush-side
+        updates guards the copies, so a scraper never iterates a deque
+        or dict mid-mutation.
         """
         with self._metrics_lock:
-            if tail is None:
-                latencies = list(self.latencies_s)
-            else:
-                latencies = list(islice(reversed(self.latencies_s), tail))
-                latencies.reverse()
             return (
                 self.accepted,
                 self.served,
                 self.shed,
-                latencies,
+                list(self.latencies_s),
                 dict(self.batch_size_histogram),
             )

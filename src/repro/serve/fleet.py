@@ -33,12 +33,8 @@ Overload surfaces at two levels: each replica sheds via its own bounded
 micro-batcher queue, and the parent sheds (``fleet_shed``) when a
 replica's in-flight window is full — callers see the same
 :class:`~repro.serve.batcher.Overloaded` either way. Batching is
-work-conserving by default (no coalescing window); the
-:class:`SLOBatchController` closes the loop on the latency side: an
-AIMD controller that widens the batching window (more throughput per
-forward pass) while p95 is under the SLO and shrinks it multiplicatively
-on violation, driving the live
-:meth:`~repro.serve.batcher.MicroBatcher.reconfigure` knobs.
+work-conserving, with no coalescing window and nothing to tune (see
+:mod:`repro.serve.batcher`).
 
 Liveness follows :mod:`repro.cluster.transport`: a reader thread
 multiplexes replica pipes via ``multiprocessing.connection.wait`` and
@@ -46,7 +42,7 @@ EOF marks a replica dead. From there the fleet *heals* rather than
 merely isolates (mirroring the cluster runtime's supervision policy):
 
 - requests pending on the dead replica are transparently re-dispatched
-  to a surviving replica with seeded jitter, up to ``submit_retries``
+  to a surviving replica with seeded jitter, up to ``SUBMIT_RETRIES``
   per request (``requests_retried`` counts them) — callers only see
   :class:`ReplicaDied` once the retry budget or the whole fleet is
   exhausted;
@@ -94,7 +90,6 @@ from repro.obs import tracer as obs_tracer
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_WAIT_S,
     Overloaded,
     ServedAction,
     ServiceClosed,
@@ -107,105 +102,15 @@ class ReplicaDied(RuntimeError):
     """A replica process exited (or its pipe broke) with work in flight."""
 
 
-# ---------------------------------------------------------------------------
-# SLO-aware batch autotuning (AIMD)
-# ---------------------------------------------------------------------------
-
-
-class SLOBatchController:
-    """AIMD controller mapping observed p95 latency to batching knobs.
-
-    The micro-batcher trades latency for throughput: a longer
-    ``max_wait_s``/larger ``max_batch`` coalesces more requests per
-    forward pass (higher qps) at the cost of coalescing delay. The
-    controller searches that trade-off against a target p95, the way
-    TCP searches link capacity:
-
-    * **violation** (p95 > target): multiplicative decrease — halve the
-      wait and the batch cap, bounded below by ``min_wait_s`` /
-      ``min_batch``. Back off fast; the SLO is being missed *now*.
-    * **headroom** (p95 <= ``headroom`` x target): additive increase —
-      widen the wait by ``wait_step_s`` and the batch cap by
-      ``batch_step``, bounded above. Probe for throughput slowly.
-    * in between: hold (the dead band keeps the knobs from oscillating
-      around the target).
-
-    The controller is pure state-in/state-out — feed it p95 samples via
-    :meth:`update` and apply ``(max_batch, max_wait_s)`` however you
-    like — which is what makes it unit-testable against the seeded
-    Poisson :class:`~repro.serve.loadgen.LoadGenerator` without a real
-    fleet.
-    """
-
-    def __init__(
-        self,
-        target_p95_s: float,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
-        min_batch: int = 1,
-        batch_cap: int = 512,
-        min_wait_s: float = 0.0,
-        wait_cap_s: float | None = None,
-        batch_step: int = 4,
-        wait_step_s: float | None = None,
-        shrink_factor: float = 0.5,
-        headroom: float = 0.8,
-    ):
-        if target_p95_s <= 0:
-            raise ValueError("target_p95_s must be positive")
-        if not 0 < shrink_factor < 1:
-            raise ValueError("shrink_factor must be in (0, 1)")
-        if not 0 < headroom <= 1:
-            raise ValueError("headroom must be in (0, 1]")
-        self.target_p95_s = target_p95_s
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        self.min_batch = min_batch
-        self.batch_cap = batch_cap
-        self.min_wait_s = min_wait_s
-        #: the wait never exceeds the SLO itself by default — waiting
-        #: longer than the target p95 guarantees a violation
-        self.wait_cap_s = wait_cap_s if wait_cap_s is not None else (
-            target_p95_s
-        )
-        self.batch_step = batch_step
-        self.wait_step_s = (
-            wait_step_s if wait_step_s is not None else target_p95_s / 20
-        )
-        self.shrink_factor = shrink_factor
-        self.headroom = headroom
-        #: p95 samples that exceeded the target
-        self.violations = 0
-        #: additive-increase steps taken
-        self.widenings = 0
-        #: ``(p95_s, max_batch, max_wait_s)`` after every update
-        self.history: list[tuple[float, int, float]] = []
-
-    def update(self, p95_s: float) -> bool:
-        """Feed one p95 observation; returns True if the knobs moved.
-
-        ``p95_s <= 0`` (no samples yet) is a hold — an idle window says
-        nothing about where the latency knee is.
-        """
-        if p95_s <= 0:
-            return False
-        before = (self.max_batch, self.max_wait_s)
-        if p95_s > self.target_p95_s:
-            self.violations += 1
-            self.max_wait_s = max(
-                self.min_wait_s, self.max_wait_s * self.shrink_factor
-            )
-            self.max_batch = max(self.min_batch, self.max_batch // 2)
-        elif p95_s <= self.headroom * self.target_p95_s:
-            self.widenings += 1
-            self.max_wait_s = min(
-                self.wait_cap_s, self.max_wait_s + self.wait_step_s
-            )
-            self.max_batch = min(
-                self.batch_cap, self.max_batch + self.batch_step
-            )
-        self.history.append((p95_s, self.max_batch, self.max_wait_s))
-        return (self.max_batch, self.max_wait_s) != before
+#: longest ``close`` waits for the replicas' final ``closed`` replies
+CLOSE_TIMEOUT_S = 30.0
+#: transparent re-dispatches per request before it sees ReplicaDied
+SUBMIT_RETRIES = 2
+#: upper bound of the seeded jitter that decorrelates a retry burst
+#: from the survivors' in-progress batches (thundering-herd guard)
+RETRY_JITTER_S = 0.002
+#: period of the deployment-repair (anti-entropy) loop
+DEPLOY_REPAIR_S = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +206,6 @@ async def _replica_serve(
     conn,
     replica_id: int,
     max_batch: int,
-    max_wait_s: float,
     max_pending: int,
     trace: bool = False,
 ) -> None:
@@ -319,10 +223,7 @@ async def _replica_serve(
         obs_tracer.deactivate()
     store = _ReplicaChampionStore()
     gateway = InferenceGateway(
-        store,
-        max_batch=max_batch,
-        max_wait_s=max_wait_s,
-        max_pending=max_pending,
+        store, max_batch=max_batch, max_pending=max_pending
     )
     await gateway.start()
     loop = asyncio.get_running_loop()
@@ -370,18 +271,8 @@ async def _replica_serve(
             task = loop.create_task(handle_chunk(chunk_id, observations))
             chunk_tasks.add(task)
             task.add_done_callback(chunk_tasks.discard)
-        elif kind == "reconfigure":
-            gateway.reconfigure(**payload)
-            conn.send(
-                ("reconfigured", (gateway.max_batch, gateway.max_wait_s))
-            )
         elif kind == "stats":
-            # payload: how many recent latency samples the caller wants
-            # (None = the whole reservoir); echoed so the parent knows
-            # which kind of snapshot it is holding
-            conn.send(("stats", (payload, gateway.stats(payload))))
-        elif kind == "ping":
-            conn.send(("pong", None))
+            conn.send(("stats", gateway.stats()))
         elif kind == "close":
             # FIFO pipe: every infer chunk sent before "close" has
             # already been dispatched above — drain those answers, then
@@ -405,15 +296,12 @@ def _replica_main(
     conn,
     replica_id: int,
     max_batch: int,
-    max_wait_s: float,
     max_pending: int,
     trace: bool = False,
 ) -> None:  # pragma: no cover - runs in the child process
     try:
         asyncio.run(
-            _replica_serve(
-                conn, replica_id, max_batch, max_wait_s, max_pending, trace
-            )
+            _replica_serve(conn, replica_id, max_batch, max_pending, trace)
         )
     finally:
         conn.close()
@@ -525,19 +413,14 @@ class ServingFleet:
         registry: ChampionRegistry,
         replicas: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         max_pending: int = DEFAULT_MAX_PENDING,
         seed: int = 0,
         max_inflight: int = 4096,
         chunk_size: int = 256,
-        close_timeout_s: float = 30.0,
         max_replica_respawns: int = 2,
         respawn_backoff_s: float = 0.05,
-        submit_retries: int = 2,
-        retry_jitter_s: float = 0.002,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 1.0,
-        deploy_repair_s: float = 0.25,
         chaos=None,
     ):
         if replicas < 1:
@@ -548,14 +431,11 @@ class ServingFleet:
             raise ValueError("chunk_size must be >= 1")
         if max_replica_respawns < 0:
             raise ValueError("max_replica_respawns must be >= 0")
-        if submit_retries < 0:
-            raise ValueError("submit_retries must be >= 0")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         self.registry = registry
         self.replicas = replicas
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.max_pending = max_pending
         self.seed = seed
         #: per-replica cap on accepted-but-unanswered requests; beyond
@@ -563,15 +443,11 @@ class ServingFleet:
         self.max_inflight = max_inflight
         #: requests forwarded per pipe message (amortises pickling)
         self.chunk_size = chunk_size
-        self.close_timeout_s = close_timeout_s
         #: self-healing policy (see the module docstring)
         self.max_replica_respawns = max_replica_respawns
         self.respawn_backoff_s = respawn_backoff_s
-        self.submit_retries = submit_retries
-        self.retry_jitter_s = retry_jitter_s
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
-        self.deploy_repair_s = deploy_repair_s
         #: parent-side sheds (replica window full); replica-side sheds
         #: live in each replica's own stats
         self.fleet_shed = 0
@@ -663,7 +539,6 @@ class ServingFleet:
                 child_conn,
                 replica_id,
                 self.max_batch,
-                self.max_wait_s,
                 self.max_pending,
                 self._trace,
             ),
@@ -733,7 +608,7 @@ class ServingFleet:
         if live:
             await asyncio.wait(
                 [handle.closed_future for handle in live],
-                timeout=self.close_timeout_s,
+                timeout=CLOSE_TIMEOUT_S,
             )
         self._reader_stop.set()
         if self._reader is not None:
@@ -1004,20 +879,14 @@ class ServingFleet:
                     self._admit(handle)
             self._check_deploy_waiters()
         elif kind == "stats":
-            latency_tail, stats = payload
-            if latency_tail is None:
-                # only a whole-reservoir snapshot is worth caching for
-                # ``stats()``; a tail-bounded one answers its poll only
-                handle.last_stats = stats
+            handle.last_stats = payload
             if handle.stats_future and not handle.stats_future.done():
-                handle.stats_future.set_result(stats)
+                handle.stats_future.set_result(None)
         elif kind == "closed":
             handle.final_stats = payload
             handle.last_stats = payload
             if handle.closed_future and not handle.closed_future.done():
                 handle.closed_future.set_result(None)
-        elif kind in ("reconfigured", "pong"):
-            pass
 
     def _fan_out(
         self, handle, waiters, accepted, actions, versions, sizes
@@ -1131,7 +1000,7 @@ class ServingFleet:
         """Retry requests stranded on ``source`` elsewhere, with jitter.
 
         Each request carries its retry count; one that exhausts
-        ``submit_retries`` fails with ``error`` instead of bouncing
+        ``SUBMIT_RETRIES`` fails with ``error`` instead of bouncing
         forever. With no routable survivor the requests park if a
         respawn is (or will be) in flight, else fail. Stats cannot
         double-count a retried request: the dead replica never reported
@@ -1144,7 +1013,7 @@ class ServingFleet:
             observation, future, submitted_at, retries = entry
             if future.done():
                 continue
-            if retries >= self.submit_retries:
+            if retries >= SUBMIT_RETRIES:
                 future.set_exception(error)
                 continue
             if not targets:
@@ -1165,15 +1034,10 @@ class ServingFleet:
             target = self._handles[replica_id]
             if not target.flush_scheduled:
                 target.flush_scheduled = True
-                # bounded jitter decorrelates the retry burst from the
-                # survivors' in-progress batches (thundering-herd guard)
-                delay = (
-                    self._retry_rng.uniform(0.0, self.retry_jitter_s)
-                    if self.retry_jitter_s > 0.0
-                    else 0.0
-                )
                 self._loop.call_later(
-                    delay, self._flush_outbox, target
+                    self._retry_rng.uniform(0.0, RETRY_JITTER_S),
+                    self._flush_outbox,
+                    target,
                 )
 
     async def _respawn_replica(self, handle: _ReplicaHandle) -> None:
@@ -1249,7 +1113,7 @@ class ServingFleet:
         caught up the loop sends nothing and perturbs nothing.
         """
         while not self._closed:
-            await asyncio.sleep(self.deploy_repair_s)
+            await asyncio.sleep(DEPLOY_REPAIR_S)
             # half-open: a breaker whose cooldown elapsed re-enters the
             # rotation; its next answered request closes it fully
             before = {h.id for h in self._live}
@@ -1287,85 +1151,26 @@ class ServingFleet:
             if not future.done():
                 future.set_exception(error)
 
-    # -- knobs / introspection ----------------------------------------------
-
-    def reconfigure(
-        self,
-        max_batch: int | None = None,
-        max_wait_s: float | None = None,
-    ) -> None:
-        """Live-update every replica's batching knobs (autotuner hook).
-
-        Validated parent-side with the same rules as
-        :meth:`~repro.serve.batcher.MicroBatcher.reconfigure`; applied
-        on each replica from its next batch.
-        """
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_s is not None and max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        if max_batch is not None:
-            self.max_batch = int(max_batch)
-        if max_wait_s is not None:
-            self.max_wait_s = float(max_wait_s)
-        payload = {}
-        if max_batch is not None:
-            payload["max_batch"] = int(max_batch)
-        if max_wait_s is not None:
-            payload["max_wait_s"] = float(max_wait_s)
-        if not payload:
-            return
-        for handle in self._handles.values():
-            if handle.alive:
-                try:
-                    handle.send(("reconfigure", payload))
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
+    # -- introspection ------------------------------------------------------
 
     async def scrape(self) -> ServiceStats:
-        """Refresh per-replica stats over the pipes; return the rollup."""
-        await self._poll_stats(None)
-        return self.stats()
-
-    async def recent_latencies(self, samples: int) -> list[float]:
-        """The most recent ``samples`` answered-request latencies of
-        *every* live replica, pooled — what the SLO autotuner ranks.
-
-        Cheap enough to poll every few milliseconds: each replica
-        copies, ranks and ships only that tail, where :meth:`scrape`
-        moves whole 65 536-sample reservoirs. The cached snapshots
-        behind :meth:`stats` are left alone.
-        """
-        return [
-            latency
-            for stats in await self._poll_stats(samples)
-            if stats is not None
-            for latency in stats.latency_window
-        ]
-
-    async def _poll_stats(self, latency_tail: int | None) -> list:
-        """One ``stats`` round trip to every live replica; their
-        replies in handle order (None for a replica that died on the
-        way)."""
+        """Refresh per-replica stats over the pipes (one ``stats`` round
+        trip to every live replica); return the rollup."""
         async with self._scrape_lock:
             live = [h for h in self._handles.values() if h.alive]
             for handle in live:
                 handle.stats_future = self._loop.create_future()
                 try:
-                    handle.send(("stats", latency_tail))
+                    handle.send(("stats", None))
                 except (OSError, ValueError):
                     handle.stats_future.set_result(None)
             if live:
                 await asyncio.wait(
                     [h.stats_future for h in live], timeout=5.0
                 )
-            replies = [
-                h.stats_future.result() if h.stats_future.done() else None
-                for h in live
-            ]
             for handle in live:
                 handle.stats_future = None
-        return replies
+        return self.stats()
 
     def stats(self) -> ServiceStats:
         """Fleet-wide rollup of the latest known per-replica stats.

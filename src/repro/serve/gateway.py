@@ -18,7 +18,6 @@ from repro.obs import clock
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_WAIT_S,
     MicroBatcher,
     ServedAction,
     ServedBlock,
@@ -44,7 +43,6 @@ class InferenceGateway:
         self,
         registry: ChampionRegistry,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         max_pending: int = DEFAULT_MAX_PENDING,
         close_registry: bool = True,
     ):
@@ -57,7 +55,6 @@ class InferenceGateway:
         self._batcher = MicroBatcher(
             self._infer,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             max_pending=max_pending,
         )
         self._started_at: float | None = None
@@ -90,26 +87,6 @@ class InferenceGateway:
         from the tail (``ServedBlock.accepted``), not raised."""
         return await self._batcher.submit_block(observations)
 
-    def reconfigure(
-        self,
-        max_batch: int | None = None,
-        max_wait_s: float | None = None,
-    ) -> None:
-        """Live-update the batching knobs (see
-        :meth:`~repro.serve.batcher.MicroBatcher.reconfigure`) — the
-        SLO autotuner's hook into a running gateway."""
-        self._batcher.reconfigure(max_batch=max_batch, max_wait_s=max_wait_s)
-
-    @property
-    def max_batch(self) -> int:
-        """Current coalescing cap (live; may be autotuned mid-run)."""
-        return self._batcher.max_batch
-
-    @property
-    def max_wait_s(self) -> float:
-        """Current coalescing wait (live; may be autotuned mid-run)."""
-        return self._batcher.max_wait_s
-
     async def close(self) -> None:
         """Drain in-flight batches, then close the registry.
 
@@ -126,23 +103,17 @@ class InferenceGateway:
         if self._close_registry:
             self.registry.close()
 
-    def stats(self, latency_tail: int | None = None) -> ServiceStats:
+    def stats(self) -> ServiceStats:
         """Current service-quality snapshot (callable from any thread —
         the batcher snapshot and the registry reads are each taken
-        under their own lock).
-
-        ``latency_tail`` bounds the snapshot to the most recent that
-        many latency samples — percentiles and ``latency_window`` then
-        describe only that tail. A controller polling on a short period
-        asks for a tail; the default copies and ranks the whole
-        reservoir (up to 65 536 samples)."""
+        under their own lock)."""
         elapsed = (
             clock.perf() - self._started_at
             if self._started_at is not None
             else 0.0
         )
         accepted, served, shed, latencies, histogram = (
-            self._batcher.metrics_snapshot(latency_tail)
+            self._batcher.metrics_snapshot()
         )
         return ServiceStats(
             requests=accepted,

@@ -27,23 +27,17 @@ from repro.cluster.runtime import (
     DistributedClanRuntime,
     RealRunStats,
 )
-from repro.core.metrics import percentile
 from repro.neat.config import NEATConfig
 from repro.obs import tracer as obs
 from repro.neat.population import Population
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_WAIT_S,
     ServedAction,
 )
-from repro.serve.fleet import ServingFleet, SLOBatchController
+from repro.serve.fleet import ServingFleet
 from repro.serve.gateway import InferenceGateway
 from repro.serve.registry import ChampionRegistry, ChampionRecord
-
-
-#: latency samples per replica one autotune tick ranks
-_AUTOTUNE_TAIL = 512
 
 
 class ContinuousService:
@@ -74,10 +68,7 @@ class ContinuousService:
         max_generations: int = 50,
         fitness_threshold: float | None = None,
         max_steps: int | None = None,
-        backend: str = "batched",
-        eval_mode: str = "per_genome",
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_respawns: int = 2,
         heartbeat_timeout_s: float | None = 30.0,
@@ -85,8 +76,6 @@ class ContinuousService:
         max_evolution_restarts: int = 1,
         replicas: int = 1,
         max_replica_respawns: int = 2,
-        slo_p95_s: float | None = None,
-        autotune_interval_s: float = 0.05,
     ):
         if config is None:
             overrides = {}
@@ -104,8 +93,6 @@ class ContinuousService:
         self.max_generations = max_generations
         self.fitness_threshold = fitness_threshold
         self.max_steps = max_steps
-        self.backend = backend
-        self.eval_mode = eval_mode
         #: fault-tolerance knobs forwarded to the clan runtime (see
         #: ``docs/fault_tolerance.md``)
         self.max_respawns = max_respawns
@@ -125,10 +112,6 @@ class ContinuousService:
         #: the "Serving-tier self-healing" section of
         #: ``docs/fault_tolerance.md``); 0 restores isolate-only
         self.max_replica_respawns = max_replica_respawns
-        #: SLO target driving the AIMD batch autotuner (None = static
-        #: knobs, no autotuning)
-        self.slo_p95_s = slo_p95_s
-        self.autotune_interval_s = autotune_interval_s
         self.registry = ChampionRegistry(config)
         #: present only in single-replica mode; the fleet path serves
         #: through worker-process gateways instead
@@ -141,7 +124,6 @@ class ContinuousService:
                 self.registry,
                 replicas=replicas,
                 max_batch=max_batch,
-                max_wait_s=max_wait_s,
                 max_pending=max_pending,
                 seed=seed,
                 max_replica_respawns=max_replica_respawns,
@@ -150,20 +132,11 @@ class ContinuousService:
             self.gateway = InferenceGateway(
                 self.registry,
                 max_batch=max_batch,
-                max_wait_s=max_wait_s,
                 max_pending=max_pending,
                 # the service drains the gateway, then closes the
                 # registry itself — one close path for both topologies
                 close_registry=False,
             )
-        self.autotuner: SLOBatchController | None = None
-        if slo_p95_s is not None:
-            self.autotuner = SLOBatchController(
-                slo_p95_s,
-                max_batch=max_batch,
-                max_wait_s=max_wait_s,
-            )
-        self._autotune_task: asyncio.Task | None = None
         #: ``(record, event)`` per promotion, in promotion order
         self.promotions: list[tuple[ChampionRecord, ChampionEvent]] = []
         self._runtime: DistributedClanRuntime | None = None
@@ -182,8 +155,10 @@ class ContinuousService:
             config=self.config,
             seed=self.seed,
             max_steps=self.max_steps,
-            backend=self.backend,
-            eval_mode=self.eval_mode,
+            # the fast cell — the one engine path the perf ledger
+            # measures; champions are identical to per-genome evaluation
+            backend="batched",
+            eval_mode="population",
             max_respawns=self.max_respawns,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             checkpoint_period=self.checkpoint_period,
@@ -218,10 +193,6 @@ class ContinuousService:
             await self.fleet.wait_deployed()
         else:
             await self.gateway.start()
-        if self.autotuner is not None:
-            self._autotune_task = asyncio.get_running_loop().create_task(
-                self._autotune()
-            )
         self._runtime = self._make_runtime()
         self._thread = threading.Thread(
             target=self._evolve, name="clan-evolution", daemon=True
@@ -331,35 +302,6 @@ class ContinuousService:
             "faults_injected": {},
         }
 
-    async def _autotune(self) -> None:
-        """Drive the AIMD controller from live p95 samples.
-
-        Every ``autotune_interval_s`` it ranks the most recent
-        ``_AUTOTUNE_TAIL`` latencies — of every replica, pooled, so one
-        slow replica is seen whichever slot it holds — and pushes
-        changed knobs to the gateway/fleet via the loop-safe
-        ``reconfigure`` path. Only those tails are copied and shipped:
-        a tick that moved the whole reservoirs would stall the serving
-        loops whose p95 it steers. Cancelled at close.
-        """
-        target = self.fleet if self.fleet is not None else self.gateway
-        while True:
-            await asyncio.sleep(self.autotune_interval_s)
-            if self.fleet is not None:
-                try:
-                    tail = await self.fleet.recent_latencies(
-                        _AUTOTUNE_TAIL
-                    )
-                except Exception:  # pragma: no cover - closing race
-                    return
-            else:
-                tail = self.gateway.stats(_AUTOTUNE_TAIL).latency_window
-            if self.autotuner.update(percentile(tail, 95)):
-                target.reconfigure(
-                    max_batch=self.autotuner.max_batch,
-                    max_wait_s=self.autotuner.max_wait_s,
-                )
-
     async def evolution_done(self) -> RealRunStats:
         """Wait for the evolution budget to finish; returns its stats."""
         if self._thread is None:
@@ -393,12 +335,6 @@ class ContinuousService:
             result = self._evolution_result
         if self._runtime is not None:
             self._runtime.shutdown()
-        if self._autotune_task is not None:
-            self._autotune_task.cancel()
-            try:
-                await self._autotune_task
-            except asyncio.CancelledError:
-                pass
         if self.fleet is not None:
             await self.fleet.close()
         else:

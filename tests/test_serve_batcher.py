@@ -57,10 +57,8 @@ interleaving = st.lists(
 )
 
 
-async def _drive(rounds, max_batch, max_wait_s):
-    batcher = MicroBatcher(
-        _INFER, max_batch=max_batch, max_wait_s=max_wait_s
-    )
+async def _drive(rounds, max_batch):
+    batcher = MicroBatcher(_INFER, max_batch=max_batch)
     await batcher.start()
     tasks = []
     for burst in rounds:
@@ -77,13 +75,12 @@ class TestParityProperty:
     @given(
         rounds=interleaving,
         max_batch=st.integers(min_value=1, max_value=8),
-        max_wait_s=st.sampled_from([0.0, 0.0005, 0.003]),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_any_interleaving_matches_scalar_inference(
-        self, rounds, max_batch, max_wait_s
+        self, rounds, max_batch
     ):
-        results, _ = asyncio.run(_drive(rounds, max_batch, max_wait_s))
+        results, _ = asyncio.run(_drive(rounds, max_batch))
         flat = [obs for burst in rounds for obs in burst]
         expected = _scalar_actions(flat)
         assert [served.action for served in results] == expected
@@ -91,7 +88,7 @@ class TestParityProperty:
     @given(rounds=interleaving)
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_every_request_is_answered_exactly_once(self, rounds):
-        results, batcher = asyncio.run(_drive(rounds, 4, 0.0005))
+        results, batcher = asyncio.run(_drive(rounds, 4))
         n = sum(len(burst) for burst in rounds)
         assert len(results) == n
         assert batcher.served == n
@@ -104,7 +101,7 @@ class TestParityProperty:
 class TestCoalescing:
     def test_concurrent_burst_coalesces_into_one_batch(self):
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=16, max_wait_s=0.05)
+            batcher = MicroBatcher(_INFER, max_batch=16)
             await batcher.start()
             observations = [[0.1 * i, 0.0, 0.0, 0.0] for i in range(10)]
             results = await asyncio.gather(
@@ -119,7 +116,7 @@ class TestCoalescing:
 
     def test_max_batch_caps_flush_size(self):
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=4, max_wait_s=0.05)
+            batcher = MicroBatcher(_INFER, max_batch=4)
             await batcher.start()
             observations = [[0.0, 0.0, 0.0, 0.0]] * 10
             await asyncio.gather(
@@ -132,11 +129,11 @@ class TestCoalescing:
         assert max(batcher.batch_size_histogram) <= 4
 
     def test_zero_wait_still_batches_queued_requests(self):
-        """max_wait_s=0 flushes whatever is already queued — latency
+        """The collector flushes whatever is already queued — latency
         floor without losing burst coalescing."""
 
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=32, max_wait_s=0.0)
+            batcher = MicroBatcher(_INFER, max_batch=32)
             await batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit([0.0] * 4) for _ in range(8))
@@ -149,7 +146,7 @@ class TestCoalescing:
 
     def test_latency_is_recorded_per_request(self):
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.001)
+            batcher = MicroBatcher(_INFER, max_batch=8)
             await batcher.start()
             await asyncio.gather(
                 *(batcher.submit([0.0] * 4) for _ in range(6))
@@ -165,9 +162,7 @@ class TestCoalescing:
 class TestBackpressure:
     def test_overflow_is_shed_and_counted(self):
         async def run():
-            batcher = MicroBatcher(
-                _INFER, max_batch=4, max_wait_s=0.01, max_pending=3
-            )
+            batcher = MicroBatcher(_INFER, max_batch=4, max_pending=3)
             await batcher.start()
             tasks = [
                 asyncio.ensure_future(batcher.submit([0.0] * 4))
@@ -201,7 +196,7 @@ class TestBackpressure:
             raise RuntimeError("backend exploded")
 
         async def run():
-            batcher = MicroBatcher(broken, max_batch=4, max_wait_s=0.01)
+            batcher = MicroBatcher(broken, max_batch=4)
             await batcher.start()
             outcomes = await asyncio.gather(
                 *(batcher.submit([0.0] * 4) for _ in range(3)),
@@ -217,15 +212,13 @@ class TestBackpressure:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             MicroBatcher(_INFER, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(_INFER, max_wait_s=-1.0)
 
     def test_malformed_observation_fails_only_its_batch(self):
         """Regression: a ragged observation must not kill the collector
         task (which would hang every other in-flight request forever)."""
 
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.01)
+            batcher = MicroBatcher(_INFER, max_batch=8)
             await batcher.start()
             outcomes = await asyncio.gather(
                 batcher.submit([0.1, 0.2, 0.3, 0.4]),
@@ -240,87 +233,6 @@ class TestBackpressure:
         outcomes, later = asyncio.run(run())
         assert any(isinstance(o, Exception) for o in outcomes)
         assert later.action in (0, 1)
-
-
-class TestReconfigure:
-    def test_rejects_invalid_values(self):
-        batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.001)
-        with pytest.raises(ValueError):
-            batcher.reconfigure(max_batch=0)
-        with pytest.raises(ValueError):
-            batcher.reconfigure(max_wait_s=-0.001)
-
-    def test_invalid_pair_leaves_knobs_untouched(self):
-        # both values are validated before either is applied: a good
-        # max_wait_s riding along with a bad max_batch must not land
-        batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.001)
-        with pytest.raises(ValueError):
-            batcher.reconfigure(max_batch=0, max_wait_s=0.5)
-        assert batcher.max_batch == 8
-        assert batcher.max_wait_s == 0.001
-
-    def test_partial_update_keeps_other_knob(self):
-        batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.001)
-        batcher.reconfigure(max_batch=32)
-        assert batcher.max_batch == 32
-        assert batcher.max_wait_s == 0.001
-        batcher.reconfigure(max_wait_s=0.002)
-        assert batcher.max_batch == 32
-        assert batcher.max_wait_s == 0.002
-
-    def test_zero_wait_is_a_valid_live_value(self):
-        batcher = MicroBatcher(_INFER, max_batch=8, max_wait_s=0.001)
-        batcher.reconfigure(max_wait_s=0.0)
-        assert batcher.max_wait_s == 0.0
-
-    def test_live_shrink_caps_subsequent_batches(self):
-        async def run():
-            batcher = MicroBatcher(
-                _INFER, max_batch=64, max_wait_s=0.002
-            )
-            await batcher.start()
-            first = [
-                asyncio.ensure_future(batcher.submit([0.1] * 4))
-                for _ in range(32)
-            ]
-            await asyncio.gather(*first)
-            # shrink mid-traffic: takes effect from the next batch
-            batcher.reconfigure(max_batch=4, max_wait_s=0.001)
-            second = [
-                asyncio.ensure_future(batcher.submit([0.2] * 4))
-                for _ in range(32)
-            ]
-            results = await asyncio.gather(*second)
-            await batcher.close()
-            return results, batcher
-
-        results, batcher = asyncio.run(run())
-        assert all(r.batch_size <= 4 for r in results)
-        assert batcher.served == 64
-
-    def test_reconfigured_traffic_keeps_scalar_parity(self):
-        async def run():
-            batcher = MicroBatcher(
-                _INFER, max_batch=2, max_wait_s=0.0005
-            )
-            await batcher.start()
-            observations = [
-                [0.1 * i, -0.2, 0.3, 0.05 * i] for i in range(40)
-            ]
-            tasks = []
-            for i, obs in enumerate(observations):
-                if i == 20:  # widen mid-stream
-                    batcher.reconfigure(max_batch=16, max_wait_s=0.002)
-                tasks.append(
-                    asyncio.ensure_future(batcher.submit(obs))
-                )
-            results = await asyncio.gather(*tasks)
-            await batcher.close()
-            return observations, results
-
-        observations, results = asyncio.run(run())
-        expected = _scalar_actions(observations)
-        assert [r.action for r in results] == expected
 
 
 # -- the block path ----------------------------------------------------------
@@ -350,12 +262,10 @@ mixed_interleaving = st.lists(
 )
 
 
-async def _drive_mixed(rounds, max_batch, max_wait_s):
+async def _drive_mixed(rounds, max_batch):
     """Submit singles and blocks in bursts; returns ``(rows, answer)``
     per submission, in submission order, and the drained batcher."""
-    batcher = MicroBatcher(
-        _INFER, max_batch=max_batch, max_wait_s=max_wait_s
-    )
+    batcher = MicroBatcher(_INFER, max_batch=max_batch)
     await batcher.start()
     submitted = []
     for burst in rounds:
@@ -379,15 +289,12 @@ class TestBlockParityProperty:
     @given(
         rounds=mixed_interleaving,
         max_batch=st.integers(min_value=1, max_value=8),
-        max_wait_s=st.sampled_from([0.0, 0.0005, 0.003]),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_mixed_single_and_block_submits_match_scalar_inference(
-        self, rounds, max_batch, max_wait_s
+        self, rounds, max_batch
     ):
-        answered, batcher = asyncio.run(
-            _drive_mixed(rounds, max_batch, max_wait_s)
-        )
+        answered, batcher = asyncio.run(_drive_mixed(rounds, max_batch))
         total = 0
         for rows, answer in answered:
             expected = _scalar_actions(rows)
@@ -436,7 +343,7 @@ class TestBlockPath:
         rows = [[0.1 * i, -0.2, 0.05 * i, 0.3] for i in range(10)]
 
         async def run():
-            batcher = MicroBatcher(infer, max_batch=4, max_wait_s=0.0)
+            batcher = MicroBatcher(infer, max_batch=4)
             await batcher.start()
             answer = await batcher.submit_block(rows)
             await batcher.close()
@@ -459,9 +366,7 @@ class TestBlockPath:
         the same ``Overloaded``."""
 
         async def run():
-            batcher = MicroBatcher(
-                _INFER, max_batch=4, max_wait_s=0.0, max_pending=5
-            )
+            batcher = MicroBatcher(_INFER, max_batch=4, max_pending=5)
             await batcher.start()
             rows = [[0.1 * i, 0.0, 0.0, 0.0] for i in range(8)]
             block = asyncio.ensure_future(batcher.submit_block(rows))
@@ -500,7 +405,7 @@ class TestBlockPath:
                     closing.append(closer)
                 return _INFER(observations)
 
-            batcher = MicroBatcher(infer, max_batch=4, max_wait_s=0.0)
+            batcher = MicroBatcher(infer, max_batch=4)
             await batcher.start()
             rows = [[0.05 * i, 0.1, -0.1, 0.2] for i in range(10)]
             answer = await batcher.submit_block(rows)
@@ -518,7 +423,7 @@ class TestBlockPath:
 
     def test_cancelled_block_is_skipped(self):
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=4, max_wait_s=0.0)
+            batcher = MicroBatcher(_INFER, max_batch=4)
             await batcher.start()
             doomed = asyncio.ensure_future(
                 batcher.submit_block([[0.0] * 4] * 6)
@@ -540,7 +445,7 @@ class TestBlockPath:
         from repro.obs import tracer as obs_tracer
 
         async def run():
-            batcher = MicroBatcher(_INFER, max_batch=4, max_wait_s=0.0)
+            batcher = MicroBatcher(_INFER, max_batch=4)
             await batcher.start()
             await batcher.submit_block([[0.0] * 4] * 10)
             await batcher.close()
@@ -570,81 +475,88 @@ class TestBlockPath:
 
         asyncio.run(run())
 
-    @pytest.mark.parametrize("max_wait_s", [0.0, 0.002])
-    def test_zero_window_never_arms_a_timer(self, monkeypatch, max_wait_s):
-        """Work-conserving means no coalescing timer: draining a burst
-        with ``max_wait_s=0`` reaches neither ``asyncio.wait_for`` nor
-        ``loop.call_later``; the opt-in window (control) does."""
-        armed = []
-        real_wait_for = asyncio.wait_for
+    def test_batcher_never_arms_a_timer(self):
+        """Work-conserving means no coalescing timer, structurally: the
+        batcher's source names no ``wait_for``, ``call_later``,
+        ``call_at`` or ``sleep`` — the collector can only wait for a
+        block or for ``close``."""
+        import ast
+        import inspect
 
-        async def wait_for(*args, **kwargs):
-            armed.append("wait_for")
-            return await real_wait_for(*args, **kwargs)
+        from repro.serve import batcher
 
-        async def run():
-            loop = asyncio.get_running_loop()
-            real_call_later = loop.call_later
-
-            def call_later(*args, **kwargs):
-                armed.append("call_later")
-                return real_call_later(*args, **kwargs)
-
-            monkeypatch.setattr(asyncio, "wait_for", wait_for)
-            monkeypatch.setattr(loop, "call_later", call_later)
-            batcher = MicroBatcher(
-                _INFER, max_batch=8, max_wait_s=max_wait_s
-            )
-            await batcher.start()
-            for _ in range(3):
-                await asyncio.gather(
-                    *(batcher.submit([0.1] * 4) for _ in range(20)),
-                    batcher.submit_block([[0.2] * 4] * 11),
-                )
-            await batcher.close()
-            return batcher
-
-        batcher = asyncio.run(run())
-        assert batcher.served == 3 * 31
-        assert bool(armed) == (max_wait_s > 0)
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(inspect.getsource(batcher)))
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not names & {"wait_for", "call_later", "call_at", "sleep"}
 
 
 class TestServingDefaults:
-    def test_every_spelling_of_the_defaults_agrees(self):
-        """One definition: the six places that take the batching knobs
-        all default to the module constants next to ``MicroBatcher``."""
+    def test_every_spelling_of_the_defaults_agrees(self, monkeypatch):
+        """One definition: the four constructors that take the batching
+        knobs and ``repro serve`` all default to the module constants
+        next to ``MicroBatcher`` — and none of them spells a knob the
+        window sweep deleted (``docs/serving.md``)."""
         import inspect
 
-        from repro.cli import _build_parser
+        from repro.cli import _build_parser, main
         from repro.serve import (
             ContinuousService,
             InferenceGateway,
             ServingFleet,
-            SLOBatchController,
             batcher,
         )
 
         expected = {
             "max_batch": batcher.DEFAULT_MAX_BATCH,
-            "max_wait_s": batcher.DEFAULT_MAX_WAIT_S,
             "max_pending": batcher.DEFAULT_MAX_PENDING,
         }
-        assert expected["max_wait_s"] == 0.0  # work-conserving
+        removed = {
+            "max_wait_s",
+            "slo_p95_s",
+            "autotune_interval_s",
+            "backend",
+            "eval_mode",
+        }
         for owner in (
             MicroBatcher,
             InferenceGateway,
             ServingFleet,
             ContinuousService,
-            SLOBatchController,
         ):
             parameters = inspect.signature(owner).parameters
-            spelled = {
-                name: parameters[name].default
-                for name in expected
-                if name in parameters
-            }
-            assert len(spelled) >= 2, owner
-            assert spelled == {name: expected[name] for name in spelled}
+            assert {
+                name: parameters[name].default for name in expected
+            } == expected, owner
+            assert not removed & set(parameters), owner
+        # the parser says None = "the library's default" (so building
+        # it never imports repro.serve); _cmd_serve resolves it
         args = _build_parser().parse_args(["serve", "CartPole-v0"])
-        assert args.max_batch == expected["max_batch"]
-        assert args.max_wait_ms == expected["max_wait_s"] * 1e3
+        assert args.max_batch is None
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            seen.update(kwargs)
+            raise Captured
+
+        monkeypatch.setattr("repro.serve.ContinuousService", capture)
+        with pytest.raises(Captured):
+            main(["serve", "CartPole-v0"])
+        assert seen["max_batch"] == expected["max_batch"]
+        assert "max_pending" not in seen
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-wait-ms", "1"), ("--slo-p95-ms", "20")]
+    )
+    def test_removed_flags_are_refused(self, flag, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "CartPole-v0", flag, value])
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Fleet serving: balancing, monotone propagation, rollup, autotuning.
+"""Fleet serving: balancing, monotone propagation, rollup, healing.
 
 The invariants under test are the ISSUE's acceptance criteria: a
 hot-swap propagates to every replica atomically and monotonically (no
@@ -14,17 +14,13 @@ import random
 
 import pytest
 
-from repro.core.metrics import percentile
 from repro.neat.config import NEATConfig
 from repro.serve import (
     ChampionRegistry,
     InferenceGateway,
-    LoadGenerator,
     Overloaded,
     ReplicaDied,
     ServingFleet,
-    SLOBatchController,
-    observation_sampler,
 )
 
 from tests.conftest import make_evolved_genome
@@ -45,7 +41,6 @@ def _observations(n, seed=11):
 
 async def _started_fleet(registry, **kwargs):
     kwargs.setdefault("replicas", 2)
-    kwargs.setdefault("max_wait_s", 0.001)
     fleet = ServingFleet(registry, **kwargs)
     await fleet.start()
     registry.publish(CHAMPIONS[0], source="test")
@@ -62,14 +57,6 @@ class TestValidation:
             ServingFleet(registry, max_inflight=0)
         with pytest.raises(ValueError):
             ServingFleet(registry, chunk_size=0)
-
-    def test_reconfigure_validates_like_the_batcher(self):
-        registry = ChampionRegistry(CONFIG)
-        fleet = ServingFleet(registry)
-        with pytest.raises(ValueError):
-            fleet.reconfigure(max_batch=0)
-        with pytest.raises(ValueError):
-            fleet.reconfigure(max_wait_s=-1.0)
 
     def test_submit_before_start_raises(self):
         registry = ChampionRegistry(CONFIG)
@@ -193,9 +180,7 @@ class TestPropagation:
             # publish BEFORE the fleet exists: start() must replay the
             # live deployment into every replica
             registry.publish(CHAMPIONS[1], source="early")
-            fleet = ServingFleet(
-                registry, replicas=2, max_wait_s=0.001
-            )
+            fleet = ServingFleet(registry, replicas=2)
             await fleet.start()
             await fleet.wait_deployed()
             served = await fleet.submit([0.2] * 4)
@@ -438,155 +423,6 @@ class TestSelfHealing:
         assert health["faults_injected"] == {}
 
 
-class TestSLOBatchController:
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            SLOBatchController(0.0)
-        with pytest.raises(ValueError):
-            SLOBatchController(0.01, shrink_factor=1.0)
-        with pytest.raises(ValueError):
-            SLOBatchController(0.01, headroom=0.0)
-
-    def test_violation_shrinks_multiplicatively(self):
-        controller = SLOBatchController(
-            0.010, max_batch=32, max_wait_s=0.004
-        )
-        changed = controller.update(0.020)
-        assert changed
-        assert controller.violations == 1
-        assert controller.max_wait_s == pytest.approx(0.002)
-        assert controller.max_batch == 16
-
-    def test_headroom_widens_additively(self):
-        controller = SLOBatchController(
-            0.010, max_batch=32, max_wait_s=0.004, batch_step=4
-        )
-        changed = controller.update(0.002)  # well under 0.8 * target
-        assert changed
-        assert controller.widenings == 1
-        assert controller.max_batch == 36
-        assert controller.max_wait_s == pytest.approx(
-            0.004 + 0.010 / 20
-        )
-
-    def test_dead_band_holds_the_knobs(self):
-        controller = SLOBatchController(
-            0.010, max_batch=32, max_wait_s=0.004
-        )
-        # between headroom (0.8x) and the target: no change
-        assert not controller.update(0.009)
-        assert controller.max_batch == 32
-        assert controller.max_wait_s == 0.004
-        assert controller.violations == 0
-        assert controller.widenings == 0
-
-    def test_idle_window_is_a_hold(self):
-        controller = SLOBatchController(0.010)
-        assert not controller.update(0.0)
-        assert controller.history == []
-
-    def test_shrink_respects_floors(self):
-        controller = SLOBatchController(
-            0.010,
-            max_batch=8,
-            max_wait_s=0.004,
-            min_batch=2,
-            min_wait_s=0.001,
-        )
-        for _ in range(10):
-            controller.update(1.0)
-        assert controller.max_batch == 2
-        assert controller.max_wait_s == 0.001
-
-    def test_widen_respects_caps(self):
-        controller = SLOBatchController(
-            0.010,
-            max_batch=500,
-            max_wait_s=0.009,
-            batch_cap=512,
-        )
-        for _ in range(10):
-            controller.update(0.001)
-        assert controller.max_batch == 512
-        # default wait cap is the SLO target itself
-        assert controller.max_wait_s == pytest.approx(0.010)
-
-    def test_history_records_every_observation(self):
-        controller = SLOBatchController(0.010)
-        controller.update(0.001)
-        controller.update(0.020)
-        assert len(controller.history) == 2
-        p95s = [p95 for p95, _, _ in controller.history]
-        assert p95s == [0.001, 0.020]
-
-
-class TestAutotuneAgainstLoadGenerator:
-    """The controller drives a *live* gateway under seeded Poisson
-    load — the loop-safety of mid-traffic reconfigure plus the AIMD
-    direction both checked against real latency samples."""
-
-    def _drive(self, slo_p95_s):
-        async def run():
-            registry = ChampionRegistry(CONFIG)
-            registry.publish(CHAMPIONS[0], source="test")
-            gateway = InferenceGateway(
-                registry,
-                max_batch=8,
-                max_wait_s=0.002,
-                close_registry=True,
-            )
-            await gateway.start()
-            controller = SLOBatchController(
-                slo_p95_s, max_batch=8, max_wait_s=0.002
-            )
-
-            async def autotune():
-                while True:
-                    await asyncio.sleep(0.02)
-                    window = gateway.stats().latency_window[-256:]
-                    if controller.update(percentile(window, 95)):
-                        gateway.reconfigure(
-                            max_batch=controller.max_batch,
-                            max_wait_s=controller.max_wait_s,
-                        )
-
-            tuner = asyncio.get_running_loop().create_task(autotune())
-            generator = LoadGenerator(
-                gateway.submit,
-                observation_sampler("CartPole-v0"),
-                rate_hz=800.0,
-                n_requests=240,
-                seed=3,
-            )
-            report = await generator.run()
-            tuner.cancel()
-            await gateway.close()
-            return report, controller, gateway
-
-        return asyncio.run(run())
-
-    def test_impossible_slo_backs_off_to_the_floors(self):
-        # 50us p95 is unreachable: every window violates, so AIMD
-        # must shrink the batching knobs monotonically to their floors
-        report, controller, gateway = self._drive(50e-6)
-        assert report.served == 240
-        assert controller.violations > 0
-        assert controller.widenings == 0
-        # multiplicative decrease: the knobs only ever move down
-        assert gateway.max_batch < 8
-        assert gateway.max_wait_s < 0.002
-
-    def test_loose_slo_widens_the_batching_window(self):
-        # 500ms p95 leaves huge headroom: the controller probes wider
-        # batching for throughput, never violating
-        report, controller, gateway = self._drive(0.5)
-        assert report.served == 240
-        assert controller.violations == 0
-        assert controller.widenings > 0
-        assert gateway.max_batch > 8
-        assert gateway.max_wait_s > 0.002
-
-
 class TestBlockPath:
     """The request path behind the pipe is block-native: a forwarded
     chunk is one matrix, one batcher block and one columnar reply."""
@@ -775,7 +611,7 @@ class TestClose:
                 registry, max_replica_respawns=0
             )
             fleet._handles[0].proc.kill()
-            # close_timeout_s is 30 s: only the death handler resolving
+            # CLOSE_TIMEOUT_S is 30 s: only the death handler resolving
             # the victim's close future lets this finish in time
             await asyncio.wait_for(fleet.close(), timeout=10.0)
             stats = fleet.replica_stats()
@@ -784,76 +620,3 @@ class TestClose:
 
         stats = asyncio.run(run())
         assert stats[1] is not None
-
-
-class TestAutotuneTick:
-    """One ``ContinuousService`` autotune tick against a fleet whose
-    replicas hold full 65 536-sample reservoirs."""
-
-    def test_tick_moves_a_bounded_tail_and_sees_every_replica(
-        self, monkeypatch
-    ):
-        import multiprocessing
-
-        from repro.serve import ContinuousService
-        from repro.serve import fleet as fleet_module
-
-        class Prefilled(InferenceGateway):
-            """Replica gateways fork with this class: a full reservoir,
-            and on replica 0 alone a slow recent tail."""
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                name = multiprocessing.current_process().name
-                samples = [0.001] * 65536
-                if name == "serve-replica-0":
-                    samples[-512:] = [0.5] * 512
-                self._batcher.latencies_s.extend(samples)
-
-        monkeypatch.setattr(fleet_module, "InferenceGateway", Prefilled)
-        moved = []
-        on_message = ServingFleet._on_message
-
-        def spy(self, handle, message):
-            if message[0] == "stats":
-                moved.append(len(message[1][1].latency_window))
-            on_message(self, handle, message)
-
-        monkeypatch.setattr(ServingFleet, "_on_message", spy)
-
-        async def run():
-            service = ContinuousService(
-                "CartPole-v0",
-                config=CONFIG,
-                replicas=2,
-                max_wait_s=0.004,
-                slo_p95_s=0.05,
-                autotune_interval_s=0.01,
-            )
-            # the serving tier alone: a tick needs no evolution thread
-            await service.fleet.start()
-            service.registry.publish(CHAMPIONS[0], source="test")
-            await service.fleet.wait_deployed()
-            ticker = asyncio.ensure_future(service._autotune())
-            for _ in range(1000):
-                if service.autotuner.history:
-                    break
-                await asyncio.sleep(0.005)
-            ticker.cancel()
-            ticked = list(moved)
-            full = await service.fleet.scrape()
-            await service.fleet.close()
-            service.registry.close()
-            return service.autotuner, ticked, full
-
-        controller, ticked, full = asyncio.run(run())
-        # a tick ships at most 512 samples per replica, not 65 536
-        assert ticked and max(ticked) <= 512
-        # the slow tail lives on replica 0 only — the *first* window of
-        # the rollup — and still reads as a violation
-        p95, _, max_wait_s = controller.history[0]
-        assert p95 == 0.5
-        assert controller.violations >= 1
-        assert max_wait_s == pytest.approx(0.002)
-        # a plain scrape still carries the whole reservoirs
-        assert len(full.latency_window) == 2 * 65536

@@ -32,9 +32,7 @@ def _registry(n_champions: int = 1) -> ChampionRegistry:
 class TestStats:
     def test_snapshot_after_traffic(self):
         async def run():
-            gateway = InferenceGateway(
-                _registry(), max_batch=8, max_wait_s=0.001
-            )
+            gateway = InferenceGateway(_registry(), max_batch=8)
             await gateway.start()
             await asyncio.gather(
                 *(gateway.submit([0.1, 0.2, 0.3, 0.4]) for _ in range(20))
@@ -88,9 +86,7 @@ class TestHotSwap:
 
         async def run():
             registry = _registry()
-            gateway = InferenceGateway(
-                registry, max_batch=8, max_wait_s=0.0005
-            )
+            gateway = InferenceGateway(registry, max_batch=8)
             await gateway.start()
             obs = [0.3, -0.1, 0.2, 0.4]
             before = await gateway.submit(obs)
@@ -111,9 +107,7 @@ class TestHotSwap:
     def test_whole_batch_shares_one_version(self):
         async def run():
             registry = _registry(n_champions=2)
-            gateway = InferenceGateway(
-                registry, max_batch=32, max_wait_s=0.01
-            )
+            gateway = InferenceGateway(registry, max_batch=32)
             await gateway.start()
             results = await asyncio.gather(
                 *(gateway.submit([0.0] * 4) for _ in range(12))
@@ -138,9 +132,7 @@ class TestDrainOnClose:
 
         async def run():
             registry = _registry()
-            gateway = InferenceGateway(
-                registry, max_batch=4, max_wait_s=0.02
-            )
+            gateway = InferenceGateway(registry, max_batch=4)
             await gateway.start()
             tasks = [
                 asyncio.ensure_future(gateway.submit([0.1] * 4))

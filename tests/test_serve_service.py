@@ -33,7 +33,6 @@ def _run_service(config, n_requests=400, rate_hz=400.0, **kwargs):
             max_generations=kwargs.pop("max_generations", 30),
             fitness_threshold=kwargs.pop("fitness_threshold", 1e9),
             max_batch=16,
-            max_wait_s=0.001,
             **kwargs,
         )
         bootstrap = await service.start()
@@ -75,7 +74,14 @@ class TestContinuousServing:
         # traffic actually observed more than the bootstrap champion
         assert len(report.distinct_versions) >= 2
         assert report.distinct_versions[0] == 1
-        assert stats.swaps == len(service.promotions)
+        # the snapshot (taken before close) reads the registry's version
+        # and swap count under two lock acquisitions, so a promotion may
+        # land between them, and more may land before close()
+        assert (
+            stats.champion_version - 1
+            <= stats.swaps
+            <= len(service.promotions)
+        )
 
     def test_served_actions_match_then_current_champion(self, outcome):
         """The acceptance criterion: every response equals the scalar
@@ -114,7 +120,12 @@ class TestContinuousServing:
         assert stats.served == report.served
         assert stats.qps > 0
         assert stats.p50_latency_s <= stats.p95_latency_s
-        assert stats.champion_version == len(report.distinct_versions)
+        # traffic need not sample every promoted version, but what it
+        # saw is an increasing walk from the bootstrap to the snapshot
+        versions = report.distinct_versions
+        assert versions[0] == 1
+        assert versions == sorted(set(versions))
+        assert versions[-1] <= stats.champion_version
 
 
 class TestServiceLifecycle:
