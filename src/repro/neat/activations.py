@@ -81,45 +81,70 @@ def get_activation(name: str) -> ActivationFn:
 
 # -- vectorized variants (batched inference engine) ---------------------------
 #
-# Each function mirrors its scalar twin above element-wise, including the
-# clamping constants, so the batched engine reproduces the interpreter's
-# numerics to float64 rounding.
+# Each kernel mirrors its scalar twin above element-wise, including the
+# clamping constants, so the batched engines reproduce the interpreter's
+# numerics to float64 rounding. Kernels overwrite their float64 argument
+# (``out=``) and return it: a forward pass allocates nothing per
+# activation. They call ufuncs only — ``np.clip``'s Python wrapper costs
+# more than the clamp itself on a serving batch, and ``maximum`` then
+# ``minimum`` is how the clip ufunc orders the bounds, so the results
+# are bit-identical to it (NaN included). A bound whose removal cannot
+# change a single output bit is dropped; each drop says why, and the
+# tests hold every kernel bit-identical to the clip-based formulas.
+
+def _clip(z, low, high):
+    _np.maximum(z, low, out=z)
+    return _np.minimum(z, high, out=z)
+
 
 def _batched_sigmoid(z):
-    z = _np.clip(4.9 * z, -60.0, 60.0)
-    return 1.0 / (1.0 + _np.exp(-z))
+    # 1 / (1 + exp(-clip(4.9z, -60, 60))), negated before the clamp
+    # (exact: rounding and the bounds are sign-symmetric). Past the
+    # lower bound exp() is below exp(-60) < 2**-53, so 1 + exp(...)
+    # rounds to 1.0 either way: only the upper bound is live
+    _np.multiply(z, -4.9, out=z)
+    _np.minimum(z, 60.0, out=z)
+    _np.exp(z, out=z)
+    _np.add(z, 1.0, out=z)
+    return _np.divide(1.0, z, out=z)
 
 
 def _batched_tanh(z):
-    return _np.tanh(_np.clip(2.5 * z, -60.0, 60.0))
+    # tanh rounds to exactly +-1.0 from |x| > 19.1, so the scalar
+    # twin's clamp to +-60 never changes a bit
+    _np.multiply(z, 2.5, out=z)
+    return _np.tanh(z, out=z)
 
 
 def _batched_relu(z):
-    return _np.maximum(z, 0.0)
+    return _np.maximum(z, 0.0, out=z)
 
 
 def _batched_identity(z):
-    return +z
+    return z
 
 
 def _batched_clamped(z):
-    return _np.clip(z, -1.0, 1.0)
+    return _clip(z, -1.0, 1.0)
 
 
 def _batched_gauss(z):
-    z = _np.clip(z, -3.4, 3.4)
-    return _np.exp(-5.0 * z * z)
+    _clip(z, -3.4, 3.4)
+    # (-5z)z, in the scalar twin's order; the one temporary is -5z
+    _np.multiply(_np.multiply(z, -5.0), z, out=z)
+    return _np.exp(z, out=z)
 
 
 def _batched_sin(z):
-    return _np.sin(_np.clip(5.0 * z, -60.0, 60.0))
+    _np.multiply(z, 5.0, out=z)
+    return _np.sin(_clip(z, -60.0, 60.0), out=z)
 
 
 def _batched_abs(z):
-    return _np.abs(z)
+    return _np.abs(z, out=z)
 
 
-#: name -> ufunc-style callable over float64 arrays (same keys as
+#: name -> in-place kernel over float64 arrays (same keys as
 #: :data:`ACTIVATIONS`; the tests assert the registries stay in sync)
 BATCHED_ACTIVATIONS: dict[str, Callable] = {
     "sigmoid": _batched_sigmoid,

@@ -10,14 +10,16 @@ node order:
 
 * :class:`FeedForwardNetwork` — the scalar interpreter: one dict lookup
   and one Python call per gene per observation. Its gene-by-gene
-  lowering (:func:`_evaluation_order`) is the reference.
-* :class:`BatchedFeedForwardNetwork` — a NumPy engine. An array-native
-  lowering pass (:func:`compile_batched`, reading the columnar genome
-  arrays of :mod:`repro.neat.arrays`) groups the topological order into
-  layers and emits flat per-layer weight/bias/response arrays, so a
-  whole batch of observations is evaluated in a few vectorized ops per
-  layer. Outputs match the interpreter to float64 rounding (tested at
-  1e-9).
+  lowering (:func:`_evaluation_order`) is the reference (the oracle).
+* The NumPy engine: an array-native lowering (:func:`compile_batched`,
+  over the columnar genome arrays of :mod:`repro.neat.arrays`) groups
+  the topological order into the layers of a :class:`BatchedPlan`. Two
+  runners execute plans, because their needs conflict:
+  :class:`BatchedFeedForwardNetwork` (serving, per-genome evaluation)
+  re-lays one plan out for the fewest NumPy calls per layer;
+  :class:`StackedPopulationNetwork` (population-mode learning) keeps
+  plan slot order, so every learn trajectory stays bit-stable. Both
+  match the interpreter to float64 rounding (tested at 1e-9).
 
 A cross-generation :class:`PlanCache` keyed by
 :func:`structural_signature` lets children that keep their parent's
@@ -682,6 +684,12 @@ def _lay_out(
     )
 
 
+def _unless_unit(response: "np.ndarray") -> "np.ndarray | None":
+    """``None`` (skip the exact multiply) when every response is 1.0."""
+    # repro-lint: disable=RPR005 -- the skip is exact only at exactly 1.0
+    return None if (response == 1.0).all() else response
+
+
 class BatchedFeedForwardNetwork:
     """NumPy-backed network evaluating whole observation batches at once.
 
@@ -690,8 +698,14 @@ class BatchedFeedForwardNetwork:
     dispatch over the batch dimension — the paper's Inference block at
     population scale.
 
+    A serving batch is a few rows, so a pass costs its NumPy calls; the
+    constructor re-lays a private copy of the plan to minimise them
+    (``docs/backends.md``). Per layer: one matmul into the layer's own
+    block of slot-major values, an add (a multiply unless every response
+    is 1.0) and one in-place kernel per activation group.
+
     Safe for concurrent readers: the wrapped :class:`BatchedPlan` and the
-    resolved per-layer ops are never written after construction, and
+    re-laid-out layers are never written after construction, and
     ``activate_batch`` allocates its value tensor per call. The serving
     registry (:mod:`repro.serve.registry`) relies on this to share one
     compiled champion across every in-flight batch.
@@ -702,29 +716,79 @@ class BatchedFeedForwardNetwork:
         self.plan = plan
         self.input_keys = plan.input_keys
         self.output_keys = plan.output_keys
-        # resolve activation/aggregation names once, not per batch
-        self._layer_ops = [
-            (
-                layer,
-                [
-                    (get_batched_activation(name), rows)
-                    for name, rows in layer.act_groups
-                ],
-                [
-                    (
-                        row,
-                        get_batched_aggregation(agg),
-                        EMPTY_AGGREGATION[agg],
-                        src_slots,
-                        link_weights,
-                    )
-                    for row, agg, src_slots, link_weights in (
-                        layer.generic_nodes
-                    )
-                ],
-            )
-            for layer in plan.layers
+        n_in = len(plan.input_keys)
+        layers = plan.layers
+        # executor row i computes plan row ``order[i]`` (rows counted
+        # across layers): layer by layer, rows grouped by activation
+        order, starts, kernels = [], [n_in], []
+        for layer in layers:
+            local, at = [], [0]  # ``at``: where each group starts
+            for _name, rows in layer.act_groups:
+                local += rows.tolist()
+                at.append(len(local))
+            if sorted(local) != list(range(len(layer.node_slots))):
+                raise ValueError(
+                    "a plan layer's activation groups must partition its rows"
+                )
+            order += [starts[-1] - n_in + r for r in local]
+            starts.append(starts[-1] + len(local))
+            kernels.append([
+                (get_batched_activation(name), a, b)
+                for (name, _), a, b in zip(layer.act_groups, at, at[1:])
+                if name != "identity"
+            ])
+
+        def gathered(column, empty):
+            return np.concatenate(
+                [empty, *(getattr(layer, column) for layer in layers)]
+            )[order]
+
+        total = starts[-1]
+        # plan slot -> executor slot; -1 for a slot no layer writes
+        relabel = np.full(plan.total_slots, -1, dtype=np.int64)
+        relabel[:n_in] = np.arange(n_in)
+        relabel[gathered("node_slots", np.zeros(0, np.int64))] = np.arange(
+            n_in, total
+        )
+        weights = gathered("weights", np.zeros((0, plan.total_slots)))
+        rows, cols = weights.nonzero()
+        slots = relabel[cols]
+        # a row may read only the slots written before its layer
+        live = np.repeat(starts[:-1], np.diff(starts))
+        generic_reads = [
+            (start, relabel[src])
+            for layer, start in zip(layers, starts)
+            for _row, _agg, src, _w in layer.generic_nodes
         ]
+        if (slots < 0).any() or (slots >= live[rows]).any() or any(
+            ((src < 0) | (src >= start)).any() for start, src in generic_reads
+        ):
+            raise ValueError("a plan layer reads a slot not yet written")
+        dense = np.zeros((total - n_in, total), dtype=np.float64)
+        dense[rows, slots] = weights[rows, cols]
+        response = gathered("response", np.zeros(0))[:, None]
+        bias = gathered("bias", np.zeros(0))[:, None]
+        position = np.argsort(order)  # plan row -> executor row
+        self._layers = []
+        for layer, start, stop, layer_kernels in zip(
+            layers, starts, starts[1:], kernels
+        ):
+            first, end = start - n_in, stop - n_in
+            generic = [
+                (int(position[first + row]) - first,
+                 get_batched_aggregation(agg), EMPTY_AGGREGATION[agg],
+                 relabel[src_slots], link_weights)
+                for row, agg, src_slots, link_weights in layer.generic_nodes
+            ]
+            self._layers.append((
+                start, stop, dense[first:end, :start].copy(),
+                _unless_unit(response[first:end]), bias[first:end],
+                generic, layer_kernels,
+            ))
+        self._total_slots = total
+        self._output_slots = relabel[plan.output_slots]
+        if (self._output_slots < 0).any():
+            raise ValueError("a plan output reads a slot no layer writes")
 
     @classmethod
     def create(
@@ -752,25 +816,30 @@ class BatchedFeedForwardNetwork:
                 f"expected (batch, {len(self.input_keys)}) observations, "
                 f"got shape {obs.shape}"
             )
-        batch = obs.shape[0]
-        values = np.zeros((batch, self.plan.total_slots), dtype=np.float64)
-        values[:, : obs.shape[1]] = obs
-        for layer, act_ops, generic_ops in self._layer_ops:
-            agg = values @ layer.weights.T
+        # every slot is written before it is read: inputs here, the rest
+        # by the layer that owns it
+        values = np.empty((self._total_slots, len(obs)), dtype=np.float64)
+        values[: obs.shape[1]] = obs.T
+        for start, stop, weights, response, bias, generic, kernels in (
+            self._layers
+        ):
+            out = values[start:stop]
+            np.matmul(weights, values[:start], out=out)
             for row, reduce_fn, empty_value, src_slots, link_weights in (
-                generic_ops
+                generic
             ):
                 if src_slots.size == 0:
-                    agg[:, row] = empty_value
+                    out[row] = empty_value
                 else:
-                    agg[:, row] = reduce_fn(
-                        values[:, src_slots] * link_weights
+                    out[row] = reduce_fn(
+                        values[src_slots].T * link_weights
                     )
-            pre = layer.bias + layer.response * agg
-            for activation, rows in act_ops:
-                pre[:, rows] = activation(pre[:, rows])
-            values[:, layer.node_slots] = pre
-        return values[:, self.plan.output_slots]
+            if response is not None:
+                np.multiply(out, response, out=out)
+            np.add(out, bias, out=out)
+            for kernel, first, end in kernels:
+                kernel(out[first:end])
+        return values[self._output_slots].T
 
     def activate(self, inputs: Sequence[float]) -> list[float]:
         """Scalar-compatible single-observation forward pass."""
@@ -790,21 +859,6 @@ class BatchedFeedForwardNetwork:
         ``argmax`` keeps the scalar policy's first-max tie-break.
         """
         return np.argmax(self.activate_batch(observations), axis=1)
-
-
-def activate_population(
-    networks: Sequence[BatchedFeedForwardNetwork], observations
-) -> list["np.ndarray"]:
-    """Evaluate many compiled networks against one shared observation set.
-
-    Each network is vectorized over the observation batch; the list loops
-    over the population (topologies differ, so they cannot share a matmul).
-    For the converse pattern — each genome against *its own* observation
-    batch, all at once — see :class:`StackedPopulationNetwork`.
-    """
-    _require_numpy()
-    obs = np.asarray(observations, dtype=np.float64)
-    return [network.activate_batch(obs) for network in networks]
 
 
 class StackedPopulationNetwork:
@@ -869,7 +923,8 @@ class StackedPopulationNetwork:
                 (self.n_genomes, slots, width), dtype=np.float64
             )
             bias = np.zeros((self.n_genomes, width), dtype=np.float64)
-            response = np.zeros_like(bias)
+            # padded rows' pre-activation is 0 (or NaN) at any response
+            response = np.ones_like(bias)
             node_slots = np.full(
                 (self.n_genomes, width), scratch, dtype=np.int64
             )
@@ -892,49 +947,30 @@ class StackedPopulationNetwork:
                         )
                         act_masks[name] = mask
                     mask[g, rows] = True
-                for row, agg, src_slots, link_weights in (
-                    layer.generic_nodes
-                ):
-                    generic.append(
-                        (
-                            g,
-                            row,
-                            get_batched_aggregation(agg),
-                            EMPTY_AGGREGATION[agg],
-                            src_slots,
-                            link_weights,
-                        )
+                generic += [
+                    (g, row, get_batched_aggregation(agg),
+                     EMPTY_AGGREGATION[agg], src_slots, link_weights)
+                    for row, agg, src_slots, link_weights in (
+                        layer.generic_nodes
                     )
-            # fast path: a layer whose real rows all share one activation
-            # applies it to the full padded tensor (padded rows carry
-            # pre-activation 0; any activation of 0 lands in the scratch
-            # slot no weight reads, so the wholesale apply is inert)
-            single_act = None
-            if len(act_masks) == 1:
-                name = next(iter(act_masks))
-                single_act = get_batched_activation(name)
+                ]
             act_ops = [
                 (get_batched_activation(name), mask)
                 for name, mask in sorted(act_masks.items())
             ]
-            # flat scatter indices: values[g_flat, :, s_flat] = pre rows;
-            # cheaper than np.put_along_axis's index assembly per step
-            g_flat = np.repeat(
-                np.arange(self.n_genomes, dtype=np.int64), width
-            )
             self._layers.append(
                 (
-                    weights_t, bias, response, node_slots,
-                    g_flat, node_slots.reshape(-1),
-                    single_act, act_ops, generic,
+                    weights_t, bias, _unless_unit(response),
+                    node_slots, act_ops, generic,
                 )
             )
-        # genome-subset slices are cached: the evaluator's alive set only
-        # shrinks a handful of times per rollout, so re-slicing per step
+        # the per-step views of ``_layers`` are built on first use and
+        # cached; genome subsets too, since the evaluator's alive set only
+        # shrinks a handful of times per rollout and re-slicing per step
         # would dominate the late (small) steps
+        self._full_cache: tuple | None = None
         self._subset_key: "np.ndarray | None" = None
-        self._subset_layers: list | None = None
-        self._subset_output_slots: "np.ndarray | None" = None
+        self._subset_cache: tuple | None = None
 
     @classmethod
     def create(
@@ -954,27 +990,11 @@ class StackedPopulationNetwork:
         genomes whose lanes have all finished): observations then carry
         ``len(genome_idx)`` blocks and the result matches that subset.
         """
-        values = self._forward(observations, genome_idx)
-        n_active = values.shape[0]
-        episodes = values.shape[1]
-        if genome_idx is None:
-            output_slots = self._output_slots
-        else:
-            output_slots = self._output_slots[genome_idx]
-        return np.take_along_axis(
-            values,
-            np.broadcast_to(
-                output_slots[:, None, :],
-                (n_active, episodes, self.n_outputs),
-            ),
-            axis=2,
-        )
+        return self._forward(observations, genome_idx).transpose(0, 2, 1)
 
-    def _forward(
-        self, observations, genome_idx: "np.ndarray | None"
-    ) -> "np.ndarray":
-        """Run all layers; returns the full ``(active, episodes, slots)``
-        value tensor (outputs are gathered by the callers)."""
+    def _forward(self, observations, genome_idx: "np.ndarray | None"):
+        """Run all layers; returns the output values, ``(active,
+        outputs, episodes)``."""
         obs = np.asarray(observations, dtype=np.float64)
         n_active = (
             self.n_genomes if genome_idx is None else len(genome_idx)
@@ -991,10 +1011,10 @@ class StackedPopulationNetwork:
             (n_active, episodes, self.total_slots), dtype=np.float64
         )
         values[:, :, : self.n_inputs] = obs
-        layers, _output_slots = self._resolve_subset(genome_idx)
-        for weights_t, bias, response, g_flat, s_flat, single_act, (
-            act_ops
-        ), generic in layers:
+        layers, (out_g, out_s) = self._resolve_subset(genome_idx)
+        for weights_t, bias, response, g_flat, s_flat, act_ops, generic in (
+            layers
+        ):
             agg = np.matmul(values, weights_t)
             for i, row, reduce_fn, empty_value, src, link_w in generic:
                 if src.size == 0:
@@ -1002,22 +1022,24 @@ class StackedPopulationNetwork:
                 else:
                     agg[i, :, row] = reduce_fn(values[i][:, src] * link_w)
             # pre = bias + response * agg, fused in place (bias and
-            # response are pre-shaped (genomes, 1, width))
-            np.multiply(agg, response, out=agg)
+            # response are pre-shaped (genomes, 1, width); an all-1.0
+            # response is None: multiplying by it is exact, so skipped)
+            if response is not None:
+                np.multiply(agg, response, out=agg)
             np.add(agg, bias, out=agg)
-            pre = agg
-            if single_act is not None:
-                pre = single_act(pre)
-            else:
-                for activation, (gi, ri) in act_ops:
-                    pre[gi, :, ri] = activation(pre[gi, :, ri])
-            values[g_flat, :, s_flat] = pre.transpose(0, 2, 1).reshape(
+            for activation, rows in act_ops:
+                if rows is None:
+                    activation(agg)
+                else:
+                    gi, ri = rows
+                    agg[gi, :, ri] = activation(agg[gi, :, ri])
+            values[g_flat, :, s_flat] = agg.transpose(0, 2, 1).reshape(
                 -1, episodes
             )
-        return values
+        return values[out_g, :, out_s].reshape(n_active, self.n_outputs, -1)
 
     def _resolve_subset(self, genome_idx: "np.ndarray | None"):
-        """Per-layer tensors for ``genome_idx`` (cached between calls).
+        """``(layers, outputs)`` for ``genome_idx``, cached between calls.
 
         The population evaluator retires genomes as their lanes finish,
         so the alive set shrinks at most ``n_genomes`` times per rollout
@@ -1025,70 +1047,60 @@ class StackedPopulationNetwork:
         tensors keeps the slicing cost off the per-step path.
         """
         if genome_idx is None:
-            return self._full_layers(), self._output_slots
-        if self._subset_key is not None and np.array_equal(
+            if self._full_cache is None:
+                self._full_cache = self._select(None)
+            return self._full_cache
+        if self._subset_key is None or not np.array_equal(
             genome_idx, self._subset_key
         ):
-            return self._subset_layers, self._subset_output_slots
-        n_active = len(genome_idx)
-        position = {int(g): i for i, g in enumerate(genome_idx)}
-        depth = int(self._depths[genome_idx].max())
+            self._subset_cache = self._select(genome_idx)
+            self._subset_key = np.array(genome_idx, copy=True)
+        return self._subset_cache
+
+    def _select(self, genome_idx: "np.ndarray | None") -> tuple:
+        """Per-layer tensors, with flat scatter indices (cheaper than
+        ``np.put_along_axis``), and the flat output gather, for
+        ``genome_idx`` (every genome, as views, when ``None``)."""
+        if genome_idx is None:
+            sel, n_active, depth = slice(None), self.n_genomes, None
+            position = range(self.n_genomes)
+        else:
+            sel, n_active = genome_idx, len(genome_idx)
+            depth = int(self._depths[genome_idx].max())
+            position = {int(g): i for i, g in enumerate(genome_idx)}
         layers = []
-        for weights_t, bias, response, node_slots, _g_flat, _s_flat, (
-            single_act
-        ), act_ops, generic in self._layers[:depth]:
-            node_sub = node_slots[genome_idx]
-            width = node_sub.shape[1]
-            sliced_acts = []
-            if single_act is None:
-                for activation, mask in act_ops:
-                    sliced_acts.append(
-                        (activation, np.nonzero(mask[genome_idx]))
-                    )
-            sliced_generic = [
-                (position[g], row, fn, empty, src, link_w)
-                for g, row, fn, empty, src, link_w in generic
-                if g in position
-            ]
+        for weights_t, bias, response, node_slots, act_ops, generic in (
+            self._layers[:depth]
+        ):
+            node_sub = node_slots[sel]
             layers.append(
                 (
-                    weights_t[genome_idx],
-                    bias[genome_idx][:, None, :],
-                    response[genome_idx][:, None, :],
-                    np.repeat(np.arange(n_active, dtype=np.int64), width),
+                    weights_t[sel],
+                    bias[sel][:, None, :],
+                    None if response is None else response[sel][:, None, :],
+                    np.repeat(
+                        np.arange(n_active, dtype=np.int64), node_sub.shape[1]
+                    ),
                     node_sub.reshape(-1),
-                    single_act,
-                    sliced_acts,
-                    sliced_generic,
+                    # a layer whose real rows share one activation applies
+                    # it to the whole padded tensor (``None``): padded rows
+                    # land in the scratch slot no weight reads
+                    [
+                        (activation, None if len(act_ops) == 1
+                         else np.nonzero(mask[sel]))
+                        for activation, mask in act_ops
+                    ],
+                    [
+                        (position[g], row, fn, empty, src, link_w)
+                        for g, row, fn, empty, src, link_w in generic
+                        if g in position
+                    ],
                 )
             )
-        self._subset_key = np.array(genome_idx, copy=True)
-        self._subset_layers = layers
-        self._subset_output_slots = self._output_slots[genome_idx]
-        return layers, self._subset_output_slots
-
-    def _full_layers(self):
-        """The all-genomes layer tuples in ``activate_all``'s shape."""
-        if getattr(self, "_full_cache", None) is None:
-            layers = []
-            for weights_t, bias, response, _node_slots, g_flat, s_flat, (
-                single_act
-            ), act_ops, generic in self._layers:
-                resolved_acts = []
-                if single_act is None:
-                    resolved_acts = [
-                        (activation, np.nonzero(mask))
-                        for activation, mask in act_ops
-                    ]
-                layers.append(
-                    (
-                        weights_t, bias[:, None, :], response[:, None, :],
-                        g_flat, s_flat,
-                        single_act, resolved_acts, generic,
-                    )
-                )
-            self._full_cache = layers
-        return self._full_cache
+        return layers, (
+            np.repeat(np.arange(n_active, dtype=np.int64), self.n_outputs),
+            self._output_slots[sel].reshape(-1),
+        )
 
     def policy_all(
         self, observations, genome_idx: "np.ndarray | None" = None
@@ -1099,16 +1111,4 @@ class StackedPopulationNetwork:
         output gather transposes to ``(genomes, outputs, episodes)``, so
         the argmax runs over axis 1 — same first-max semantics).
         """
-        values = self._forward(observations, genome_idx)
-        n_active = values.shape[0]
-        if genome_idx is None:
-            output_slots = self._output_slots
-        else:
-            output_slots = self._output_slots[genome_idx]
-        g_flat = np.repeat(
-            np.arange(n_active, dtype=np.int64), self.n_outputs
-        )
-        gathered = values[g_flat, :, output_slots.reshape(-1)]
-        return np.argmax(
-            gathered.reshape(n_active, self.n_outputs, -1), axis=1
-        )
+        return np.argmax(self._forward(observations, genome_idx), axis=1)

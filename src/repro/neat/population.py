@@ -16,7 +16,7 @@ class, so their parity is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.neat.genome import Genome
@@ -70,8 +70,6 @@ class GenerationStats:
     total_genome_genes: int
     mean_genome_genes: float
     max_genome_genes: int
-    #: per-genome (genes, eval steps), keyed by genome id
-    genome_profile: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 def summarise_population(
@@ -203,14 +201,12 @@ class Population:
 
         inference_genes = 0
         inference_steps = 0
-        genome_profile: dict[int, tuple[int, int]] = {}
         for key, genome in self.genomes.items():
             result = results[key]
             genome.fitness = result.fitness
             genes = genome.gene_count()
             inference_genes += genes * max(result.steps, 1)
             inference_steps += result.steps
-            genome_profile[key] = (genes, result.steps)
 
         best = max(
             self.genomes.values(), key=lambda g: (g.fitness, -g.key)
@@ -279,7 +275,6 @@ class Population:
             total_genome_genes=total_genes,
             mean_genome_genes=mean_genes,
             max_genome_genes=max_genes,
-            genome_profile=genome_profile,
         )
         self.history.append(stats)
 

@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.neat.activations import ACTIVATIONS, BATCHED_ACTIVATIONS
 from repro.neat.aggregations import (
@@ -27,7 +29,7 @@ from repro.neat.genome import Genome
 from repro.neat.network import (
     BatchedFeedForwardNetwork,
     FeedForwardNetwork,
-    activate_population,
+    StackedPopulationNetwork,
     compile_batched,
 )
 
@@ -86,6 +88,148 @@ class TestRegistryParity:
     def test_empty_aggregation_matches_scalar(self):
         for name, scalar_fn in AGGREGATIONS.items():
             assert EMPTY_AGGREGATION[name] == scalar_fn([])
+
+
+#: the activation formulas the in-place kernels replaced, as they were
+#: written with ``np.clip``: the kernels must reproduce them bit for bit
+CLIP_FORMULAS = {
+    "sigmoid": lambda z: 1.0 / (
+        1.0 + np.exp(-np.clip(4.9 * z, -60.0, 60.0))
+    ),
+    "tanh": lambda z: np.tanh(np.clip(2.5 * z, -60.0, 60.0)),
+    "relu": lambda z: np.maximum(z, 0.0),
+    "identity": lambda z: +z,
+    "clamped": lambda z: np.clip(z, -1.0, 1.0),
+    "gauss": lambda z: np.exp(
+        -5.0 * np.clip(z, -3.4, 3.4) * np.clip(z, -3.4, 3.4)
+    ),
+    "sin": lambda z: np.sin(np.clip(5.0 * z, -60.0, 60.0)),
+    "abs": np.abs,
+}
+
+
+def kernel_grid() -> np.ndarray:
+    """100k values: a dense sweep, wide magnitudes of both signs, every
+    clamp bound and the IEEE specials."""
+    rng = np.random.default_rng(0)
+    magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 40_000)
+    bounds = [b / s for b in (60.0, 3.4, 1.0, 19.1) for s in (1, 2.5, 4.9, 5)]
+    specials = [
+        0.0, np.inf, np.nan, 1e308, 5e-324, 2.2250738585072014e-308,
+        *bounds, *(np.nextafter(b, np.inf) for b in bounds),
+    ]
+    values = np.concatenate(
+        [
+            np.linspace(-75.0, 75.0, 40_000),
+            rng.normal(0.0, 10.0, 20_000 - 2 * len(specials)),
+            magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+            specials,
+            np.negative(specials),
+        ]
+    )
+    assert values.size == 100_000
+    return values
+
+
+class TestActivationKernels:
+    @pytest.mark.parametrize("name", sorted(CLIP_FORMULAS))
+    def test_bit_identical_to_clip_formulas(self, name):
+        grid = kernel_grid()
+        # short lengths exercise the ufuncs' SIMD remainder paths
+        for values in (grid, grid[:1], grid[:7], grid[-13:]):
+            with np.errstate(all="ignore"):
+                expected = CLIP_FORMULAS[name](values.copy())
+                work = values.copy()
+                got = BATCHED_ACTIVATIONS[name](work)
+            assert got is work, "kernels write their argument in place"
+            nan = np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            np.testing.assert_array_equal(
+                got[~nan].view(np.uint64), expected[~nan].view(np.uint64)
+            )
+
+
+#: every activation, and every aggregation weighted towards ``sum`` so
+#: layers mix the matmul with per-node reductions
+ALL_ACTIVATIONS = sorted(ACTIVATIONS)
+MIXED_AGGREGATIONS = ("sum", "sum", "product", "max", "mean", "min")
+DAG_CONFIG = NEATConfig(num_inputs=3, num_outputs=3, pop_size=2)
+
+
+@st.composite
+def dag_genomes(draw):
+    """A random feed-forward genome: hidden nodes ``3..`` in key order,
+    links from inputs or earlier hidden nodes, some disabled; hidden
+    nodes that reach no output are pruned by the compiler, and output 2
+    may be left with no incoming link."""
+    n_hidden = draw(st.integers(0, 8))
+    hidden = list(range(3, 3 + n_hidden))
+    unit_response = draw(st.booleans())
+    genome = Genome(0)
+    for node in [0, 1, 2, *hidden]:
+        genome.nodes[node] = NodeGene(
+            node,
+            draw(st.floats(-1.5, 1.5)),
+            1.0 if unit_response else draw(st.floats(-1.5, 1.5)),
+            draw(st.sampled_from(ALL_ACTIVATIONS)),
+            draw(st.sampled_from(MIXED_AGGREGATIONS)),
+        )
+    sources = [-1, -2, -3, *hidden]
+    targets = [*hidden, 0, 1, 2]
+    starve_output = draw(st.booleans())
+    links = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sources),
+                st.sampled_from(targets),
+                st.floats(-1.5, 1.5),
+                st.sampled_from([True, True, True, False]),
+            ),
+            max_size=30,
+        )
+    )
+    for source, target, weight, enabled in links:
+        feeds_forward = source < 0 or target < 3 or source < target
+        if feeds_forward and not (starve_output and target == 2):
+            genome.connections[(source, target)] = ConnectionGene(
+                (source, target), weight, enabled
+            )
+    return genome
+
+
+class TestLayerRunnerProperty:
+    @given(
+        st.lists(dag_genomes(), min_size=1, max_size=4),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_interpreter_and_stacked_runner(
+        self, genomes, batch, obs_seed
+    ):
+        config = DAG_CONFIG
+        rng = np.random.default_rng(obs_seed)
+        obs = rng.uniform(-2.0, 2.0, size=(len(genomes), batch, 3))
+        plans = [compile_batched(genome, config) for genome in genomes]
+        stacked_actions = StackedPopulationNetwork(plans).policy_all(obs)
+        for g, (genome, plan) in enumerate(zip(genomes, plans)):
+            scalar = FeedForwardNetwork.create(genome, config)
+            runner = BatchedFeedForwardNetwork(plan)
+            out = runner.activate_batch(obs[g])
+            assert out.shape == (batch, config.num_outputs)
+            for row, observation in enumerate(obs[g]):
+                np.testing.assert_allclose(
+                    out[row],
+                    scalar.activate(list(observation)),
+                    rtol=0.0,
+                    atol=TOLERANCE,
+                )
+            actions = runner.policy_batch(obs[g])
+            for row in np.nonzero(actions != stacked_actions[g])[0]:
+                # the runners may sum a dot product in different orders:
+                # they may only disagree where the top two outputs tie
+                top_two = np.sort(out[row])[-2:]
+                assert top_two[1] - top_two[0] <= TOLERANCE
 
 
 class TestEquivalenceSweep:
@@ -172,21 +316,33 @@ class TestBatchedNetworkApi:
         for i, row in enumerate(obs):
             assert int(actions[i]) == scalar.policy(list(row))
 
-    def test_activate_population_shared_observations(self):
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("read_ahead", "not yet written"),
+            ("unwritten_output", "no layer writes"),
+            ("ungrouped_row", "partition its rows"),
+        ],
+    )
+    def test_rejects_malformed_plans(self, defect, message):
+        # the runner's value tensor is uninitialised memory, so a plan
+        # (e.g. one decoded off the wire) that would read a slot before
+        # any layer writes it, or leave a row without an activation, is
+        # refused up front
         config = rich_config()
-        networks = [
-            BatchedFeedForwardNetwork.create(
-                make_evolved_genome(config, seed=s, mutations=20, key=s),
-                config,
-            )
-            for s in range(4)
-        ]
-        obs = np.random.default_rng(0).normal(size=(6, config.num_inputs))
-        outputs = activate_population(networks, obs)
-        assert len(outputs) == 4
-        for out, network in zip(outputs, networks):
-            assert out.shape == (6, config.num_outputs)
-            np.testing.assert_array_equal(out, network.activate_batch(obs))
+        plan = compile_batched(
+            make_evolved_genome(config, seed=11, mutations=50), config
+        )
+        assert plan.n_layers >= 2
+        if defect == "read_ahead":
+            plan.layers[0].weights[0, plan.layers[1].node_slots[0]] = 1.0
+        elif defect == "unwritten_output":
+            plan.layers.pop()  # the deepest layer holds an output
+        else:
+            name, rows = plan.layers[0].act_groups[0]
+            plan.layers[0].act_groups[0] = (name, rows[1:])
+        with pytest.raises(ValueError, match=message):
+            BatchedFeedForwardNetwork(plan)
 
     def test_plan_layers_respect_topology(self):
         config = rich_config()

@@ -77,10 +77,15 @@ class TestGenerationLoop:
 
     def test_inference_genes_counts_steps(self, config):
         pop = Population(config, seed=0)
-        stats = pop.run_generation(fake_evaluate)
-        total_genes = sum(
-            genes for genes, _steps in stats.genome_profile.values()
-        )
+        evaluated = []
+
+        def recording_evaluate(genomes, generation):
+            evaluated.extend(genomes)
+            return fake_evaluate(genomes, generation)
+
+        stats = pop.run_generation(recording_evaluate)
+        # the gene counts are read before reproduction replaces genomes
+        total_genes = sum(genome.gene_count() for genome in evaluated)
         assert stats.inference_genes == total_genes * 3  # 3 steps each
 
     def test_missing_fitness_rejected(self, config):
