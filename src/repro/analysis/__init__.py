@@ -6,11 +6,10 @@ quantitative tables; :mod:`repro.analysis.report` renders everything as the
 ASCII rows the benchmark harness prints.
 """
 
-from repro.analysis.cache import CachedGenomeEvaluator, RunCache
+from repro.analysis.cache import RunCache
 from repro.analysis.scale import BenchScale, bench_scale
 
 __all__ = [
-    "CachedGenomeEvaluator",
     "RunCache",
     "BenchScale",
     "bench_scale",

@@ -1,67 +1,26 @@
-"""Evaluation and run caching for figure sweeps.
+"""Run caching for figure sweeps.
 
-Scaling figures sweep the same workload across many cluster sizes. For
-CLAN_DCS / CLAN_DDS the evolution trajectory is identical at every ``n``
-(placement-independent evolution, see :mod:`repro.core.protocols`), so the
-expensive genome rollouts repeat verbatim; :class:`CachedGenomeEvaluator`
-memoises them keyed by *genome content* + generation, which is safe even
-across protocols whose trajectories differ (CLAN_DDA re-uses hits only for
-genuinely identical genomes). :class:`RunCache` additionally memoises whole
-engine runs per (protocol, workload, n).
+Scaling figures sweep the same workload across many cluster sizes.
+Serial, CLAN_DCS and CLAN_DDS are one evolution folded per protocol (see
+:mod:`repro.core.protocols`), so :class:`RunCache` evolves that
+population once per (workload, seed, step-mode) — lazily, as far as the
+longest request — and answers every (protocol, n, generations) by folding
+the recorded steps. CLAN_DDA's clans *are* its placement: it runs once per
+(n, generations).
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING
-
-from repro.cluster.serialization import encode_genome
-from repro.core.metrics import RunResult
-from repro.core.protocols import ProtocolBase, make_protocol
+from repro.core.metrics import GenerationRecord
+from repro.core.protocols import (
+    EvolutionStep,
+    ProtocolBase,
+    evolve,
+    fold_trajectory,
+    make_protocol,
+)
 from repro.neat.config import NEATConfig
-from repro.neat.evaluation import FitnessResult, GenomeEvaluator
-
-if TYPE_CHECKING:
-    from repro.neat.genome import Genome
-
-#: bytes of the wire header that carry key + fitness (excluded from the
-#: content hash: the same genome re-evaluated as an elite has a fitness set)
-_KEY_AND_FITNESS_BYTES = 12
-
-
-class CachedGenomeEvaluator(GenomeEvaluator):
-    """A :class:`GenomeEvaluator` with content-addressed memoisation."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._cache: dict[tuple[bytes, int], FitnessResult] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _content_key(genome: "Genome") -> bytes:
-        payload = encode_genome(genome)[_KEY_AND_FITNESS_BYTES:]
-        return hashlib.blake2b(payload, digest_size=16).digest()
-
-    def evaluate(self, genome, config, generation: int = 0) -> FitnessResult:
-        key = (self._content_key(genome), generation)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            # results carry the genome key; re-key for the querying genome
-            if cached.genome_key != genome.key:
-                cached = FitnessResult(
-                    genome_key=genome.key,
-                    fitness=cached.fitness,
-                    steps=cached.steps,
-                    total_reward=cached.total_reward,
-                    solved=cached.solved,
-                )
-            return cached
-        self.misses += 1
-        result = super().evaluate(genome, config, generation)
-        self._cache[key] = result
-        return result
+from repro.neat.population import Population
 
 
 class RunCache:
@@ -78,30 +37,44 @@ class RunCache:
         self.config = config
         self.seed = seed
         self.max_steps = max_steps
-        self.evaluator = CachedGenomeEvaluator(
-            env_id,
-            max_steps=max_steps,
-            seed=ProtocolBase.default_evaluator(env_id, seed).seed,
+        # the evaluator a protocol engine seeded alike would build
+        self._evaluator = ProtocolBase.default_evaluator(
+            env_id, seed, max_steps=max_steps
         )
-        self._runs: dict[tuple[str, int, int], RunResult] = {}
+        self._population: Population | None = None
+        self._steps: list[EvolutionStep] = []
+        self._runs: dict[tuple[str, int, int], list[GenerationRecord]] = {}
+
+    def _trajectory(self, generations: int) -> list[EvolutionStep]:
+        """The first ``generations`` steps of the shared evolution."""
+        if self._population is None:
+            self._population = Population(self.config, seed=self.seed)
+        while len(self._steps) < generations:
+            self._steps.append(evolve(self._population, self._evaluator))
+        return self._steps[:generations]
 
     def records(self, protocol: str, n_agents: int, generations: int):
         """Run (or recall) ``generations`` of ``protocol`` at ``n_agents``."""
         key = (protocol, n_agents, generations)
         if key not in self._runs:
-            engine = make_protocol(
-                protocol,
-                self.env_id,
-                n_agents=n_agents,
-                config=self.config,
-                seed=self.seed,
-                max_steps=self.max_steps,
-                evaluator=self.evaluator,
-            )
-            self._runs[key] = engine.run(
-                max_generations=generations, fitness_threshold=float("inf")
-            )
-        return self._runs[key].records
+            if protocol == "CLAN_DDA":
+                engine = make_protocol(
+                    protocol,
+                    self.env_id,
+                    n_agents=n_agents,
+                    config=self.config,
+                    seed=self.seed,
+                    max_steps=self.max_steps,
+                )
+                self._runs[key] = engine.run(
+                    max_generations=generations,
+                    fitness_threshold=float("inf"),
+                ).records
+            else:
+                self._runs[key] = fold_trajectory(
+                    protocol, n_agents, self._trajectory(generations)
+                )
+        return self._runs[key]
 
 
 _SHARED_CACHES: dict[tuple[str, int, int, int | None], RunCache] = {}
@@ -127,8 +100,3 @@ def shared_cache(
             env_id, config, seed=seed, max_steps=max_steps
         )
     return _SHARED_CACHES[key]
-
-
-def clear_shared_caches() -> None:
-    """Drop all memoised runs (used between test sessions)."""
-    _SHARED_CACHES.clear()

@@ -50,13 +50,19 @@ _AGGREGATION_IDS = {name: i for i, name in enumerate(sorted(AGGREGATIONS))}
 _AGGREGATION_NAMES = {i: name for name, i in _AGGREGATION_IDS.items()}
 
 
-def genome_wire_floats(genome: Genome) -> int:
-    """Number of 32-bit words the genome occupies on the wire."""
+def wire_floats(nodes: int, connections: int) -> int:
+    """32-bit words a genome of ``nodes`` + ``connections`` genes
+    occupies on the wire."""
     return (
         HEADER_WORDS
-        + NodeGene.FLOAT_FIELDS * len(genome.nodes)
-        + ConnectionGene.FLOAT_FIELDS * len(genome.connections)
+        + NodeGene.FLOAT_FIELDS * nodes
+        + ConnectionGene.FLOAT_FIELDS * connections
     )
+
+
+def genome_wire_floats(genome: Genome) -> int:
+    """Number of 32-bit words the genome occupies on the wire."""
+    return wire_floats(len(genome.nodes), len(genome.connections))
 
 
 def genome_wire_bytes(genome: Genome) -> int:

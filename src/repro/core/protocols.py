@@ -12,17 +12,21 @@ A physically parallel backend with one OS process per agent lives in
 population (Serial, DCS, DDS) or over one clan-shaped population per agent
 (DDA) — the class a worker process hosts too.
 
-Design note — placement-independent evolution: child genomes are formed
-from RNG streams keyed by ``(seed, generation, child key)`` (see
-:meth:`repro.neat.population.Population.run_generation`), so
-SerialNEAT, CLAN_DCS and CLAN_DDS produce *bit-identical* populations for
-the same seed. Distribution changes who computes, not what is computed —
-the tests assert this. CLAN_DDA genuinely changes the algorithm
-(asynchronous speciation over clans), which is why the paper studies its
+Design note — evolve once, account many: child genomes are formed from RNG
+streams keyed by ``(seed, generation, child key)`` (see
+:meth:`repro.neat.population.Population.run_generation`), so where a child
+is formed never changes what it is. SerialNEAT, CLAN_DCS and CLAN_DDS
+*are* one evolution (:func:`evolve`) plus a per-protocol pure ``fold`` of
+each :class:`EvolutionStep` into its record; the figure cache folds one
+recorded evolution at every cluster size (:func:`fold_trajectory`).
+CLAN_DDA genuinely changes the algorithm (asynchronous speciation over
+clans: its clans *are* its placement), which is why the paper studies its
 convergence cost separately (Fig 7b).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.obs import tracer as obs
 from repro.core.messages import CENTER, Message, MessageType
@@ -31,14 +35,14 @@ from repro.core.partition import (
     assign_genomes,
     clan_seeds,
     contiguous_blocks,
+    round_robin,
 )
-from repro.cluster.serialization import genome_wire_floats
+from repro.cluster.serialization import genome_wire_floats, wire_floats
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import FitnessResult, GenomeEvaluator
 from repro.neat.genome import Genome
-from repro.neat.population import Population
-from repro.neat.reproduction import GenerationPlan
+from repro.neat.population import GenerationStats, Population
 from repro.utils.rng import RngFactory
 
 #: 32-bit words per reported fitness entry: (genome key, fitness)
@@ -48,6 +52,19 @@ SPAWN_ENTRY_FLOATS = 2
 #: 32-bit words per child spec on the wire: (child, species, parent1,
 #: parent2-or-sentinel)
 CHILD_SPEC_FLOATS = 4
+
+
+def _evaluate(evaluator, genomes, config, generation):
+    """``{key: FitnessResult}`` for ``genomes``: one ``evaluate_many``
+    sweep, or a per-genome loop for injected evaluators that implement
+    only ``evaluate``."""
+    evaluate_many = getattr(evaluator, "evaluate_many", None)
+    if evaluate_many is not None:
+        return evaluate_many(genomes, config, generation)
+    return {
+        genome.key: evaluator.evaluate(genome, config, generation)
+        for genome in genomes
+    }
 
 
 class ProtocolBase:
@@ -74,8 +91,8 @@ class ProtocolBase:
         self.config = config or NEATConfig.for_env(env_id)
         self.seed = seed
         self.rngs = RngFactory(seed)
-        # an injected evaluator (e.g. a shared cache for n-sweeps) must be
-        # seeded identically to the default one or trajectories change
+        # an injected evaluator must be seeded like the default one (see
+        # default_evaluator) or the trajectory changes
         self.evaluator = evaluator or self.default_evaluator(
             env_id, seed, episodes=episodes, max_steps=max_steps,
             backend=backend, eval_mode=eval_mode,
@@ -97,13 +114,13 @@ class ProtocolBase:
     ) -> GenomeEvaluator:
         """The evaluator a protocol seeded with ``seed`` would build.
 
-        ``backend`` selects the inference engine (``"scalar"`` or
-        ``"batched"``); ``eval_mode`` selects how each agent evaluates
-        its genome block (``"per_genome"`` or the vectorized
-        ``"population"`` sweep). The engines agree to float64 rounding,
-        so fitness trajectories match in practice (the suite asserts it
-        on real workloads); keep the default scalar interpreter where
-        bit-exact reproduction of the paper figures is the point.
+        Its episode seeds derive from ``seed``, so any evaluator built
+        here for the same seed replays the same episodes. ``backend``
+        selects the inference engine (``"scalar"`` or ``"batched"``);
+        ``eval_mode`` selects how a genome block is evaluated
+        (``"per_genome"`` or the vectorized ``"population"`` sweep). The
+        engines agree to float64 rounding, so fitness trajectories match
+        in practice (the suite asserts it on real workloads).
         """
         return GenomeEvaluator(
             env_id,
@@ -171,20 +188,6 @@ class ProtocolBase:
             agent_loads=[AgentLoad() for _ in range(self.n_agents)],
         )
 
-    def _close_generation(self, record, stats) -> GenerationRecord:
-        """Copy the population's generation summary onto ``record``,
-        note its best-ever genome and advance (one-population engines)."""
-        record.speciation_comparisons = stats.speciation_comparisons
-        record.best_fitness = stats.best_fitness
-        record.mean_fitness = stats.mean_fitness
-        record.n_species = stats.n_species
-        record.population_size = stats.population_size
-        record.solved = stats.solved
-        self._note_best(self.population.best_genome)
-        self.generation += 1
-        self.records.append(record)
-        return record
-
     @staticmethod
     def _log_genomes(record, msg_type, source, destination, genomes, **tags):
         """Log one genome shipment with its wire and gene sizes."""
@@ -212,62 +215,172 @@ class ProtocolBase:
         load: AgentLoad,
         generation: int,
     ) -> dict[int, FitnessResult]:
-        """Evaluate one agent's whole genome block as a single sweep.
-
-        The evaluator's ``eval_mode`` decides execution: per-genome
-        rollouts or one vectorized population sweep. Either way the
-        gene-op/message accounting is charged per genome, so the cost
-        model sees identical work regardless of how it was executed.
-
-        Injected evaluators (``evaluator=`` kwarg) may implement only
-        ``evaluate``; they are looped per genome like before.
-        """
-        evaluate_many = getattr(self.evaluator, "evaluate_many", None)
-        if evaluate_many is not None:
-            results = evaluate_many(genomes, self.config, generation)
-        else:
-            results = {
-                genome.key: self.evaluator.evaluate(
-                    genome, self.config, generation
-                )
-                for genome in genomes
-            }
+        """Evaluate one agent's whole genome block as a single sweep,
+        charging the gene-op accounting per genome."""
+        results = _evaluate(self.evaluator, genomes, self.config, generation)
         for genome in genomes:
-            result = results[genome.key]
-            load.inference_gene_ops += genome.gene_count() * max(
-                result.steps, 1
-            )
-            load.env_steps += result.steps
-            load.genomes_evaluated += 1
+            _charge(load, genome.gene_count(), results[genome.key].steps)
         return results
 
 
-class SerialNEAT(ProtocolBase):
+# -- the shared evolution of the one-population engines ----------------------
+
+
+@dataclass(frozen=True)
+class EvolutionStep:
+    """One generation of the shared evolution: everything a placement
+    fold reads, as integers — no genome. A genome's gene count (the
+    paper's cost unit) is ``nodes + connections``; its wire size is
+    :func:`~repro.cluster.serialization.wire_floats` of the two."""
+
+    #: ``(key, nodes, connections, env steps)`` per evaluated genome, in
+    #: population order
+    evaluated: tuple[tuple[int, int, int, int], ...]
+    #: keys carried into the next generation unchanged
+    elites: tuple[int, ...]
+    #: ``(key, nodes, connections, parent1, parent2 or None)`` per
+    #: formed child, in plan order
+    children: tuple[tuple[int, int, int, int, int | None], ...]
+    #: entries of the plan's spawn-count table
+    spawn_entries: int
+    stats: GenerationStats
+
+
+def evolve(population: Population, evaluator) -> EvolutionStep:
+    """Run one generation of ``population``, evaluating every genome in
+    one sweep, and keep what the placement folds read."""
+    evaluated: list[tuple[int, int, int, int]] = []
+
+    def evaluate(genomes, generation):
+        results = _evaluate(evaluator, genomes, population.config, generation)
+        evaluated.extend(
+            (g.key, len(g.nodes), len(g.connections), results[g.key].steps)
+            for g in genomes
+        )
+        return results
+
+    stats = population.run_generation(evaluate)
+    plan = population.last_plan
+    children = []
+    for spec in plan.children:
+        child = population.genomes[spec.child_key]
+        children.append((
+            spec.child_key, len(child.nodes), len(child.connections),
+            spec.parent1_key, spec.parent2_key,
+        ))
+    return EvolutionStep(
+        evaluated=tuple(evaluated),
+        elites=tuple(plan.elites),
+        children=tuple(children),
+        spawn_entries=len(plan.spawn_counts),
+        stats=stats,
+    )
+
+
+def _step_record(step: EvolutionStep, protocol: str, n_agents: int):
+    """A record carrying ``step``'s population summary, no placement yet."""
+    stats = step.stats
+    return GenerationRecord(
+        generation=stats.generation,
+        protocol=protocol,
+        n_agents=n_agents,
+        agent_loads=[AgentLoad() for _ in range(n_agents)],
+        best_fitness=stats.best_fitness,
+        mean_fitness=stats.mean_fitness,
+        n_species=stats.n_species,
+        population_size=stats.population_size,
+        solved=stats.solved,
+        speciation_comparisons=stats.speciation_comparisons,
+    )
+
+
+def _charge(load: AgentLoad, genes: int, steps: int) -> None:
+    """Charge one genome's inference to the agent that ran it."""
+    load.inference_gene_ops += genes * max(steps, 1)
+    load.env_steps += steps
+    load.genomes_evaluated += 1
+
+
+def _shipment(msg_type, source, destination, rows) -> Message:
+    """One transfer of the genomes ``rows`` describe (an
+    :class:`EvolutionStep` row: ``(key, nodes, connections, ...)``)."""
+    return Message(
+        msg_type,
+        source,
+        destination,
+        n_floats=sum(wire_floats(n, c) for _key, n, c, *_ in rows),
+        n_genes=sum(n + c for _key, n, c, *_ in rows),
+        n_units=len(rows),
+    )
+
+
+def _fitness_report(agent: int, count: int) -> Message:
+    """An agent reporting ``count`` genomes' fitness to the centre."""
+    return Message(
+        MessageType.SENDING_FITNESS,
+        agent,
+        CENTER,
+        n_floats=FITNESS_ENTRY_FLOATS * count,
+        n_units=count,
+    )
+
+
+def _by_agent(rows, agent_of):
+    """``(agent, rows of genomes on it)`` in agent order, keeping row
+    order."""
+    groups: dict[int, list] = {}
+    for row in rows:
+        groups.setdefault(agent_of[row[0]], []).append(row)
+    return sorted(groups.items())
+
+
+class _SharedEvolution(ProtocolBase):
+    """A one-population engine: :func:`evolve` plus this protocol's
+    ``fold(step, n_agents, placement) -> (record, placement)``, a pure
+    function of the step and the fold state the previous step left
+    (``None`` before the first)."""
+
+    def __init__(self, env_id: str, n_agents: int, **kwargs):
+        super().__init__(env_id, n_agents=n_agents, **kwargs)
+        self.population = Population(self.config, seed=self.seed)
+        #: the fold's state carried between generations
+        self._placement = None
+
+    def run_generation(self) -> GenerationRecord:
+        step = evolve(self.population, self.evaluator)
+        record, self._placement = self.fold(
+            step, self.n_agents, self._placement
+        )
+        self._note_best(self.population.best_genome)
+        self.generation += 1
+        self.records.append(record)
+        return record
+
+
+class SerialNEAT(_SharedEvolution):
     """Baseline: everything on a single device, zero communication."""
 
     name = "Serial"
 
-    def __init__(self, env_id: str, **kwargs):
-        kwargs.setdefault("n_agents", 1)
-        if kwargs["n_agents"] != 1:
+    def __init__(self, env_id: str, n_agents: int = 1, **kwargs):
+        if n_agents != 1:
             raise ValueError("SerialNEAT runs on exactly one device")
-        super().__init__(env_id, **kwargs)
-        self.population = Population(self.config, seed=self.seed)
+        super().__init__(env_id, n_agents, **kwargs)
 
-    def run_generation(self) -> GenerationRecord:
-        record = self._new_record()
-        load = record.agent_loads[0]
-
-        def evaluate(genomes, generation):
-            return self._evaluate_block_on_agent(genomes, load, generation)
-
-        stats = self.population.run_generation(evaluate)
+    @classmethod
+    def fold(cls, step, n_agents, placement):
+        record = _step_record(step, cls.name, n_agents)
+        load, stats = record.agent_loads[0], step.stats
+        # one agent ran everything: the population's own totals
+        load.inference_gene_ops = stats.inference_genes
+        load.env_steps = stats.inference_steps
+        load.genomes_evaluated = stats.population_size
         load.speciation_gene_ops = stats.speciation_genes
         load.reproduction_gene_ops = stats.reproduction_genes
-        return self._close_generation(record, stats)
+        return record, placement
 
 
-class CLAN_DCS(ProtocolBase):
+class CLAN_DCS(_SharedEvolution):
     """Distributed inference, Central reproduction, Synchronous speciation.
 
     Every generation the centre ships each agent its shard of genomes
@@ -278,54 +391,28 @@ class CLAN_DCS(ProtocolBase):
 
     name = "CLAN_DCS"
 
-    def __init__(self, env_id: str, n_agents: int, **kwargs):
-        super().__init__(env_id, n_agents=n_agents, **kwargs)
-        self.population = Population(self.config, seed=self.seed)
-
-    def run_generation(self) -> GenerationRecord:
-        record = self._new_record()
-
-        def evaluate(genomes, generation):
-            by_key = {g.key: g for g in genomes}
-            shard_map = assign_genomes(by_key, self.n_agents)
-            shards: list[list[Genome]] = [[] for _ in range(self.n_agents)]
-            for key, agent in shard_map.items():
-                shards[agent].append(by_key[key])
-            results: dict[int, FitnessResult] = {}
-            for agent, shard in enumerate(shards):
-                if not shard:
-                    continue
-                self._log_genomes(
-                    record, MessageType.SENDING_GENOMES, CENTER, agent, shard
-                )
-                load = record.agent_loads[agent]
-                with obs.span(
-                    "evaluate", track=f"clan:{agent}", genomes=len(shard)
-                ):
-                    results.update(
-                        self._evaluate_block_on_agent(
-                            shard, load, generation
-                        )
-                    )
-                record.messages.append(
-                    Message(
-                        MessageType.SENDING_FITNESS,
-                        agent,
-                        CENTER,
-                        n_floats=FITNESS_ENTRY_FLOATS * len(shard),
-                        n_units=len(shard),
-                    )
-                )
-            return results
-
-        stats = self.population.run_generation(evaluate)
+    @classmethod
+    def fold(cls, step, n_agents, placement):
+        record = _step_record(step, cls.name, n_agents)
+        # round-robin over sorted keys: the assign_genomes sharding
+        shards = round_robin(sorted(step.evaluated), n_agents)
+        for agent, shard in enumerate(shards):
+            if not shard:
+                continue
+            record.messages.append(
+                _shipment(MessageType.SENDING_GENOMES, CENTER, agent, shard)
+            )
+            for _key, nodes, connections, steps in shard:
+                _charge(record.agent_loads[agent], nodes + connections, steps)
+            record.messages.append(_fitness_report(agent, len(shard)))
+        stats = step.stats
         record.center_speciation_gene_ops = stats.speciation_genes
         record.center_reproduction_gene_ops = stats.reproduction_genes
         record.center_planning_ops = stats.population_size
-        return self._close_generation(record, stats)
+        return record, placement
 
 
-class CLAN_DDS(ProtocolBase):
+class CLAN_DDS(_SharedEvolution):
     """Distributed inference + reproduction, Synchronous speciation.
 
     Children are formed *on the agents*; because speciation stays
@@ -333,129 +420,62 @@ class CLAN_DDS(ProtocolBase):
     (``Sending Children``) and every chosen parent shipped out
     (``Sending Parent Genomes``) when not already resident — the repeated
     back-and-forth the paper identifies as DDS's downfall (Fig 2c, Fig 4).
+    The fold's state is the residency map.
     """
 
     name = "CLAN_DDS"
 
-    def __init__(self, env_id: str, n_agents: int, **kwargs):
-        super().__init__(env_id, n_agents=n_agents, **kwargs)
-        # the centre's algorithm state is a Population (same seed => same
-        # trajectory as SerialNEAT); this engine adds placement on top
-        self.population = Population(self.config, seed=self.seed)
-        #: genome key -> agent currently holding a live copy
-        self.residency: dict[int, int] = assign_genomes(
-            self.population.genomes, self.n_agents
-        )
-        self._initial_distribution_pending = True
+    @property
+    def residency(self) -> dict[int, int]:
+        """Genome key -> agent currently holding a live copy."""
+        if self._placement is None:
+            # not distributed yet: where the first generation will go
+            return assign_genomes(self.population.genomes, self.n_agents)
+        return self._placement
 
-    def run_generation(self) -> GenerationRecord:
-        record = self._new_record()
-
-        if self._initial_distribution_pending:
-            self._log_genome_shipment(
-                record,
-                MessageType.SENDING_GENOMES,
-                self.population.genomes,
-                self.residency,
+    @classmethod
+    def fold(cls, step, n_agents, residency):
+        record = _step_record(step, cls.name, n_agents)
+        if residency is None:
+            # the population is distributed once, before its first
+            # inference
+            residency = assign_genomes(
+                (row[0] for row in step.evaluated), n_agents
             )
-            self._initial_distribution_pending = False
-
-        def evaluate(genomes, generation):
-            results: dict[int, FitnessResult] = {}
-            per_agent_counts = [0] * self.n_agents
-            blocks: list[list[Genome]] = [[] for _ in range(self.n_agents)]
-            for genome in genomes:
-                agent = self.residency[genome.key]
-                blocks[agent].append(genome)
-                per_agent_counts[agent] += 1
-            for agent, block in enumerate(blocks):
-                if block:
-                    with obs.span(
-                        "evaluate",
-                        track=f"clan:{agent}",
-                        genomes=len(block),
-                    ):
-                        results.update(
-                            self._evaluate_block_on_agent(
-                                block,
-                                record.agent_loads[agent],
-                                generation,
-                            )
-                        )
-            for agent, count in enumerate(per_agent_counts):
-                if count:
-                    record.messages.append(
-                        Message(
-                            MessageType.SENDING_FITNESS,
-                            agent,
-                            CENTER,
-                            n_floats=FITNESS_ENTRY_FLOATS * count,
-                            n_units=count,
-                        )
+            for agent, rows in _by_agent(step.evaluated, residency):
+                record.messages.append(
+                    _shipment(
+                        MessageType.SENDING_GENOMES, CENTER, agent, rows
                     )
-            return results
+                )
 
-        # Inference (distributed) + Speciation & planning (centre), via the
-        # shared Population loop; reproduction placement is reconstructed
-        # from the plan below.
-        previous_genomes = dict(self.population.genomes)
-        stats = self.population.run_generation(evaluate)
-        plan = self.population.last_plan
-        record.center_speciation_gene_ops = stats.speciation_genes
-        record.center_planning_ops = stats.population_size
-        self._place_reproduction(record, plan, previous_genomes)
-        return self._close_generation(record, stats)
+        # inference wherever each genome lives; speciation and planning
+        # on the centre
+        for key, nodes, connections, steps in step.evaluated:
+            load = record.agent_loads[residency[key]]
+            _charge(load, nodes + connections, steps)
+        for agent, load in enumerate(record.agent_loads):
+            if load.genomes_evaluated:
+                record.messages.append(
+                    _fitness_report(agent, load.genomes_evaluated)
+                )
+        record.center_speciation_gene_ops = step.stats.speciation_genes
+        record.center_planning_ops = step.stats.population_size
 
-    # -- placement ------------------------------------------------------------
-
-    def _log_genome_shipment(
-        self,
-        record: GenerationRecord,
-        msg_type: MessageType,
-        genomes: dict[int, Genome],
-        destination: dict[int, int],
-    ) -> None:
-        """Log centre -> agent genome transfers grouped per agent."""
-        per_agent: dict[int, list[Genome]] = {}
-        for key, genome in genomes.items():
-            per_agent.setdefault(destination[key], []).append(genome)
-        for agent in sorted(per_agent):
-            self._log_genomes(
-                record, msg_type, CENTER, agent, per_agent[agent]
-            )
-
-    def _place_reproduction(
-        self,
-        record: GenerationRecord,
-        plan: GenerationPlan,
-        parents_view: dict[int, Genome],
-    ) -> None:
-        """Assign child formation to agents; log the plan/parent traffic."""
-        new_population = self.population.genomes  # already formed
+        # reproduction: children formed round-robin over the agents;
+        # spawn counts + parent lists go to every agent with work
+        parents = {row[0]: row for row in step.evaluated}
         child_agents = assign_genomes(
-            [spec.child_key for spec in plan.children], self.n_agents
+            (row[0] for row in step.children), n_agents
         )
-
-        # plan messages: spawn counts + parent lists go to every agent with
-        # work assigned
-        children_per_agent: dict[int, list] = {}
-        for spec in plan.children:
-            children_per_agent.setdefault(
-                child_agents[spec.child_key], []
-            ).append(spec)
-
-        new_residency: dict[int, int] = {}
-        for elite_key in plan.elites:
-            new_residency[elite_key] = self.residency[elite_key]
-
-        for agent in sorted(children_per_agent):
-            specs = children_per_agent[agent]
+        new_residency = {key: residency[key] for key in step.elites}
+        for agent, children in _by_agent(step.children, child_agents):
             record.messages.append(
                 Message(
                     MessageType.SENDING_SPAWN_COUNT,
                     CENTER,
                     agent,
-                    n_floats=SPAWN_ENTRY_FLOATS * len(plan.spawn_counts),
+                    n_floats=SPAWN_ENTRY_FLOATS * step.spawn_entries,
                 )
             )
             record.messages.append(
@@ -463,51 +483,38 @@ class CLAN_DDS(ProtocolBase):
                     MessageType.SENDING_PARENT_LIST,
                     CENTER,
                     agent,
-                    n_floats=CHILD_SPEC_FLOATS * len(specs),
+                    n_floats=CHILD_SPEC_FLOATS * len(children),
                 )
             )
             # parents not resident on this agent must be shipped there
-            needed: dict[int, Genome] = {}
-            for spec in specs:
-                for parent_key in (spec.parent1_key, spec.parent2_key):
-                    if parent_key is None:
-                        continue
-                    if self.residency.get(parent_key) != agent:
-                        needed[parent_key] = parents_view[parent_key]
+            needed: dict[int, tuple] = {}
+            for *_child, parent1, parent2 in children:
+                for parent in (parent1, parent2):
+                    if parent is not None and residency[parent] != agent:
+                        needed[parent] = parents[parent]
             if needed:
-                self._log_genomes(
-                    record, MessageType.SENDING_PARENT_GENOMES, CENTER,
-                    agent, needed.values(),
+                record.messages.append(
+                    _shipment(
+                        MessageType.SENDING_PARENT_GENOMES, CENTER, agent,
+                        list(needed.values()),
+                    )
                 )
-
-            # child formation work on this agent + children shipped back
+            # child formation work (both parents read, the child
+            # written) on this agent + children shipped back
             load = record.agent_loads[agent]
-            children_floats = 0
-            children_genes = 0
-            for spec in specs:
-                child = new_population[spec.child_key]
-                genes = (
-                    parents_view[spec.parent1_key].gene_count()
-                    + child.gene_count()
-                )
-                if spec.parent2_key is not None:
-                    genes += parents_view[spec.parent2_key].gene_count()
-                load.reproduction_gene_ops += genes
-                children_floats += genome_wire_floats(child)
-                children_genes += child.gene_count()
-                new_residency[spec.child_key] = agent
+            for key, nodes, connections, parent1, parent2 in children:
+                for parent in (parent1, parent2):
+                    if parent is not None:
+                        _key, p_nodes, p_connections, _steps = parents[parent]
+                        load.reproduction_gene_ops += p_nodes + p_connections
+                load.reproduction_gene_ops += nodes + connections
+                new_residency[key] = agent
             record.messages.append(
-                Message(
-                    MessageType.SENDING_CHILDREN,
-                    agent,
-                    CENTER,
-                    n_floats=children_floats,
-                    n_genes=children_genes,
-                    n_units=len(specs),
+                _shipment(
+                    MessageType.SENDING_CHILDREN, agent, CENTER, children
                 )
             )
-
-        self.residency = new_residency
+        return record, new_residency
 
 
 class CLAN_DDA(ProtocolBase):
@@ -576,15 +583,7 @@ class CLAN_DDA(ProtocolBase):
             load.speciation_gene_ops += stats.speciation_genes
             load.reproduction_gene_ops += stats.reproduction_genes
             record.speciation_comparisons += stats.speciation_comparisons
-            record.messages.append(
-                Message(
-                    MessageType.SENDING_FITNESS,
-                    clan.clan_id,
-                    CENTER,
-                    n_floats=FITNESS_ENTRY_FLOATS * clan.size,
-                    n_units=clan.size,
-                )
-            )
+            record.messages.append(_fitness_report(clan.clan_id, clan.size))
             clan_stats.append(stats)
             self._note_best(clan.best_genome)
 
@@ -649,6 +648,23 @@ _PROTOCOLS = {
 def available_protocols() -> tuple[str, ...]:
     """Names accepted by :func:`make_protocol`."""
     return tuple(_PROTOCOLS)
+
+
+def fold_trajectory(
+    name: str, n_agents: int, steps
+) -> list[GenerationRecord]:
+    """``name``'s records at ``n_agents`` for a recorded evolution: what
+    a fresh engine of that protocol would log over ``steps`` (from
+    :func:`evolve` on the same seed), without evolving again."""
+    cls = _PROTOCOLS[name]
+    if n_agents < 1 or (cls is SerialNEAT and n_agents != 1):
+        raise ValueError(f"{name} cannot run on {n_agents} agents")
+    records = []
+    placement = None
+    for step in steps:
+        record, placement = cls.fold(step, n_agents, placement)
+        records.append(record)
+    return records
 
 
 def make_protocol(name: str, env_id: str, n_agents: int = 1, **kwargs):

@@ -143,10 +143,8 @@ class Population:
         self.best_genome: Genome | None = None
         self.history: list[GenerationStats] = []
         #: the plan that produced the *current* population (set after the
-        #: first generation); trace capture reads it
+        #: first generation); the protocol engines' placement reads it
         self.last_plan = None
-        #: gene/wire sizes of the children formed by the last plan
-        self.last_children_profile: dict[int, int] = {}
 
     @property
     def seed(self) -> int:
@@ -248,10 +246,6 @@ class Population:
                 np_rng=brood_rng(self.config, self.rngs, generation),
             )
         self.last_plan = plan
-        self.last_children_profile = {
-            spec.child_key: next_population[spec.child_key].gene_count()
-            for spec in plan.children
-        }
 
         total_genes, mean_genes, max_genes = summarise_population(
             self.genomes

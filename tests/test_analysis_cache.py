@@ -1,11 +1,14 @@
-"""Tests for evaluation and run caching."""
+"""Tests for run caching."""
 
 import pytest
 
-from repro.analysis.cache import CachedGenomeEvaluator, RunCache
-from repro.core.protocols import ProtocolBase, SerialNEAT
+from repro.analysis.cache import RunCache
+from repro.core.protocols import SerialNEAT, make_protocol
 from repro.neat.config import NEATConfig
+from repro.neat.evaluation import GenomeEvaluator
 from repro.neat.population import Population
+
+from tests.test_protocol_records import record_digest
 
 
 @pytest.fixture
@@ -13,57 +16,17 @@ def config():
     return NEATConfig.for_env("CartPole-v0", pop_size=16)
 
 
-class TestCachedEvaluator:
-    def test_hit_on_identical_content(self, config):
-        evaluator = CachedGenomeEvaluator("CartPole-v0", seed=3)
-        population = Population(config, seed=0)
-        genome = next(iter(population.genomes.values()))
-        first = evaluator.evaluate(genome, config, 0)
-        second = evaluator.evaluate(genome, config, 0)
-        assert evaluator.hits == 1
-        assert first.fitness == second.fitness
+def count_calls(monkeypatch, owner, name):
+    """Count calls to ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
 
-    def test_hit_across_key_renames(self, config):
-        evaluator = CachedGenomeEvaluator("CartPole-v0", seed=3)
-        population = Population(config, seed=0)
-        genome = next(iter(population.genomes.values()))
-        evaluator.evaluate(genome, config, 0)
-        renamed = genome.copy(new_key=999)
-        result = evaluator.evaluate(renamed, config, 0)
-        assert evaluator.hits == 1
-        assert result.genome_key == 999
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-    def test_miss_on_different_generation(self, config):
-        evaluator = CachedGenomeEvaluator("CartPole-v0", seed=3)
-        population = Population(config, seed=0)
-        genome = next(iter(population.genomes.values()))
-        evaluator.evaluate(genome, config, 0)
-        evaluator.evaluate(genome, config, 1)
-        assert evaluator.hits == 0
-        assert evaluator.misses == 2
-
-    def test_miss_on_different_content(self, config):
-        evaluator = CachedGenomeEvaluator("CartPole-v0", seed=3)
-        population = Population(config, seed=0)
-        keys = iter(population.genomes)
-        a = population.genomes[next(keys)]
-        b = population.genomes[next(keys)]
-        evaluator.evaluate(a, config, 0)
-        evaluator.evaluate(b, config, 0)
-        assert evaluator.hits == 0
-
-    def test_matches_uncached_evaluator(self, config):
-        cached = CachedGenomeEvaluator("CartPole-v0", seed=3)
-        plain = ProtocolBase.default_evaluator("CartPole-v0", 0)
-        cached.seed = plain.seed  # align episode seeds
-        population = Population(config, seed=0)
-        genome = next(iter(population.genomes.values()))
-        assert (
-            cached.evaluate(genome, config, 2).fitness
-            == plain.evaluate(genome, config, 2).fitness
-            if cached.seed == plain.seed
-            else True
-        )
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestRunCache:
@@ -73,13 +36,44 @@ class TestRunCache:
         b = cache.records("CLAN_DCS", 2, 2)
         assert a is b
 
-    def test_sweep_over_n_reuses_evaluations(self, config):
+    def test_sweep_over_n_reuses_evaluations(self, config, monkeypatch):
         cache = RunCache("CartPole-v0", config, seed=1)
         cache.records("CLAN_DCS", 2, 2)
-        misses_after_first = cache.evaluator.misses
+        rollouts = count_calls(monkeypatch, GenomeEvaluator, "evaluate")
         cache.records("CLAN_DCS", 4, 2)
         # identical trajectory at any n: zero new rollouts
-        assert cache.evaluator.misses == misses_after_first
+        assert not rollouts
+
+    def test_sweep_evolves_once(self, config, monkeypatch):
+        generations = 3
+        evolutions = count_calls(monkeypatch, Population, "run_generation")
+        cache = RunCache("CartPole-v0", config, seed=1)
+        cache.records("Serial", 1, generations)
+        for protocol in ("CLAN_DCS", "CLAN_DDS"):
+            for n in (1, 2, 4):
+                cache.records(protocol, n, generations)
+        assert len(evolutions) == generations
+
+    @pytest.mark.parametrize(
+        "protocol,n", [("Serial", 1), ("CLAN_DCS", 3), ("CLAN_DDS", 3)]
+    )
+    def test_shorter_and_longer_requests_are_prefixes(
+        self, config, protocol, n
+    ):
+        engine = make_protocol(
+            protocol, "CartPole-v0", n_agents=n, config=config, seed=1
+        )
+        fresh = [
+            record_digest(r)
+            for r in engine.run(4, fitness_threshold=float("inf")).records
+        ]
+        for order in ((4, 2), (2, 4)):
+            cache = RunCache("CartPole-v0", config, seed=1)
+            for generations in order:
+                records = cache.records(protocol, n, generations)
+                assert [record_digest(r) for r in records] == (
+                    fresh[:generations]
+                )
 
     def test_records_match_uncached_engine(self, config):
         cache = RunCache("CartPole-v0", config, seed=1)

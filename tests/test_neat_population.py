@@ -118,9 +118,6 @@ class TestGenerationLoop:
         pop.run_generation(fake_evaluate)
         assert pop.last_plan is not None
         assert pop.last_plan.next_population_size() == config.pop_size
-        assert set(pop.last_children_profile) == {
-            spec.child_key for spec in pop.last_plan.children
-        }
 
     def test_history_accumulates(self, config):
         pop = Population(config, seed=0)
