@@ -13,8 +13,8 @@
   analytic model, plus pipelined and barrier-free ``async`` execution
   modes (see ``docs/asynchrony.md``).
 * :mod:`repro.cluster.transport` / :mod:`repro.cluster.runtime` — a real
-  multiprocess execution backend (one OS process per simulated Pi), with
-  lock-step and barrier-free clan drivers.
+  multiprocess CLAN_DDA backend (one OS process per clan), with lock-step
+  and barrier-free clan drivers.
 """
 
 from repro.cluster.netmodel import WiFiModel

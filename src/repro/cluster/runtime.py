@@ -1,20 +1,15 @@
-"""Physically parallel CLAN execution over OS processes.
+"""Physically parallel CLAN_DDA execution over OS processes.
 
 While the engines in :mod:`repro.core.protocols` are logical (exact
-algorithm, modelled time), the runtimes here actually fan work out to a
-:class:`~repro.cluster.transport.WorkerPool` — one process per agent — and
-measure real wall-clock. Two runtimes mirror the two interesting designs:
-
-* :class:`ParallelInferenceRuntime` — distributed inference with central
-  evolution (CLAN_DCS on your own CPU cores).
-* :class:`DistributedClanRuntime` — fully asynchronous clans (CLAN_DDA);
-  each worker hosts a clan and runs complete local generations.
-
-Both reproduce the logical engines' results exactly: evaluation is
-deterministic per (seed, generation), and a worker's clan is the same
-:class:`~repro.neat.population.Population`, seeded by the same
-:func:`~repro.core.partition.clan_seeds`, that
-:class:`repro.core.protocols.CLAN_DDA` hosts in-process.
+algorithm, modelled time), :class:`DistributedClanRuntime` actually fans
+the clans out to a :class:`~repro.cluster.transport.WorkerPool` — one
+process per clan, each running complete local generations — and measures
+real wall-clock. It reproduces the logical engine's results exactly:
+evaluation is deterministic per (seed, generation), and a worker's clan
+is the same :class:`~repro.neat.population.Population`, seeded by the
+same :func:`~repro.core.partition.clan_seeds`, that
+:class:`repro.core.protocols.CLAN_DDA` hosts in-process. (CLAN_DCS and
+CLAN_DDS are reproduced by the logical engines plus the timing model.)
 """
 
 from __future__ import annotations
@@ -34,14 +29,11 @@ from repro.cluster.transport import (
     WorkerTimeout,
 )
 from repro.core.metrics import ChurnStats
-from repro.core.partition import clan_seeds, round_robin
+from repro.core.partition import clan_seeds
 from repro.neat.checkpoint import decode_genome_hex
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
-from repro.neat.arrays import lower_population
-from repro.neat.network import PlanCache, compile_batched
-from repro.neat.population import Population
 from repro.utils.rng import RngFactory
 
 
@@ -94,121 +86,6 @@ class RealRunStats:
     #: generations, recovery latencies) filled by the supervision loop;
     #: all-zero on an undisturbed run
     churn: ChurnStats = field(default_factory=ChurnStats)
-
-
-class ParallelInferenceRuntime:
-    """CLAN_DCS over real processes: inference on workers, evolution here."""
-
-    def __init__(
-        self,
-        env_id: str,
-        n_workers: int,
-        config: NEATConfig | None = None,
-        seed: int = 0,
-        max_steps: int | None = None,
-        backend: str = "scalar",
-        eval_mode: str = "per_genome",
-    ):
-        """``backend="batched"`` evaluates with the NumPy engine; the centre
-        then compiles each genome once and ships the lowered plan alongside
-        it, so workers skip recompilation. ``eval_mode="population"``
-        additionally makes each worker roll its whole shard forward as one
-        vectorized sweep (stacked plans against the array-native
-        environment) instead of genome-by-genome.
-
-        Trade-off: each genome is evaluated by exactly one worker per
-        generation, so shipping plans moves compile work onto the centre
-        rather than deduplicating it. That mirrors the paper's asymmetric
-        deployments (a strong centre feeding weak edge agents); on a
-        symmetric local pool the codec overhead roughly offsets the saved
-        worker-side compiles."""
-        self.env_id = env_id
-        self.config = config or NEATConfig.for_env(env_id)
-        self.seed = seed
-        self.backend = backend
-        #: centre-side compiled-plan cache: weight-only children reuse
-        #: their parent topology's lowered layout across generations, so
-        #: shard compilation pays only an array refill for most genomes
-        self.plan_cache = PlanCache() if backend == "batched" else None
-        self.population = Population(self.config, seed=seed)
-        rngs = RngFactory(seed)
-        self.pool = WorkerPool(
-            n_workers,
-            env_id,
-            self.config,
-            evaluator_seed=rngs.seed_for("episodes") % (2**31),
-            max_steps=max_steps,
-            backend=backend,
-            eval_mode=eval_mode,
-        )
-        self.solved_threshold = workload_spec(env_id).solved_threshold
-
-    def run(
-        self,
-        max_generations: int,
-        fitness_threshold: float | None = None,
-    ) -> RealRunStats:
-        """Evolve with physically distributed inference."""
-        threshold = (
-            self.solved_threshold
-            if fitness_threshold is None
-            else fitness_threshold
-        )
-        stats = RealRunStats()
-        start = clock.perf()
-
-        def evaluate(genomes, generation):
-            ordered = sorted(genomes, key=lambda g: g.key)
-            shards = round_robin(ordered, self.pool.n_workers)
-            plans = None
-            if self.backend == "batched":
-                # one columnar lowering for the block, sharded like the
-                # genomes it mirrors
-                views = lower_population(ordered)
-                plans = [
-                    [
-                        compile_batched(
-                            view, self.config, cache=self.plan_cache
-                        )
-                        for view in shard
-                    ]
-                    for shard in round_robin(views, self.pool.n_workers)
-                ]
-            results = {}
-            for reply in self.pool.evaluate_shards(
-                shards, generation, plans=plans
-            ):
-                results.update(reply)
-            return results
-
-        for _ in range(max_generations):
-            gen_start = clock.perf()
-            with obs.span("generation", gen=stats.generations):
-                gen_stats = self.population.run_generation(evaluate)
-            stats.per_generation_s.append(clock.perf() - gen_start)
-            stats.best_fitness_per_generation.append(gen_stats.best_fitness)
-            stats.generations += 1
-            stats.best_fitness = max(
-                stats.best_fitness, gen_stats.best_fitness
-            )
-            if gen_stats.best_fitness >= threshold:
-                stats.converged = True
-                break
-        stats.wall_time_s = clock.perf() - start
-        return stats
-
-    @property
-    def best_genome(self) -> Genome | None:
-        return self.population.best_genome
-
-    def shutdown(self) -> None:
-        self.pool.shutdown()
-
-    def __enter__(self) -> "ParallelInferenceRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 class DistributedClanRuntime:
@@ -312,7 +189,12 @@ class DistributedClanRuntime:
         # clan_init replies with each clan's *initial* checkpoint, so a
         # worker that dies before its first streamed checkpoint can still
         # be respawned from generation zero
-        replies = self.pool.broadcast("clan_init", payloads)
+        try:
+            replies = self.pool.broadcast("clan_init", payloads)
+        except BaseException:
+            # the caller never gets a runtime to shut down
+            self.pool.shutdown()
+            raise
         self._checkpoints: dict[int, dict] = {}
         for clan_id, reply in enumerate(replies):
             self._record_checkpoint(clan_id, reply)

@@ -183,9 +183,9 @@ def decode_genomes(data: bytes) -> list[Genome]:
 
 # -- compiled batched plans ---------------------------------------------------
 #
-# The centre compiles a genome once (:func:`repro.neat.network.
-# compile_batched`) and ships the lowered arrays so workers skip the
-# pruning/ordering/layering pass entirely. The stream is explicit
+# The serving fleet compiles a champion once per publish (:func:`repro.neat.
+# network.compile_batched`) and ships the lowered arrays so replicas skip
+# the pruning/ordering/layering pass entirely. The stream is explicit
 # little-endian (int32 indices, float64 scalars) so it round-trips
 # bit-exactly across heterogeneous agents. Plans are an execution artifact,
 # not part of the paper's modelled genome traffic: ``genome_wire_floats``
@@ -341,28 +341,3 @@ def decode_batched_plan(data: bytes) -> BatchedPlan:
         output_slots=output_slots,
         layers=layers,
     )
-
-
-def encode_batched_plans(plans: list[BatchedPlan]) -> bytes:
-    """Serialise a batch: a count word followed by length-prefixed plans."""
-    parts = [struct.pack("<i", len(plans))]
-    for plan in plans:
-        payload = encode_batched_plan(plan)
-        parts.append(struct.pack("<i", len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def decode_batched_plans(data: bytes) -> list[BatchedPlan]:
-    """Inverse of :func:`encode_batched_plans`."""
-    (count,) = struct.unpack_from("<i", data, 0)
-    offset = WORD_BYTES
-    plans = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<i", data, offset)
-        offset += WORD_BYTES
-        plans.append(decode_batched_plan(data[offset: offset + length]))
-        offset += length
-    if offset != len(data):
-        raise ValueError("trailing bytes after plan batch")
-    return plans

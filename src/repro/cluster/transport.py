@@ -1,19 +1,16 @@
 """Real multiprocess transport: one OS process per simulated Pi.
 
 The logical protocol engines in :mod:`repro.core.protocols` place compute
-and account for communication; this module actually *executes* the heavy
-phases in parallel across worker processes, shipping genomes over pipes in
+and account for communication; this module actually *executes* CLAN_DDA's
+clans in parallel across worker processes, shipping genomes over pipes in
 the canonical 32-bit wire format of :mod:`repro.cluster.serialization` —
 the same bytes the cost model counts.
 
 Workers are long-lived (started once, fed per-generation commands) to match
-the persistent agents of the paper's testbed. Two command sets are
-supported:
-
-* ``eval``: evaluate a shard of genomes (distributed inference — the heavy
-  phase of CLAN_DCS / CLAN_DDS).
-* ``clan_init`` / ``clan_step``: host an entire clan and run full local
-  generations (CLAN_DDA).
+the persistent agents of the paper's testbed. Each worker hosts one clan
+(CLAN_DDA): ``clan_init`` / ``clan_restore`` seed it, ``clan_step`` runs one
+lock-step generation and ``clan_run`` free-runs generations, streaming a
+report after each one. ``ping`` and ``inject_stall`` probe liveness.
 
 Fault tolerance (``docs/fault_tolerance.md``): worker death surfaces as
 :class:`WorkerDied` (pipe EOF / liveness check) and hangs as
@@ -31,17 +28,9 @@ import threading
 import time
 import traceback
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass
 
-from repro.cluster.serialization import (
-    decode_batched_plans,
-    decode_genomes,
-    encode_batched_plans,
-    encode_genomes,
-)
 from repro.neat.config import NEATConfig
-from repro.neat.evaluation import FitnessResult, GenomeEvaluator
-from repro.neat.network import BatchedFeedForwardNetwork
+from repro.neat.evaluation import GenomeEvaluator
 
 
 class WorkerFailure(RuntimeError):
@@ -67,58 +56,10 @@ class WorkerTimeout(WorkerFailure):
     per-command timeout — the hang/stall failure mode."""
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    """Command: evaluate a shard of genomes for one generation.
-
-    ``plans_wire``, when set, carries the genomes' pre-compiled batched
-    plans (same order as the genome batch) so the worker skips
-    recompilation and evaluates straight from the lowered arrays.
-    """
-
-    genomes_wire: bytes
-    generation: int
-    plans_wire: bytes | None = None
-
-
-@dataclass(frozen=True)
-class EvalReply:
-    """Per-genome evaluation outcomes (no genome payloads)."""
-
-    results: tuple[tuple[int, float, int, float, bool], ...]
-
-    def to_fitness_results(self) -> dict[int, FitnessResult]:
-        return {
-            key: FitnessResult(
-                genome_key=key,
-                fitness=fitness,
-                steps=steps,
-                total_reward=reward,
-                solved=solved,
-            )
-            for key, fitness, steps, reward, solved in self.results
-        }
-
-
 def _worker_main(
-    conn,
-    env_id: str,
-    config: NEATConfig,
-    evaluator_seed: int,
-    episodes: int,
-    max_steps: int | None,
-    backend: str,
-    eval_mode: str,
+    conn, config: NEATConfig, evaluator: GenomeEvaluator
 ) -> None:
-    """Worker process loop: serve evaluation commands until 'stop'."""
-    evaluator = GenomeEvaluator(
-        env_id,
-        episodes=episodes,
-        max_steps=max_steps,
-        seed=evaluator_seed,
-        backend=backend,
-        eval_mode=eval_mode,
-    )
+    """Worker process loop: serve clan commands until 'stop'."""
     clan = None  # lazily created by 'clan_init'
     try:
         while True:
@@ -126,61 +67,6 @@ def _worker_main(
             if command == "stop":
                 conn.send(("stopped", None))
                 break
-            elif command == "eval":
-                genomes = decode_genomes(payload.genomes_wire)
-                plans = None
-                if payload.plans_wire is not None:
-                    plans = decode_batched_plans(payload.plans_wire)
-                    if len(plans) != len(genomes):
-                        raise ValueError(
-                            f"{len(plans)} plans for {len(genomes)} genomes"
-                        )
-                if evaluator.eval_mode == "population" and genomes:
-                    # one vectorized sweep over the whole shard; shipped
-                    # plans skip recompilation just like per-genome mode
-                    if plans is not None:
-                        result_map = evaluator.evaluate_stacked(
-                            plans,
-                            [g.key for g in genomes],
-                            payload.generation,
-                        )
-                    else:
-                        result_map = evaluator.evaluate_many(
-                            genomes, config, payload.generation
-                        )
-                    results = [
-                        (
-                            g.key,
-                            result_map[g.key].fitness,
-                            result_map[g.key].steps,
-                            result_map[g.key].total_reward,
-                            result_map[g.key].solved,
-                        )
-                        for g in genomes
-                    ]
-                    conn.send(("ok", EvalReply(tuple(results))))
-                    continue
-                if plans is not None:
-                    networks = [
-                        BatchedFeedForwardNetwork(plan) for plan in plans
-                    ]
-                else:
-                    networks = [None] * len(genomes)
-                results = []
-                for genome, network in zip(genomes, networks):
-                    if network is not None:
-                        r = evaluator.evaluate_compiled(
-                            network, genome.key, payload.generation
-                        )
-                    else:
-                        r = evaluator.evaluate(
-                            genome, config, payload.generation
-                        )
-                    results.append(
-                        (genome.key, r.fitness, r.steps, r.total_reward,
-                         r.solved)
-                    )
-                conn.send(("ok", EvalReply(tuple(results))))
             elif command == "ping":
                 # liveness probe: a hung worker never answers, a healthy
                 # one answers immediately (heartbeat for the supervisor)
@@ -195,7 +81,7 @@ def _worker_main(
                 from repro.cluster.worker_clan import WorkerClan
 
                 clan = WorkerClan(
-                    env_id=env_id,
+                    env_id=evaluator.env_id,
                     config=config,
                     evaluator=evaluator,
                     **payload,
@@ -208,7 +94,7 @@ def _worker_main(
                 from repro.cluster.worker_clan import WorkerClan
 
                 clan = WorkerClan.restore(
-                    env_id=env_id,
+                    env_id=evaluator.env_id,
                     config=config,
                     evaluator=evaluator,
                     payload=payload,
@@ -340,8 +226,9 @@ class WorkerPool:
 
     Use as a context manager to guarantee shutdown::
 
-        with WorkerPool(4, "CartPole-v0", config) as pool:
-            replies = pool.evaluate_shards(shards, generation=0)
+        with WorkerPool(2, "CartPole-v0", config) as pool:
+            checkpoints = pool.broadcast("clan_init", payloads)
+            summaries = pool.broadcast("clan_step", [0, 0])
     """
 
     def __init__(
@@ -366,23 +253,20 @@ class WorkerPool:
         #: replayable protocol event. ``None`` (the default) adds no
         #: branches beyond one ``is None`` check.
         self._chaos = chaos
-        self.env_id = env_id
         self.config = config
-        self.backend = backend
-        self.eval_mode = eval_mode
         self._ctx = mp.get_context(
             "fork" if hasattr(mp, "get_context") else None
         )
-        # spawn arguments are kept so a failed worker slot can be
-        # relaunched in place (respawn) with an identical process
-        self._spawn_args = (
+        #: built here, in the parent, so bad engine arguments raise their
+        #: own ValueError before any fork; never used in this process, so
+        #: every (re)spawned worker forks an identical, untouched copy
+        self._evaluator = GenomeEvaluator(
             env_id,
-            config,
-            evaluator_seed,
-            episodes,
-            max_steps,
-            backend,
-            eval_mode,
+            episodes=episodes,
+            max_steps=max_steps,
+            seed=evaluator_seed,
+            backend=backend,
+            eval_mode=eval_mode,
         )
         #: serialises liveness bookkeeping: the supervision loop and a
         #: closing service may mark deaths / respawn slots from
@@ -403,7 +287,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, *self._spawn_args),
+            args=(child_conn, self.config, self._evaluator),
             daemon=True,
         )
         proc.start()
@@ -478,48 +362,6 @@ class WorkerPool:
                 f"worker {worker} failed:\n{value}"
             )
         return value
-
-    def evaluate_shards(
-        self,
-        shards: list[list],
-        generation: int,
-        plans: list[list] | None = None,
-        timeout: float | None = None,
-    ) -> list[dict[int, FitnessResult]]:
-        """Evaluate genome shards in parallel; shard i goes to worker i.
-
-        ``plans``, when given, mirrors ``shards`` with each genome's
-        pre-compiled :class:`~repro.neat.network.BatchedPlan`; workers then
-        evaluate the shipped plans instead of recompiling.
-        """
-        if len(shards) > self.n_workers:
-            raise ValueError(
-                f"{len(shards)} shards for {self.n_workers} workers"
-            )
-        if plans is not None and len(plans) != len(shards):
-            raise ValueError(
-                f"{len(plans)} plan shards for {len(shards)} genome shards"
-            )
-        active = []
-        for worker, shard in enumerate(shards):
-            if not shard:
-                continue
-            request = EvalRequest(
-                genomes_wire=encode_genomes(shard),
-                generation=generation,
-                plans_wire=(
-                    encode_batched_plans(plans[worker])
-                    if plans is not None
-                    else None
-                ),
-            )
-            self._request(worker, "eval", request)
-            active.append(worker)
-        replies = []
-        for worker in active:
-            reply = self._collect(worker, timeout=timeout)
-            replies.append(reply.to_fitness_results())
-        return replies
 
     def broadcast(
         self, command: str, payloads: list, timeout: float | None = None
@@ -619,8 +461,8 @@ class WorkerPool:
     def respawn(self, worker: int) -> None:
         """Replace a failed worker slot with a fresh process.
 
-        The new process starts with the same evaluator arguments as the
-        original but no clan state: the supervisor re-seeds it with
+        The new process forks the same untouched evaluator as the
+        original but holds no clan state: the supervisor re-seeds it with
         ``clan_restore`` (from a checkpoint) before resuming work.
         """
         old = self._procs[worker]

@@ -4,12 +4,10 @@ Both array-native consumers read the same layout. Speciation
 (:mod:`repro.neat.vectorized`) lowers the population it partitions and
 matches genes by key; the plan compiler
 (:func:`repro.neat.network.compile_batched`) is fed one genome's view at
-a time by whoever lowered the block being evaluated
-(:func:`lower_population`) — :meth:`GenomeEvaluator.evaluate_many
-<repro.neat.evaluation.GenomeEvaluator.evaluate_many>` and
-:class:`~repro.cluster.runtime.ParallelInferenceRuntime`'s shard
-compile — and lowers a lone :class:`~repro.neat.genome.Genome` itself
-(:func:`lower_genome`).
+a time by :meth:`GenomeEvaluator.evaluate_many
+<repro.neat.evaluation.GenomeEvaluator.evaluate_many>`, which lowers the
+block being evaluated (:func:`lower_population`), and lowers a lone
+:class:`~repro.neat.genome.Genome` itself (:func:`lower_genome`).
 
 Node and connection genes share one packed uint64 key space (nodes
 low, packed connections high), sorted within each family, so one

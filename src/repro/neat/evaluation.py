@@ -188,25 +188,9 @@ class GenomeEvaluator:
             network = BatchedFeedForwardNetwork.create(
                 genome, config, cache=self.plan_cache
             )
-        else:
-            network = FeedForwardNetwork.create(genome, config)
-        return self.evaluate_compiled(network, genome.key, generation)
-
-    def evaluate_compiled(
-        self,
-        network,
-        genome_key: int,
-        generation: int = 0,
-    ) -> FitnessResult:
-        """Roll out an already-compiled network (either backend).
-
-        Workers use this with plans decoded off the wire
-        (:func:`repro.cluster.serialization.decode_batched_plan`) to skip
-        recompilation.
-        """
-        if isinstance(network, BatchedFeedForwardNetwork):
             episodes = self._rollout_lockstep(network, generation)
         else:
+            network = FeedForwardNetwork.create(genome, config)
             episodes = [
                 rollout(
                     self._env,
@@ -222,7 +206,7 @@ class GenomeEvaluator:
         mean_fitness = total_fitness / self.episodes
         mean_reward = total_reward / self.episodes
         return FitnessResult(
-            genome_key=genome_key,
+            genome_key=genome.key,
             fitness=mean_fitness,
             steps=total_steps,
             total_reward=mean_reward,
@@ -246,11 +230,15 @@ class GenomeEvaluator:
         """
         genomes = list(genomes)
         if self.eval_mode == "population" and genomes:
-            return self.evaluate_stacked(
-                self._compile_block(genomes, config),
-                [g.key for g in genomes],
-                generation,
-            )
+            plans = self._compile_block(genomes, config)
+            with obs.span(
+                "population_sweep",
+                genomes=len(genomes),
+                episodes=self.episodes,
+            ):
+                return self._population_sweep(
+                    plans, [g.key for g in genomes], generation
+                )
         return {
             genome.key: self.evaluate(genome, config, generation)
             for genome in genomes
@@ -268,41 +256,22 @@ class GenomeEvaluator:
                 for view in lower_population(genomes)
             ]
 
-    def evaluate_stacked(
+    def _population_sweep(
         self,
         plans: Sequence,
         genome_keys: Sequence[int],
-        generation: int = 0,
+        generation: int,
     ) -> dict[int, FitnessResult]:
-        """Population-mode rollout from already-compiled batched plans.
+        """Roll every plan's episodes forward together as one stacked sweep.
 
-        Workers use this with plans decoded off the wire, exactly like
-        :meth:`evaluate_compiled` in per-genome mode. Lane layout is
-        genome-major: genome ``g``'s episodes occupy lanes
+        Lane layout is genome-major: genome ``g``'s episodes occupy lanes
         ``[g * episodes, (g + 1) * episodes)``, and episode ``e`` of
         *every* genome runs under ``episode_seed(generation, e)`` — the
-        same seeding policy as the scalar path, which is what makes the
+        same seeding policy as :meth:`evaluate`, which is what makes the
         two modes' results comparable genome-for-genome.
         """
-        with obs.span(
-            "population_sweep",
-            genomes=len(genome_keys),
-            episodes=self.episodes,
-        ):
-            return self._evaluate_stacked(plans, genome_keys, generation)
-
-    def _evaluate_stacked(
-        self,
-        plans: Sequence,
-        genome_keys: Sequence[int],
-        generation: int = 0,
-    ) -> dict[int, FitnessResult]:
         import numpy as np
 
-        if len(plans) != len(genome_keys):
-            raise ValueError(
-                f"{len(plans)} plans for {len(genome_keys)} genome keys"
-            )
         stacked = StackedPopulationNetwork(plans)
         n_genomes = len(genome_keys)
         episodes = self.episodes
@@ -404,7 +373,7 @@ class GenomeEvaluator:
         for g, key in enumerate(genome_keys):
             lanes = range(g * episodes, (g + 1) * episodes)
             # accumulate in episode order with Python floats, matching
-            # evaluate_compiled's sum() over the episode list exactly
+            # evaluate's sum() over the episode list exactly
             total_fitness = sum(float(fitness[lane]) for lane in lanes)
             total_steps = sum(int(steps[lane]) for lane in lanes)
             total_reward = sum(float(totals[lane]) for lane in lanes)

@@ -529,7 +529,7 @@ class ServingFleet:
 
         Shared by initial startup and respawn — a respawned replica runs
         with identical arguments, the serving analogue of
-        ``WorkerPool._spawn_args``.
+        ``WorkerPool._spawn_worker``.
         """
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()

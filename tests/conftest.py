@@ -8,11 +8,16 @@ observations (sync lock on a loop thread, lock held across fork) are
 printed as warnings — the serving path takes short metrics locks on the
 loop deliberately. CI runs the ``lock_check``-marked subset with this
 flag on.
+
+Every test module is also checked for leaked child processes: whatever
+``multiprocessing`` child outlives the module's fixtures fails it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import time
 import warnings
 
 import pytest
@@ -51,6 +56,30 @@ def _lock_check(request):
     assert not cycles, (
         "lock-order inversion(s) detected:\n" + monitor.report()
     )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_leaked_children():
+    """Fail the module if a forked child outlives its fixtures.
+
+    Autouse, so it is set up before — and torn down after — the module's
+    own fixtures. Stragglers get 5 s in total to exit; whatever is still
+    alive then is terminated (so the leak does not spill into the next
+    module) and reported.
+    """
+    yield
+    deadline = time.monotonic() + 5.0
+    for child in multiprocessing.active_children():
+        child.join(max(0.0, deadline - time.monotonic()))
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join(5.0)
+    if leaked:
+        pytest.fail(
+            "child processes outlived the module: "
+            + ", ".join(f"{c.name} (pid {c.pid})" for c in leaked)
+        )
 
 
 @pytest.fixture

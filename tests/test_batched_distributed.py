@@ -1,25 +1,16 @@
 """The batched backend through the distributed stack.
 
 Backend choice must never change results — only wall-clock. These tests run
-the real multiprocess pool and runtimes with ``backend="batched"`` (workers
-evaluating shipped pre-compiled plans) and assert trajectories identical to
-the scalar backend.
+the real multiprocess clan runtime with ``backend="batched"`` and assert
+trajectories identical to the scalar backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runtime import (
-    DistributedClanRuntime,
-    ParallelInferenceRuntime,
-)
-from repro.cluster.transport import WorkerPool
-from repro.core.protocols import SerialNEAT
+from repro.cluster.runtime import DistributedClanRuntime
 from repro.neat.config import NEATConfig
-from repro.neat.network import compile_batched
-
-from tests.conftest import make_evolved_genome
 
 
 @pytest.fixture
@@ -27,53 +18,7 @@ def config() -> NEATConfig:
     return NEATConfig.for_env("CartPole-v0", pop_size=24)
 
 
-class TestWorkerPoolBatched:
-    def test_shipped_plans_match_scalar_results(self, config):
-        genomes = [
-            make_evolved_genome(config, seed=s, mutations=20, key=s)
-            for s in range(6)
-        ]
-        shards = [genomes[:3], genomes[3:]]
-        with WorkerPool(
-            2, "CartPole-v0", config, evaluator_seed=7, backend="scalar"
-        ) as pool:
-            scalar_replies = pool.evaluate_shards(shards, generation=1)
-        plans = [
-            [compile_batched(g, config) for g in shard] for shard in shards
-        ]
-        with WorkerPool(
-            2, "CartPole-v0", config, evaluator_seed=7, backend="batched"
-        ) as pool:
-            batched_replies = pool.evaluate_shards(
-                shards, generation=1, plans=plans
-            )
-        assert scalar_replies == batched_replies
-
-    def test_plan_shard_count_mismatch_rejected(self, config):
-        genomes = [
-            make_evolved_genome(config, seed=s, mutations=10, key=s)
-            for s in range(2)
-        ]
-        with WorkerPool(2, "CartPole-v0", config) as pool:
-            with pytest.raises(ValueError):
-                pool.evaluate_shards(
-                    [genomes, []],
-                    generation=0,
-                    plans=[[compile_batched(genomes[0], config)]],
-                )
-
-
 class TestRuntimesBatched:
-    def test_parallel_inference_matches_serial_protocol(self, config):
-        serial = SerialNEAT("CartPole-v0", config=config, seed=3)
-        expected = [serial.run_generation().best_fitness for _ in range(2)]
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=2, config=config, seed=3,
-            backend="batched",
-        ) as runtime:
-            stats = runtime.run(max_generations=2, fitness_threshold=1e9)
-        assert stats.best_fitness_per_generation == expected
-
     def test_distributed_clans_batched_matches_scalar(self, config):
         with DistributedClanRuntime(
             "CartPole-v0", n_clans=2, config=config, seed=5,

@@ -1,9 +1,9 @@
 """Round-trip tests for the compiled batched-plan wire format.
 
 ``encode_batched_plan`` / ``decode_batched_plan`` must reproduce the plan
-exactly: a worker evaluating a decoded plan gets bit-identical outputs to
-the centre evaluating the original, which is what lets the runtime ship
-plans instead of recompiling on every agent.
+exactly: a serving replica evaluating a decoded plan gets bit-identical
+outputs to the registry evaluating the original, which is what lets the
+fleet ship plans instead of recompiling on every replica.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import pytest
 
 from repro.cluster.serialization import (
     decode_batched_plan,
-    decode_batched_plans,
     encode_batched_plan,
-    encode_batched_plans,
 )
 from repro.neat.activations import ACTIVATIONS
 from repro.neat.aggregations import AGGREGATIONS
@@ -108,25 +106,6 @@ class TestPlanRoundTrip:
             BatchedFeedForwardNetwork(decoded).activate_batch(obs),
             BatchedFeedForwardNetwork(plan).activate_batch(obs),
         )
-
-
-class TestPlanBatchRoundTrip:
-    def test_batch_round_trip(self):
-        config = rich_config()
-        plans = [
-            compile_batched(
-                make_evolved_genome(config, seed=s, mutations=25, key=s),
-                config,
-            )
-            for s in range(5)
-        ]
-        decoded = decode_batched_plans(encode_batched_plans(plans))
-        assert len(decoded) == len(plans)
-        for got, want in zip(decoded, plans):
-            assert_plans_equal(want, got)
-
-    def test_empty_batch(self):
-        assert decode_batched_plans(encode_batched_plans([])) == []
 
 
 class TestPlanStreamValidation:

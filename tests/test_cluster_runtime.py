@@ -2,53 +2,14 @@
 
 import pytest
 
-from repro.cluster.runtime import (
-    DistributedClanRuntime,
-    ParallelInferenceRuntime,
-)
-from repro.core.protocols import CLAN_DDA, SerialNEAT
+from repro.cluster.runtime import DistributedClanRuntime
+from repro.core.protocols import CLAN_DDA
 from repro.neat.config import NEATConfig
 
 
 @pytest.fixture(scope="module")
 def config():
     return NEATConfig.for_env("CartPole-v0", pop_size=24)
-
-
-class TestParallelInference:
-    def test_reproduces_serial_trajectory(self, config):
-        serial = SerialNEAT("CartPole-v0", config=config, seed=8)
-        logical = serial.run(max_generations=3, fitness_threshold=1e9)
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=3, config=config, seed=8
-        ) as runtime:
-            real = runtime.run(max_generations=3, fitness_threshold=1e9)
-        assert real.best_fitness_per_generation == [
-            record.best_fitness for record in logical.records
-        ]
-
-    def test_stops_on_threshold(self, config):
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=2, config=config, seed=8
-        ) as runtime:
-            stats = runtime.run(max_generations=20, fitness_threshold=30.0)
-        assert stats.converged
-        assert stats.generations < 20
-
-    def test_wall_time_measured(self, config):
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=2, config=config, seed=8
-        ) as runtime:
-            stats = runtime.run(max_generations=2, fitness_threshold=1e9)
-        assert stats.wall_time_s > 0
-        assert len(stats.per_generation_s) == 2
-
-    def test_best_genome_available(self, config):
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=2, config=config, seed=8
-        ) as runtime:
-            runtime.run(max_generations=2, fitness_threshold=1e9)
-            assert runtime.best_genome is not None
 
 
 class TestDistributedClans:

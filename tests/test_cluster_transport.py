@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cluster.transport import WorkerPool
-from repro.core.partition import round_robin
 from repro.core.protocols import ProtocolBase
 from repro.neat.config import NEATConfig
-from repro.neat.population import Population
 
 pytestmark = pytest.mark.lock_check
 
@@ -28,44 +26,6 @@ def pool(config):
 
 
 class TestWorkerPool:
-    def test_evaluate_shards_covers_all_genomes(self, pool, config):
-        population = Population(config, seed=4)
-        genomes = sorted(population.genomes.values(), key=lambda g: g.key)
-        shards = round_robin(genomes, pool.n_workers)
-        replies = pool.evaluate_shards(shards, generation=0)
-        merged = {}
-        for reply in replies:
-            merged.update(reply)
-        assert set(merged) == set(population.genomes)
-
-    def test_results_match_in_process_evaluation(self, pool, config):
-        population = Population(config, seed=4)
-        genomes = sorted(population.genomes.values(), key=lambda g: g.key)
-        shards = round_robin(genomes, pool.n_workers)
-        replies = pool.evaluate_shards(shards, generation=2)
-        merged = {}
-        for reply in replies:
-            merged.update(reply)
-
-        evaluator = ProtocolBase.default_evaluator("CartPole-v0", 4)
-        for genome in genomes:
-            local = evaluator.evaluate(genome, config, 2)
-            remote = merged[genome.key]
-            assert remote.fitness == local.fitness
-            assert remote.steps == local.steps
-
-    def test_empty_shards_skipped(self, pool, config):
-        population = Population(config, seed=4)
-        genomes = sorted(population.genomes.values(), key=lambda g: g.key)
-        shards = [genomes, [], []]
-        replies = pool.evaluate_shards(shards, generation=0)
-        assert len(replies) == 1
-        assert len(replies[0]) == len(genomes)
-
-    def test_too_many_shards_rejected(self, pool):
-        with pytest.raises(ValueError):
-            pool.evaluate_shards([[], [], [], []], generation=0)
-
     def test_broadcast_requires_payload_per_worker(self, pool):
         with pytest.raises(ValueError):
             pool.broadcast("clan_step", [0])

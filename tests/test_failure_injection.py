@@ -9,11 +9,13 @@ would (see docs/fault_tolerance.md).
 """
 
 import json
+import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro.chaos import ChaosInjector, Fault, FaultPlan
 from repro.cluster.runtime import DistributedClanRuntime
 from repro.cluster.serialization import (
     decode_genome,
@@ -22,7 +24,6 @@ from repro.cluster.serialization import (
     encode_genomes,
 )
 from repro.cluster.transport import (
-    EvalRequest,
     WorkerDied,
     WorkerPool,
     WorkerTimeout,
@@ -79,21 +80,22 @@ class TestCorruptedWireData:
 class TestWorkerFailures:
     def test_worker_exception_propagates_with_traceback(self, config):
         with WorkerPool(1, "CartPole-v0", config) as pool:
-            # generation is used in arithmetic inside the evaluator;
-            # a string payload explodes inside the worker process
-            pool._request(0, "eval", EvalRequest(
-                genomes_wire=encode_genomes([]), generation="boom"
-            ))
-            reply_status, value = pool._conns[0].recv()
-            # empty shard is fine; now corrupt wire data must error
-        with WorkerPool(1, "CartPole-v0", config) as pool:
-            pool._request(
-                0, "eval",
-                EvalRequest(genomes_wire=b"\x01\x00\x00\x00junk",
-                            generation=0),
-            )
-            with pytest.raises(RuntimeError, match="worker 0 failed"):
+            # a malformed member stream explodes inside the worker's
+            # clan_init; the parent re-raises it with the worker traceback
+            pool._request(0, "clan_init", {
+                "clan_id": 0,
+                "n_clans": 1,
+                "members_wire": b"junk",
+                "rng_seed": 0,
+                "next_genome_key": 0,
+                "num_outputs": config.num_outputs,
+            })
+            with pytest.raises(
+                RuntimeError, match="worker 0 failed"
+            ) as raised:
                 pool._collect(0)
+        assert "Traceback" in str(raised.value)
+        assert "decode_genomes" in str(raised.value)
 
     def test_unknown_command_surfaces(self, config):
         with WorkerPool(1, "CartPole-v0", config) as pool:
@@ -106,6 +108,36 @@ class TestWorkerFailures:
             pool._request(0, "clan_step", 0)
             with pytest.raises(RuntimeError, match="clan_step"):
                 pool._collect(0)
+
+    @pytest.mark.parametrize(
+        ("engine", "message"),
+        [
+            ({"backend": "bogus"}, "unknown backend 'bogus'"),
+            (
+                {"backend": "scalar", "eval_mode": "population"},
+                "requires backend='batched'",
+            ),
+        ],
+    )
+    def test_bad_engine_kwargs_raise_before_any_fork(
+        self, config, engine, message
+    ):
+        # the evaluator's own error, not a worker dying at startup
+        with pytest.raises(ValueError, match=message):
+            DistributedClanRuntime(
+                "CartPole-v0", n_clans=2, config=config, **engine
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_failed_clan_init_shuts_the_pool_down(self, config):
+        chaos = ChaosInjector(
+            FaultPlan(faults=(Fault("kill", "worker", target=1, at=1),))
+        )
+        with pytest.raises(WorkerDied):
+            DistributedClanRuntime(
+                "CartPole-v0", n_clans=2, config=config, chaos=chaos
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestTransportLiveness:

@@ -289,79 +289,6 @@ class TestFullGenerationParity:
 
 
 class TestDistributedPopulationMode:
-    def test_worker_pool_population_parity(self):
-        """Workers sweeping shards vectorized return identical fitness."""
-        from repro.cluster.transport import WorkerPool
-        from repro.core.partition import round_robin
-
-        config = NEATConfig.for_env("CartPole-v0", pop_size=12)
-        _cfg, genomes = evolved_population("CartPole-v0", n=12)
-        reference = GenomeEvaluator(
-            "CartPole-v0", episodes=2, seed=3, backend="batched"
-        )
-        expected = {}
-        for genome in genomes:
-            expected[genome.key] = reference.evaluate(genome, config, 1)
-
-        with WorkerPool(
-            2, "CartPole-v0", config, evaluator_seed=3, episodes=2,
-            backend="batched", eval_mode="population",
-        ) as pool:
-            shards = round_robin(
-                sorted(genomes, key=lambda g: g.key), pool.n_workers
-            )
-            plans = [
-                [compile_batched(g, config) for g in shard]
-                for shard in shards
-            ]
-            results = {}
-            for reply in pool.evaluate_shards(shards, 1, plans=plans):
-                results.update(reply)
-        assert results == expected
-
-    def test_worker_pool_population_without_plans(self):
-        """Workers compile locally when no plans ship with the shard."""
-        from repro.cluster.transport import WorkerPool
-        from repro.core.partition import round_robin
-
-        config = NEATConfig.for_env("CartPole-v0", pop_size=8)
-        _cfg, genomes = evolved_population("CartPole-v0", n=8)
-        reference = GenomeEvaluator(
-            "CartPole-v0", seed=5, backend="batched",
-            eval_mode="population",
-        )
-        expected = reference.evaluate_many(genomes, config, 0)
-        with WorkerPool(
-            2, "CartPole-v0", config, evaluator_seed=5,
-            backend="batched", eval_mode="population",
-        ) as pool:
-            shards = round_robin(
-                sorted(genomes, key=lambda g: g.key), pool.n_workers
-            )
-            results = {}
-            for reply in pool.evaluate_shards(shards, 0):
-                results.update(reply)
-        assert results == expected
-
-    def test_parallel_runtime_population_mode(self):
-        from repro.cluster.runtime import ParallelInferenceRuntime
-
-        config = NEATConfig.for_env("CartPole-v0", pop_size=16)
-        with ParallelInferenceRuntime(
-            "CartPole-v0", n_workers=2, config=config, seed=2,
-            backend="batched", eval_mode="population",
-        ) as runtime:
-            stats = runtime.run(2, fitness_threshold=1e9)
-        # identical trajectory to the logical engine in population mode
-        engine = make_protocol(
-            "Serial", "CartPole-v0", config=config, seed=2,
-            backend="batched", eval_mode="population",
-        )
-        logical = engine.run(2, fitness_threshold=1e9)
-        assert stats.best_fitness_per_generation == [
-            record.best_fitness for record in logical.records
-        ]
-
     def test_distributed_clan_runtime_population_mode(self):
         from repro.cluster.runtime import DistributedClanRuntime
 
