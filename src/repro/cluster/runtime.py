@@ -548,14 +548,7 @@ class DistributedClanRuntime:
                 send_halt_all()
             for worker, status, value in self.pool.wait_any(wait_timeout):
                 last_seen[worker] = clock.perf()
-                if status == "spans":
-                    # span batch shipped by a traced worker clan: merge
-                    # into the driver's trace (pipe order preserves the
-                    # clan's own event ordering)
-                    tracer = obs.current()
-                    if tracer is not None:
-                        tracer.absorb(value)
-                elif status == "checkpoint":
+                if status == "checkpoint":
                     self._record_checkpoint(worker, value)
                 elif status == "champion":
                     # clans stream their *local* improvements; only

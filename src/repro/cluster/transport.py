@@ -19,6 +19,11 @@ worker slot can be relaunched in place with :meth:`WorkerPool.respawn` and
 re-seeded from a clan checkpoint via the ``clan_restore`` command. The
 supervision policy itself (when to respawn, from which checkpoint) lives
 one layer up in :class:`repro.cluster.runtime.DistributedClanRuntime`.
+
+Both process tiers — these clans and the serving replicas of
+:mod:`repro.serve.fleet` — run on one :class:`ProcessGroup` (fork,
+pipes, reader, kill, respawn, reaping); :class:`WorkerPool` is the
+clan protocol on top of it.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ import time
 import traceback
 from multiprocessing import connection as mp_connection
 
+from repro.cluster.worker_clan import WorkerClan
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import GenomeEvaluator
+from repro.obs import tracer as obs
 
 
 class WorkerFailure(RuntimeError):
@@ -56,14 +63,171 @@ class WorkerTimeout(WorkerFailure):
     per-command timeout — the hang/stall failure mode."""
 
 
+def ship_spans(conn, tracer) -> None:
+    """Send ``tracer``'s events since the last call home as one
+    ``("spans", batch)`` message (none when ``tracer`` is None);
+    :meth:`ProcessGroup.read` absorbs it on the other side."""
+    if tracer is not None and (spans := tracer.drain()):
+        conn.send(("spans", spans))
+
+
+def _child_main(target, conn, slot: int, args: tuple) -> None:
+    # the fork copied the parent's active tracer: whatever a child
+    # recorded into that copy would never be shipped home
+    obs.deactivate()
+    try:
+        target(conn, slot, *args)
+    finally:
+        conn.close()
+
+
+class ProcessGroup:
+    """``n`` forked children, each on one pipe to the parent.
+
+    Slot ``i`` runs ``target(conn, i, *args)`` and starts untraced. The
+    group holds the process mechanics both tiers share, and no protocol.
+    A slot whose pipe hits EOF is *dead*: :meth:`read` skips it until
+    :meth:`respawn` replaces its process. Span batches that children
+    send with :func:`ship_spans` are absorbed here and nowhere else.
+    """
+
+    def __init__(self, n: int, target, args: tuple = ()):
+        self._target = target
+        self._args = args
+        self._ctx = mp.get_context("fork")
+        #: guards the liveness bookkeeping the reader shares with the
+        #: threads that kill or respawn; never held across a blocking call
+        self._state_lock = threading.Lock()
+        #: sends to one slot may come from several threads
+        self._send_locks = [threading.Lock() for _ in range(n)]
+        pipes = [self._fork(slot) for slot in range(n)]
+        self.conns = [conn for conn, _ in pipes]  # guarded-by: _state_lock
+        self.procs = [proc for _, proc in pipes]  # guarded-by: _state_lock
+        #: slots whose pipe hit EOF, or marked dead by the caller
+        self.dead: set[int] = set()  # guarded-by: _state_lock
+        #: pipes a respawn replaced (see :meth:`respawn`)
+        self._retired = []  # guarded-by: _state_lock
+
+    def _fork(self, slot: int):
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_child_main,
+            args=(self._target, child_conn, slot, self._args),
+            name=f"{self._target.__name__.strip('_')}-{slot}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        return parent_conn, proc
+
+    def send(self, slot: int, message) -> None:
+        """Send to ``slot``; ``OSError`` when its pipe broke."""
+        with self._send_locks[slot]:
+            self.conns[slot].send(message)
+
+    def recv(self, slot: int, timeout: float | None = None):
+        """The next message from ``slot``, or None when none arrives
+        within ``timeout`` seconds (None = wait forever). EOF marks the
+        slot dead and raises ``EOFError``."""
+        conn = self.conns[slot]
+        if timeout is not None and not conn.poll(timeout):
+            return None
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            self.mark_dead(slot)
+            raise EOFError(f"slot {slot}: pipe closed") from None
+
+    def read(self, timeout: float | None = None):
+        """Yield ``(slot, kind, value)`` for each message that arrives
+        within ``timeout`` seconds (None = wait forever), as it arrives.
+
+        One wait for any live pipe, then each ready pipe is drained
+        without blocking. EOF marks the slot dead and yields exactly one
+        ``(slot, "died", None)``; a pipe a respawn retired meanwhile is
+        dropped unread; ``"spans"`` go to the active tracer instead.
+        """
+        with self._state_lock:
+            by_conn = {
+                conn: slot
+                for slot, conn in enumerate(self.conns)
+                if slot not in self.dead
+            }
+        for conn in mp_connection.wait(list(by_conn), timeout):
+            slot = by_conn[conn]
+            while self.conns[slot] is conn:
+                try:
+                    kind, value = conn.recv()
+                except (EOFError, OSError):
+                    if self.mark_dead(slot, conn):
+                        yield slot, "died", None
+                    break
+                if kind != "spans":
+                    yield slot, kind, value
+                elif (tracer := obs.current()) is not None:
+                    tracer.absorb(value)
+                if not conn.poll():
+                    break
+
+    def mark_dead(self, slot: int, conn=None) -> bool:
+        """Skip ``slot`` in :meth:`read` until respawned; False when it
+        already was dead, or ``conn`` is no longer its pipe."""
+        with self._state_lock:
+            if slot in self.dead or conn not in (None, self.conns[slot]):
+                return False
+            self.dead.add(slot)
+            return True
+
+    def is_alive(self, slot: int) -> bool:
+        return slot not in self.dead and self.procs[slot].is_alive()
+
+    def kill(self, slot: int) -> None:
+        """SIGKILL ``slot``'s process and reap it; :meth:`read` reports
+        the death as EOF unless the slot is marked dead first."""
+        proc = self.procs[slot]
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=5)
+
+    def respawn(self, slot: int) -> None:
+        """Replace ``slot``'s process (killed if still running) with a
+        fresh fork. The old pipe reports no death and stays open until
+        :meth:`close`: a concurrent :meth:`read` may be waiting on it."""
+        self.mark_dead(slot)
+        self.kill(slot)
+        conn, proc = self._fork(slot)
+        with self._state_lock:
+            self._retired.append(self.conns[slot])
+            self.conns[slot] = conn
+            self.procs[slot] = proc
+            self.dead.discard(slot)
+
+    def close(self) -> None:
+        """Close every pipe, retired ones too, and reap every process;
+        one that outlives a 5 s join is terminated."""
+        with self._state_lock:
+            conns = self.conns + self._retired
+        for conn in conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=5)
+
+
 def _worker_main(
-    conn, config: NEATConfig, evaluator: GenomeEvaluator
+    conn, worker: int, config: NEATConfig, evaluator: GenomeEvaluator
 ) -> None:
     """Worker process loop: serve clan commands until 'stop'."""
     clan = None  # lazily created by 'clan_init'
     try:
         while True:
             command, payload = conn.recv()
+            if clan is None and command in (
+                "clan_checkpoint", "clan_step", "clan_run", "clan_best"
+            ):
+                raise RuntimeError(f"{command} before clan_init")
             if command == "stop":
                 conn.send(("stopped", None))
                 break
@@ -78,8 +242,6 @@ def _worker_main(
                 # exercised deterministically
                 time.sleep(payload)
             elif command == "clan_init":
-                from repro.cluster.worker_clan import WorkerClan
-
                 clan = WorkerClan(
                     env_id=evaluator.env_id,
                     config=config,
@@ -91,8 +253,6 @@ def _worker_main(
                 # streamed checkpoint
                 conn.send(("ok", clan.checkpoint_payload()))
             elif command == "clan_restore":
-                from repro.cluster.worker_clan import WorkerClan
-
                 clan = WorkerClan.restore(
                     env_id=evaluator.env_id,
                     config=config,
@@ -101,12 +261,8 @@ def _worker_main(
                 )
                 conn.send(("ok", clan.last_generation))
             elif command == "clan_checkpoint":
-                if clan is None:
-                    raise RuntimeError("clan_checkpoint before clan_init")
                 conn.send(("ok", clan.checkpoint_payload()))
             elif command == "clan_step":
-                if clan is None:
-                    raise RuntimeError("clan_step before clan_init")
                 summary = clan.run_generation(payload)
                 conn.send(("ok", summary))
             elif command == "clan_run":
@@ -114,24 +270,15 @@ def _worker_main(
                 # streaming one ("progress", summary) per generation; the
                 # centre never joins the pool per generation. Stops on
                 # budget, on own convergence, or on a "clan_halt" nudge.
-                if clan is None:
-                    raise RuntimeError("clan_run before clan_init")
                 start = payload["start_generation"]
                 budget = payload["max_generations"]
                 threshold = payload["threshold"]
                 # opt-in tracing: record this clan's phase spans and ship
-                # each generation's batch back over the pipe as an
-                # unsolicited ("spans", batch) message; the driver merges
-                # batches into the global trace tagged with this track
+                # each generation's batch home, tagged with this track
                 clan_tracer = None
-                previous_tracer = None
                 if payload.get("trace", False):
-                    from repro.obs import tracer as obs
-
-                    clan_tracer = obs.Tracer(
-                        track=f"clan:{clan.clan_id}"
-                    )
-                    previous_tracer = obs.activate(clan_tracer)
+                    clan_tracer = obs.Tracer(track=f"clan:{clan.clan_id}")
+                    obs.activate(clan_tracer)
                 # opt-in (older payloads lack the key): stream the clan's
                 # champion genome whenever its best-ever fitness improves,
                 # so the centre can hot-swap a deployed policy mid-run
@@ -161,41 +308,25 @@ def _worker_main(
                         # champion precedes its generation's progress
                         # report, so a threshold-crossing report never
                         # arrives before the genome that caused it
-                        conn.send(
-                            (
-                                "champion",
-                                {
-                                    "clan_id": clan.clan_id,
-                                    "generation": generation,
-                                    "fitness": clan.best_fitness,
-                                    "genome_wire": clan.best_genome_wire(),
-                                },
-                            )
-                        )
+                        champion = {
+                            "clan_id": clan.clan_id,
+                            "generation": generation,
+                            "fitness": clan.best_fitness,
+                            "genome_wire": clan.best_genome_wire(),
+                        }
+                        conn.send(("champion", champion))
                     conn.send(("progress", summary))
-                    if clan_tracer is not None:
-                        spans = clan_tracer.drain()
-                        if spans:
-                            conn.send(("spans", spans))
+                    ship_spans(conn, clan_tracer)
                     if checkpoint_period and ran % checkpoint_period == 0:
                         # after the progress report, so the checkpoint
                         # never describes a generation the centre has not
                         # been told about
-                        conn.send(
-                            ("checkpoint", clan.checkpoint_payload())
-                        )
+                        conn.send(("checkpoint", clan.checkpoint_payload()))
                     if summary.best_fitness >= threshold:
                         break
-                if clan_tracer is not None:
-                    from repro.obs import tracer as obs
-
-                    spans = clan_tracer.drain()
-                    if spans and not stopping:
-                        conn.send(("spans", spans))
-                    if previous_tracer is not None:
-                        obs.activate(previous_tracer)
-                    else:
-                        obs.deactivate()
+                if not stopping:
+                    ship_spans(conn, clan_tracer)
+                obs.deactivate()
                 if stopping:
                     conn.send(("stopped", None))
                     break
@@ -204,8 +335,6 @@ def _worker_main(
                 # a halt that raced past the end of clan_run; nothing to do
                 pass
             elif command == "clan_best":
-                if clan is None:
-                    raise RuntimeError("clan_best before clan_init")
                 # a barrier-free run can converge on one clan's first
                 # report while this one has reported nothing yet; the
                 # centre skips a None and uses the other clans' bests
@@ -217,12 +346,10 @@ def _worker_main(
                 raise ValueError(f"unknown command {command!r}")
     except Exception:  # pragma: no cover - surfaced to the parent
         conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
 
 
 class WorkerPool:
-    """A fleet of agent processes connected by pipes.
+    """The clan protocol on a :class:`ProcessGroup` of agent processes.
 
     Use as a context manager to guarantee shutdown::
 
@@ -254,9 +381,6 @@ class WorkerPool:
         #: branches beyond one ``is None`` check.
         self._chaos = chaos
         self.config = config
-        self._ctx = mp.get_context(
-            "fork" if hasattr(mp, "get_context") else None
-        )
         #: built here, in the parent, so bad engine arguments raise their
         #: own ValueError before any fork; never used in this process, so
         #: every (re)spawned worker forks an identical, untouched copy
@@ -268,49 +392,29 @@ class WorkerPool:
             backend=backend,
             eval_mode=eval_mode,
         )
-        #: serialises liveness bookkeeping: the supervision loop and a
-        #: closing service may mark deaths / respawn slots from
-        #: different threads. Never held across a blocking join/recv.
-        self._state_lock = threading.Lock()
-        self._conns = []  # guarded-by: _state_lock
-        self._procs = []  # guarded-by: _state_lock
-        #: dead worker indices (EOF seen or killed); excluded from
-        #: wait_any until respawned — guarded-by: _state_lock
-        self._dead: set[int] = set()
-        for _ in range(n_workers):
-            conn, proc = self._spawn_worker()
-            self._conns.append(conn)
-            self._procs.append(proc)
-        self._stopped = False
-
-    def _spawn_worker(self):
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.config, self._evaluator),
-            daemon=True,
+        self._group = ProcessGroup(
+            n_workers, _worker_main, (config, self._evaluator)
         )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
+        #: the worker processes by slot (respawn swaps entries in place)
+        self._procs = self._group.procs
+        self._stopped = False
 
     # -- commands ----------------------------------------------------------
 
     def _mark_dead(self, worker: int) -> WorkerDied:
-        with self._state_lock:
-            self._dead.add(worker)
+        self._group.mark_dead(worker)
         return WorkerDied(worker, f"worker {worker} died (pipe closed)")
 
     def _request(self, worker: int, command: str, payload) -> None:
-        if worker in self._dead:
+        if worker in self._group.dead:
             raise WorkerDied(worker, f"worker {worker} is dead")
         if self._chaos is not None and not self._apply_chaos(
             worker, command
         ):
             return  # command dropped by the fault plan
         try:
-            self._conns[worker].send((command, payload))
-        except (BrokenPipeError, OSError):
+            self._group.send(worker, (command, payload))
+        except OSError:
             raise self._mark_dead(worker) from None
 
     def _apply_chaos(self, worker: int, command: str) -> bool:
@@ -327,14 +431,11 @@ class WorkerPool:
             return True
         if decision.stall_s > 0.0:
             try:
-                self._conns[worker].send(("inject_stall", decision.stall_s))
-            except (BrokenPipeError, OSError):
+                self._group.send(worker, ("inject_stall", decision.stall_s))
+            except OSError:
                 raise self._mark_dead(worker) from None
         if decision.kill:
-            proc = self._procs[worker]
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5)
+            self._group.kill(worker)
         return decision.deliveries > 0
 
     def _collect(self, worker: int, timeout: float | None = None):
@@ -345,18 +446,18 @@ class WorkerPool:
         pipe is closed or its process is gone, and ``RuntimeError`` for
         an error the worker itself reported (with its traceback).
         """
-        conn = self._conns[worker]
-        if timeout is not None and not conn.poll(timeout):
-            if not self._procs[worker].is_alive():
+        try:
+            reply = self._group.recv(worker, timeout)
+        except EOFError:
+            raise self._mark_dead(worker) from None
+        if reply is None:
+            if not self._group.procs[worker].is_alive():
                 raise self._mark_dead(worker)
             raise WorkerTimeout(
                 worker,
                 f"worker {worker} gave no reply within {timeout}s",
             )
-        try:
-            status, value = conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            raise self._mark_dead(worker) from None
+        status, value = reply
         if status == "error":
             raise RuntimeError(
                 f"worker {worker} failed:\n{value}"
@@ -395,39 +496,22 @@ class WorkerPool:
         raises immediately, like the synchronous paths. A worker whose
         pipe hits EOF (process death) yields one ``"died"`` triple and is
         excluded from future waits until :meth:`respawn` replaces it —
-        the signal the runtime's supervision loop acts on.
+        the signal the runtime's supervision loop acts on. Span batches
+        of traced clans are absorbed on the way (see
+        :meth:`ProcessGroup.read`).
         """
-        by_conn = {
-            self._conns[worker]: worker
-            for worker in range(self.n_workers)
-            if worker not in self._dead
-        }
-        ready = mp_connection.wait(list(by_conn), timeout)
         out: list[tuple[int, str, object]] = []
-        for conn in ready:
-            worker = by_conn[conn]
-            while True:
-                try:
-                    status, value = conn.recv()
-                except (EOFError, ConnectionResetError, OSError):
-                    with self._state_lock:
-                        self._dead.add(worker)
-                    out.append((worker, "died", None))
-                    break
-                if status == "error":
-                    raise RuntimeError(f"worker {worker} failed:\n{value}")
-                out.append((worker, status, value))
-                if not conn.poll():
-                    break
+        for worker, status, value in self._group.read(timeout):
+            if status == "error":
+                raise RuntimeError(f"worker {worker} failed:\n{value}")
+            out.append((worker, status, value))
         return out
 
     # -- liveness / recovery ------------------------------------------------
 
     def is_alive(self, worker: int) -> bool:
         """Whether the worker's process is currently running."""
-        return (
-            worker not in self._dead and self._procs[worker].is_alive()
-        )
+        return self._group.is_alive(worker)
 
     def ping(self, worker: int, timeout: float = 5.0) -> bool:
         """Heartbeat probe: True iff the worker answers within ``timeout``.
@@ -447,16 +531,8 @@ class WorkerPool:
         Marks the slot dead; messages still queued in its pipe are
         dropped. Pair with :meth:`respawn` to bring the slot back.
         """
-        proc = self._procs[worker]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5)
-        with self._state_lock:
-            self._dead.add(worker)
-        try:
-            self._conns[worker].close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        self._group.mark_dead(worker)
+        self._group.kill(worker)
 
     def respawn(self, worker: int) -> None:
         """Replace a failed worker slot with a fresh process.
@@ -465,24 +541,7 @@ class WorkerPool:
         original but holds no clan state: the supervisor re-seeds it with
         ``clan_restore`` (from a checkpoint) before resuming work.
         """
-        old = self._procs[worker]
-        try:
-            self._conns[worker].close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        if old.is_alive():
-            old.terminate()
-            old.join(timeout=5)
-            if old.is_alive():  # pragma: no cover - defensive
-                old.kill()
-                old.join(timeout=5)
-        else:
-            old.join(timeout=5)
-        conn, proc = self._spawn_worker()
-        with self._state_lock:
-            self._conns[worker] = conn
-            self._procs[worker] = proc
-            self._dead.discard(worker)
+        self._group.respawn(worker)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -490,27 +549,19 @@ class WorkerPool:
         if self._stopped:
             return
         self._stopped = True
-        for worker, conn in enumerate(self._conns):
+        for worker in range(self.n_workers):
+            if worker in self._group.dead:
+                continue
             try:
-                if worker not in self._dead:
-                    conn.send(("stop", None))
-                    # drain until the stop ack: a free-running clan_run
-                    # may have queued unsolicited progress/done messages
-                    # nobody collected (e.g. run_async aborted early)
-                    while True:
-                        status, _value = conn.recv()
-                        if status == "stopped":
-                            break
-            except (BrokenPipeError, EOFError, OSError):
+                self._group.send(worker, ("stop", None))
+                # drain until the stop ack: a free-running clan_run may
+                # have queued unsolicited progress/done messages nobody
+                # collected (e.g. run_async aborted early)
+                while self._group.recv(worker)[0] != "stopped":
+                    pass
+            except (EOFError, OSError):
                 pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
+        self._group.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

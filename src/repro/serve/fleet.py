@@ -36,10 +36,11 @@ replica's in-flight window is full — callers see the same
 work-conserving, with no coalescing window and nothing to tune (see
 :mod:`repro.serve.batcher`).
 
-Liveness follows :mod:`repro.cluster.transport`: a reader thread
-multiplexes replica pipes via ``multiprocessing.connection.wait`` and
-EOF marks a replica dead. From there the fleet *heals* rather than
-merely isolates (mirroring the cluster runtime's supervision policy):
+Replicas run on the clans' :class:`~repro.cluster.transport
+.ProcessGroup` (fork, pipes, reaping, span collection); this module is
+the serving policy. A reader thread hands each replica message to the
+loop as it arrives, and EOF marks a replica dead. From there the fleet
+*heals* rather than merely isolates (mirroring the cluster runtime):
 
 - requests pending on the dead replica are transparently re-dispatched
   to a surviving replica with seeded jitter, up to ``SUBMIT_RETRIES``
@@ -68,14 +69,12 @@ and infer send paths for replayable fault scenarios.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing as mp
 import os
 import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -83,6 +82,7 @@ from repro.cluster.serialization import (
     decode_batched_plan,
     encode_batched_plan,
 )
+from repro.cluster.transport import ProcessGroup, ship_spans
 from repro.core.metrics import ServiceStats
 from repro.neat.network import BatchedFeedForwardNetwork
 from repro.obs import clock
@@ -213,14 +213,9 @@ async def _replica_serve(
     tracer = None
     if trace:
         # the parent had a tracer active when the fleet started, so this
-        # replica records its own track and ships drained batches back
-        # over the reply pipe (merged in ``ServingFleet._on_message``)
+        # replica records its own track and ships drained batches home
         tracer = obs_tracer.Tracer(track=f"replica:{replica_id}")
         obs_tracer.activate(tracer)
-    else:
-        # forked children inherit the parent's activated tracer object;
-        # recording into that copy would never be shipped, so drop it
-        obs_tracer.deactivate()
     store = _ReplicaChampionStore()
     gateway = InferenceGateway(
         store, max_batch=max_batch, max_pending=max_pending
@@ -248,17 +243,10 @@ async def _replica_serve(
     reader.start()
     chunk_tasks: set[asyncio.Task] = set()
 
-    def ship_spans() -> None:
-        if tracer is None:
-            return
-        spans = tracer.drain()
-        if spans:
-            conn.send(("spans", spans))
-
     async def handle_chunk(chunk_id, observations):
         reply = await _answer_chunk(gateway, observations)
         conn.send(("answers", (chunk_id, *reply)))
-        ship_spans()
+        ship_spans(conn, tracer)
 
     while True:
         kind, payload = await inbox.get()
@@ -283,7 +271,7 @@ async def _replica_serve(
                     *list(chunk_tasks), return_exceptions=True
                 )
             await gateway.close()
-            ship_spans()
+            ship_spans(conn, tracer)
             conn.send(("closed", gateway.stats()))
             return
         elif kind == "_eof":
@@ -292,19 +280,8 @@ async def _replica_serve(
             return
 
 
-def _replica_main(
-    conn,
-    replica_id: int,
-    max_batch: int,
-    max_pending: int,
-    trace: bool = False,
-) -> None:  # pragma: no cover - runs in the child process
-    try:
-        asyncio.run(
-            _replica_serve(conn, replica_id, max_batch, max_pending, trace)
-        )
-    finally:
-        conn.close()
+def _replica_main(conn, replica_id: int, *args) -> None:
+    asyncio.run(_replica_serve(conn, replica_id, *args))  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +294,6 @@ class _ReplicaHandle:
 
     __slots__ = (
         "id",
-        "conn",
-        "proc",
-        "send_lock",
         "outbox",
         "flush_scheduled",
         "inflight",
@@ -338,13 +312,8 @@ class _ReplicaHandle:
         "breaker_open_until",
     )
 
-    def __init__(self, replica_id: int, conn, proc):
+    def __init__(self, replica_id: int):
         self.id = replica_id
-        self.conn = conn
-        self.proc = proc
-        #: sends come from the event loop (infer/stats/close) *and* the
-        #: publisher thread (deployments) — serialise them
-        self.send_lock = threading.Lock()
         #: accepted-but-unsent ``(observation, future, submitted_at,
         #: retries)`` — the observation rides along so a request caught
         #: on a dying replica can be re-dispatched elsewhere
@@ -379,10 +348,6 @@ class _ReplicaHandle:
         self.breaker_failures = 0
         #: monotonic deadline until which the breaker stays open
         self.breaker_open_until = 0.0
-
-    def send(self, message) -> None:
-        with self.send_lock:
-            self.conn.send(message)
 
 
 class ServingFleet:
@@ -470,6 +435,7 @@ class ServingFleet:
         self._live: list[_ReplicaHandle] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._subscription: Subscription | None = None
+        self._group: ProcessGroup | None = None
         self._reader: threading.Thread | None = None
         self._reader_stop = threading.Event()
         self._next_chunk_id = 0
@@ -486,15 +452,9 @@ class ServingFleet:
         self._respawning: set[int] = set()
         self._respawn_tasks: set[asyncio.Task] = set()
         self._repair_task: asyncio.Task | None = None
-        #: ``(conn, proc)`` of replaced replica processes. The reader
-        #: thread may still be selecting on an old pipe when its
-        #: replacement arrives, so retirees are only closed/reaped at
-        #: fleet close (bounded by replicas x max_replica_respawns)
-        self._retired: list[tuple] = []
         #: requests parked while *no* replica is routable but a respawn
         #: is in flight — drained on re-admission, failed on give-up
         self._parked: deque = deque()
-        self._trace = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -505,12 +465,14 @@ class ServingFleet:
             raise RuntimeError("fleet already started")
         self._loop = asyncio.get_running_loop()
         self._scrape_lock = asyncio.Lock()
-        self._trace = obs_tracer.current() is not None
-        for replica_id in range(self.replicas):
-            conn, proc = self._spawn_replica(replica_id)
-            self._handles[replica_id] = _ReplicaHandle(
-                replica_id, conn, proc
-            )
+        # replicas trace iff the parent has a tracer to absorb into
+        trace = obs_tracer.current() is not None
+        self._group = ProcessGroup(
+            self.replicas,
+            _replica_main,
+            (self.max_batch, self.max_pending, trace),
+        )
+        self._handles = {i: _ReplicaHandle(i) for i in range(self.replicas)}
         self._rebuild_live()
         self._reader = threading.Thread(
             target=self._read_replies, name="fleet-read", daemon=True
@@ -524,62 +486,13 @@ class ServingFleet:
             self._on_deployment, replay_current=True
         )
 
-    def _spawn_replica(self, replica_id: int):
-        """Fork one replica process; returns its ``(conn, proc)``.
-
-        Shared by initial startup and respawn — a respawned replica runs
-        with identical arguments, the serving analogue of
-        ``WorkerPool._spawn_worker``.
-        """
-        ctx = mp.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_replica_main,
-            args=(
-                child_conn,
-                replica_id,
-                self.max_batch,
-                self.max_pending,
-                self._trace,
-            ),
-            name=f"serve-replica-{replica_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
     def _read_replies(self) -> None:
-        """Multiplex every replica pipe onto the event loop.
-
-        Single thread, ``mp_connection.wait`` over live pipes (the
-        cluster transport's liveness pattern): EOF or a broken pipe
-        marks that replica dead; all parent-side state mutation happens
-        on the loop via ``call_soon_threadsafe``.
-        """
+        """Hand every replica message to the event loop as it arrives;
+        all parent-side state mutation happens on the loop."""
         while not self._reader_stop.is_set():
-            conns = {
-                handle.conn: handle
-                for handle in self._handles.values()
-                if handle.alive
-            }
-            if not conns:
-                # total loss is no longer terminal: a respawn may be in
-                # flight, and its fresh pipe appears in the next rebuild
-                self._reader_stop.wait(0.01)
-                continue
-            for conn in mp_connection.wait(list(conns), timeout=0.05):
-                handle = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    handle.alive = False  # stop waiting on this pipe
-                    self._loop.call_soon_threadsafe(
-                        self._on_replica_death, handle
-                    )
-                    continue
+            for replica_id, kind, payload in self._group.read(0.05):
                 self._loop.call_soon_threadsafe(
-                    self._on_message, handle, message
+                    self._on_message, self._handles[replica_id], kind, payload
                 )
 
     async def close(self) -> None:
@@ -602,7 +515,7 @@ class ServingFleet:
             handle.closed_future = self._loop.create_future()
             self._flush_outbox(handle)
             try:
-                handle.send(("close", None))
+                self._group.send(handle.id, ("close", None))
             except (OSError, ValueError):
                 self._on_replica_death(handle)
         if live:
@@ -613,21 +526,7 @@ class ServingFleet:
         self._reader_stop.set()
         if self._reader is not None:
             await self._loop.run_in_executor(None, self._reader.join)
-        for handle in self._handles.values():
-            handle.conn.close()
-            handle.proc.join(timeout=5.0)
-            if handle.proc.is_alive():  # pragma: no cover - defensive
-                handle.proc.terminate()
-                handle.proc.join(timeout=5.0)
-        for conn, proc in self._retired:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5.0)
+            await self._loop.run_in_executor(None, self._group.close)
         closed = ServiceClosed("fleet closed with work in flight")
         for handle in self._handles.values():
             self._fail_pending(handle, closed)
@@ -670,8 +569,8 @@ class ServingFleet:
                     "replica", handle.id, "publish"
                 )
                 if decision.intercepts:
-                    if decision.kill and handle.proc.is_alive():
-                        handle.proc.kill()
+                    if decision.kill:
+                        self._group.kill(handle.id)
                     if decision.delay_s > 0.0:
                         time.sleep(decision.delay_s)
                     if decision.corrupt:
@@ -682,7 +581,9 @@ class ServingFleet:
                     deliveries = decision.deliveries
             try:
                 for _ in range(deliveries):
-                    handle.send(("publish", (seq, record.version, payload)))
+                    self._group.send(
+                        handle.id, ("publish", (seq, record.version, payload))
+                    )
             except (OSError, ValueError):  # pragma: no cover - racy death
                 pass
 
@@ -807,8 +708,8 @@ class ServingFleet:
                     "replica", handle.id, "infer"
                 )
                 if decision.intercepts:
-                    if decision.kill and handle.proc.is_alive():
-                        handle.proc.kill()
+                    if decision.kill:
+                        self._group.kill(handle.id)
                     if decision.deliveries == 0:
                         # a lost infer chunk: heal by re-dispatching its
                         # requests, exactly like an in-flight death
@@ -824,23 +725,26 @@ class ServingFleet:
                         # duplicate chunk: the second answer finds no
                         # waiters and is dropped (idempotent)
                         try:
-                            handle.send(
-                                ("infer", (chunk_id, observations))
+                            self._group.send(
+                                handle.id, ("infer", (chunk_id, observations))
                             )
                         except (OSError, ValueError):
                             pass
             handle.inflight[chunk_id] = waiters
             handle.inflight_count += len(waiters)
             try:
-                handle.send(("infer", (chunk_id, observations)))
+                self._group.send(
+                    handle.id, ("infer", (chunk_id, observations))
+                )
             except (OSError, ValueError):
                 self._on_replica_death(handle)
                 return
 
-    def _on_message(self, handle: _ReplicaHandle, message) -> None:
-        """Dispatch one replica reply (loop thread only)."""
-        kind, payload = message
-        if kind == "answers":
+    def _on_message(self, handle: _ReplicaHandle, kind, payload) -> None:
+        """Dispatch one replica reply or death (loop thread only)."""
+        if kind == "died":
+            self._on_replica_death(handle)
+        elif kind == "answers":
             chunk_id, status, accepted, actions, versions, sizes = payload
             # a duplicated chunk's second answer finds no waiters
             waiters = handle.inflight.pop(chunk_id, ())
@@ -862,10 +766,6 @@ class ServingFleet:
                 for _, future, _, _ in waiters:
                     if not future.done():
                         future.set_exception(error)
-        elif kind == "spans":
-            tracer = obs_tracer.current()
-            if tracer is not None:
-                tracer.absorb(payload)
         elif kind == "published":
             seq, _version = payload
             handle.acked_seq = max(handle.acked_seq, seq)
@@ -1048,20 +948,15 @@ class ServingFleet:
         if self._closed:
             self._respawning.discard(handle.id)
             return
-        # the reader thread may still be selecting on the dead pipe;
-        # retire it (closed at fleet close) rather than closing now
-        self._retired.append((handle.conn, handle.proc))
-        conn, proc = await self._loop.run_in_executor(
-            None, self._spawn_replica, handle.id
+        await self._loop.run_in_executor(
+            None, self._group.respawn, handle.id
         )
-        handle.conn = conn
-        handle.proc = proc
         handle.acked_seq = 0
         handle.final_stats = None
         handle.dead_handled = False
         last = self._last_deployment
         handle.catching_up = last is not None
-        handle.alive = True  # the reader picks the new pipe up now
+        handle.alive = True
         self.replica_respawns += 1
         self._respawning.discard(handle.id)
         if last is not None:
@@ -1070,7 +965,7 @@ class ServingFleet:
             # replay); admission waits for its ack
             seq, version, wire = last
             try:
-                handle.send(("publish", (seq, version, wire)))
+                self._group.send(handle.id, ("publish", (seq, version, wire)))
             except (OSError, ValueError):
                 self._on_replica_death(handle)
                 return
@@ -1132,7 +1027,9 @@ class ServingFleet:
                     and handle.acked_seq < seq
                 ):
                     try:
-                        handle.send(("publish", (seq, version, wire)))
+                        self._group.send(
+                            handle.id, ("publish", (seq, version, wire))
+                        )
                     except (OSError, ValueError):
                         pass
 
@@ -1161,7 +1058,7 @@ class ServingFleet:
             for handle in live:
                 handle.stats_future = self._loop.create_future()
                 try:
-                    handle.send(("stats", None))
+                    self._group.send(handle.id, ("stats", None))
                 except (OSError, ValueError):
                     handle.stats_future.set_result(None)
             if live:

@@ -34,6 +34,11 @@ CHAMPIONS = [
 ]
 
 
+def replica_process(fleet, replica):
+    """The process currently serving ``replica``."""
+    return fleet._group.procs[replica]
+
+
 def _observations(n, seed=11):
     rng = random.Random(seed)
     return [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(n)]
@@ -230,7 +235,7 @@ class TestReplicaDeath:
             fleet = await _started_fleet(
                 registry, max_replica_respawns=0
             )
-            victim = fleet._handles[0].proc
+            victim = replica_process(fleet, 0)
             victim.kill()
             # wait for the reader thread to notice the EOF
             for _ in range(100):
@@ -258,7 +263,7 @@ class TestReplicaDeath:
             fleet = await _started_fleet(
                 registry, replicas=1, max_replica_respawns=0
             )
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             for _ in range(100):
                 if not fleet.live_replicas:
                     break
@@ -291,7 +296,7 @@ class TestSelfHealing:
             ]
             # kill replica 0 with those requests in flight: its share
             # must be re-dispatched to replica 1, not errored
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             outcomes = await asyncio.gather(
                 *tasks, return_exceptions=True
             )
@@ -317,7 +322,7 @@ class TestSelfHealing:
             )
             registry.publish(CHAMPIONS[1], source="pre-death")
             await fleet.wait_deployed()
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             # the respawned replica is only admitted once it acks the
             # current deployment seq
             for _ in range(500):
@@ -354,7 +359,7 @@ class TestSelfHealing:
             fleet = await _started_fleet(
                 registry, replicas=1, respawn_backoff_s=0.01
             )
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             for _ in range(200):
                 if not fleet.live_replicas:
                     break
@@ -383,7 +388,7 @@ class TestSelfHealing:
                 breaker_reset_s=30.0,
                 respawn_backoff_s=0.01,
             )
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             for _ in range(500):
                 if fleet.replica_respawns == 1 and fleet._handles[
                     0
@@ -610,7 +615,7 @@ class TestClose:
             fleet = await _started_fleet(
                 registry, max_replica_respawns=0
             )
-            fleet._handles[0].proc.kill()
+            replica_process(fleet, 0).kill()
             # CLOSE_TIMEOUT_S is 30 s: only the death handler resolving
             # the victim's close future lets this finish in time
             await asyncio.wait_for(fleet.close(), timeout=10.0)
