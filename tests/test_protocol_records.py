@@ -7,7 +7,9 @@ compute and the population statistics. The digests below were recorded
 from engines that each ran their own evolution; the one-population
 engines now share one evolution and fold it per protocol, and both the
 live engines and the figure cache (:class:`repro.analysis.cache.RunCache`)
-must keep producing these exact records.
+must keep producing these exact records. The ``resync`` cells cover
+CLAN_DDA's periodic global speciation (``resync_period=2`` over five
+generations: two gather/redistribute rounds), which only the engine runs.
 
 Re-record (only when a change is *meant* to alter the accounting)::
 
@@ -40,6 +42,9 @@ CELLS = [("Serial", 1)] + [
     for protocol in ("CLAN_DCS", "CLAN_DDS", "CLAN_DDA")
     for n in (1, 2, 3, 5)
 ]
+#: CLAN_DDA with periodic global speciation: (n, resync period)
+RESYNC_CELLS = [(2, 2), (3, 2)]
+RESYNC_GENERATIONS = 5
 
 
 def record_digest(record) -> str:
@@ -78,17 +83,23 @@ def case_name(workload, protocol, n):
     return f"{workload}/{protocol}/n{n}"
 
 
+def resync_case_name(workload, n, period):
+    return f"{workload}/CLAN_DDA+resync{period}/n{n}"
+
+
 def config_for(env_id):
     return NEATConfig.for_env(env_id, pop_size=POP)
 
 
-def engine_digests(workload, protocol, n):
+def engine_digests(
+    workload, protocol, n, generations=GENERATIONS, **protocol_kwargs
+):
     env_id, max_steps = WORKLOADS[workload]
     engine = make_protocol(
         protocol, env_id, n_agents=n, config=config_for(env_id),
-        seed=SEED, max_steps=max_steps,
+        seed=SEED, max_steps=max_steps, **protocol_kwargs,
     )
-    result = engine.run(GENERATIONS, fitness_threshold=float("inf"))
+    result = engine.run(generations, fitness_threshold=float("inf"))
     return [record_digest(r) for r in result.records]
 
 
@@ -119,6 +130,16 @@ def test_engine_records_match_the_golden_digests(
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("n,period", RESYNC_CELLS)
+def test_resync_records_match_the_golden_digests(
+    recorded, workload, n, period
+):
+    assert engine_digests(
+        workload, "CLAN_DDA", n, RESYNC_GENERATIONS, resync_period=period
+    ) == recorded[resync_case_name(workload, n, period)]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("protocol,n", CELLS)
 def test_run_cache_records_match_the_golden_digests(
     recorded, caches, workload, protocol, n
@@ -139,6 +160,14 @@ if __name__ == "__main__":
                 )
                 for workload in sorted(WORKLOADS)
                 for protocol, n in CELLS
+            }
+            | {
+                resync_case_name(workload, n, period): engine_digests(
+                    workload, "CLAN_DDA", n, RESYNC_GENERATIONS,
+                    resync_period=period,
+                )
+                for workload in sorted(WORKLOADS)
+                for n, period in RESYNC_CELLS
             },
             indent=1,
         )
