@@ -1,26 +1,23 @@
 """Run caching for figure sweeps.
 
-Scaling figures sweep the same workload across many cluster sizes.
-Serial, CLAN_DCS and CLAN_DDS are one evolution folded per protocol (see
-:mod:`repro.core.protocols`), so :class:`RunCache` evolves that
-population once per (workload, seed, step-mode) — lazily, as far as the
-longest request — and answers every (protocol, n, generations) by folding
-the recorded steps. CLAN_DDA's clans *are* its placement: it runs once per
-(n, generations).
+Scaling figures sweep the same workload across many cluster sizes. Every
+protocol engine is an evolution plus a pure per-protocol fold (see
+:mod:`repro.core.protocols`), so :class:`RunCache` records each evolution
+once — lazily, as far as the longest request — and answers every
+(protocol, n, generations) by folding the recorded steps. Serial,
+CLAN_DCS and CLAN_DDS share one evolution per (workload, seed,
+step-mode); CLAN_DDA's clans *are* its placement, so it has one per n.
 """
 
 from __future__ import annotations
 
 from repro.core.metrics import GenerationRecord
 from repro.core.protocols import (
-    EvolutionStep,
     ProtocolBase,
-    evolve,
     fold_trajectory,
     make_protocol,
 )
 from repro.neat.config import NEATConfig
-from repro.neat.population import Population
 
 
 class RunCache:
@@ -41,39 +38,36 @@ class RunCache:
         self._evaluator = ProtocolBase.default_evaluator(
             env_id, seed, max_steps=max_steps
         )
-        self._population: Population | None = None
-        self._steps: list[EvolutionStep] = []
+        #: (protocol, n) of an evolution -> (its engine, its steps so far)
+        self._evolutions: dict[tuple[str, int], tuple[ProtocolBase, list]] = {}
         self._runs: dict[tuple[str, int, int], list[GenerationRecord]] = {}
-
-    def _trajectory(self, generations: int) -> list[EvolutionStep]:
-        """The first ``generations`` steps of the shared evolution."""
-        if self._population is None:
-            self._population = Population(self.config, seed=self.seed)
-        while len(self._steps) < generations:
-            self._steps.append(evolve(self._population, self._evaluator))
-        return self._steps[:generations]
 
     def records(self, protocol: str, n_agents: int, generations: int):
         """Run (or recall) ``generations`` of ``protocol`` at ``n_agents``."""
         key = (protocol, n_agents, generations)
         if key not in self._runs:
-            if protocol == "CLAN_DDA":
+            # the evolution this protocol folds at n_agents
+            source = (
+                (protocol, n_agents)
+                if protocol == "CLAN_DDA"
+                else ("Serial", 1)
+            )
+            if source not in self._evolutions:
                 engine = make_protocol(
-                    protocol,
+                    source[0],
                     self.env_id,
-                    n_agents=n_agents,
+                    n_agents=source[1],
                     config=self.config,
                     seed=self.seed,
-                    max_steps=self.max_steps,
+                    evaluator=self._evaluator,
                 )
-                self._runs[key] = engine.run(
-                    max_generations=generations,
-                    fitness_threshold=float("inf"),
-                ).records
-            else:
-                self._runs[key] = fold_trajectory(
-                    protocol, n_agents, self._trajectory(generations)
-                )
+                self._evolutions[source] = (engine, [])
+            engine, steps = self._evolutions[source]
+            while len(steps) < generations:
+                steps.append(engine.evolve_step())
+            self._runs[key] = fold_trajectory(
+                protocol, n_agents, steps[:generations]
+            )
         return self._runs[key]
 
 

@@ -200,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="stream a crash-resumable checkpoint (population + run "
+        help="stream a crash-resumable checkpoint (engine state + run "
         "manifest, atomically written and checksummed) to this directory "
-        "after every generation (Serial/CLAN_DCS/CLAN_DDS engines; see "
+        "after every generation (every protocol; see "
         "docs/fault_tolerance.md)",
     )
     learn.add_argument(
@@ -517,7 +517,8 @@ _RESUME_PARAMS = (
     "backend", "eval_mode", "genetics",
 )
 
-#: store document name holding the resumable population checkpoint
+#: store document name holding the resumable engine checkpoint
+#: (:meth:`repro.core.protocols.ProtocolBase.checkpoint`)
 _POPULATION_DOC = "population"
 
 
@@ -564,14 +565,6 @@ def _cmd_learn(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            if not store.exists(_POPULATION_DOC):
-                print(
-                    f"no population checkpoint in {args.checkpoint_dir} — "
-                    "the run died before its first generation completed; "
-                    "rerun without --resume",
-                    file=sys.stderr,
-                )
-                return 2
     tracer = _activate_tracer(args)
     cluster = _build_cluster(args)
     driver = ClanDriver(
@@ -588,25 +581,14 @@ def _cmd_learn(args) -> int:
     engine = driver.engine
     on_generation = None
     if store is not None:
-        if getattr(engine, "population", None) is None:
-            print(
-                "--checkpoint-dir is supported for Serial/CLAN_DCS/"
-                "CLAN_DDS engines only (CLAN_DDA holds per-clan "
-                "populations; use repro serve --checkpoint-period for "
-                "its recovery path)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.neat.checkpoint import save_population
-
         static_manifest = {
             param: getattr(args, param) for param in _RESUME_PARAMS
         }
 
         def on_generation(engine, record):
             # the hook runs between generations — the one boundary where
-            # the population is a complete, replayable state
-            save_population(engine.population, store.path(_POPULATION_DOC))
+            # the engine is a complete, replayable state
+            store.write(_POPULATION_DOC, engine.checkpoint())
             store.write_manifest("learn", {
                 **static_manifest,
                 "completed_generations": engine.generation,
@@ -615,26 +597,17 @@ def _cmd_learn(args) -> int:
 
     budget = args.generations
     if args.resume:
-        from repro.neat.checkpoint import CheckpointCorrupt, load_population
+        from repro.neat.checkpoint import CheckpointCorrupt
 
         try:
-            restored = load_population(store.path(_POPULATION_DOC))
-        except (CheckpointCorrupt, ValueError) as error:
-            print(str(error), file=sys.stderr)
+            engine.restore(store.read(_POPULATION_DOC))
+        except (CheckpointCorrupt, KeyError, TypeError, ValueError) as error:
+            print(f"cannot resume: {error}", file=sys.stderr)
             return 2
-        engine.population = restored
-        engine.generation = restored.generation
-        if restored.best_genome is not None:
-            engine.best_genome = restored.best_genome.copy()
-            engine.best_fitness = (
-                restored.best_genome.fitness
-                if restored.best_genome.fitness is not None
-                else manifest.get("best_fitness", float("-inf"))
-            )
-        budget = args.generations - restored.generation
+        budget = args.generations - engine.generation
         if budget <= 0:
             print(
-                f"checkpoint already holds {restored.generation} "
+                f"checkpoint already holds {engine.generation} "
                 f"generation(s) — nothing left of a --generations "
                 f"{args.generations} budget"
             )

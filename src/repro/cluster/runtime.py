@@ -4,12 +4,13 @@ While the engines in :mod:`repro.core.protocols` are logical (exact
 algorithm, modelled time), :class:`DistributedClanRuntime` actually fans
 the clans out to a :class:`~repro.cluster.transport.WorkerPool` — one
 process per clan, each running complete local generations — and measures
-real wall-clock. It reproduces the logical engine's results exactly:
-evaluation is deterministic per (seed, generation), and a worker's clan
-is the same :class:`~repro.neat.population.Population`, seeded by the
-same :func:`~repro.core.partition.clan_seeds`, that
-:class:`repro.core.protocols.CLAN_DDA` hosts in-process. (CLAN_DCS and
-CLAN_DDS are reproduced by the logical engines plus the timing model.)
+real wall-clock. A worker hosts the same
+:class:`~repro.cluster.worker_clan.WorkerClan`, built from the same
+:func:`~repro.core.partition.clan_init_payloads`, that
+:class:`repro.core.protocols.CLAN_DDA` runs in-process, and a barrier run
+folds the steps its clans report with :meth:`CLAN_DDA.fold`: it writes
+the logical engine's records exactly. (CLAN_DCS and CLAN_DDS are
+reproduced by the logical engines plus the timing model.)
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ from typing import Callable
 
 from repro.obs import clock
 from repro.obs import tracer as obs
-from repro.cluster.serialization import decode_genome, encode_genomes
+from repro.cluster.serialization import decode_genome
 from repro.cluster.transport import (
     WorkerDied,
     WorkerFailure,
     WorkerPool,
     WorkerTimeout,
 )
-from repro.core.metrics import ChurnStats
-from repro.core.partition import clan_seeds
+from repro.core.metrics import ChurnStats, GenerationRecord
+from repro.core.partition import clan_init_payloads
+from repro.core.protocols import CLAN_DDA
 from repro.neat.checkpoint import decode_genome_hex
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
@@ -86,6 +88,9 @@ class RealRunStats:
     #: generations, recovery latencies) filled by the supervision loop;
     #: all-zero on an undisturbed run
     churn: ChurnStats = field(default_factory=ChurnStats)
+    #: one CLAN_DDA record per barrier generation (:meth:`~Distributed
+    #: ClanRuntime.run` only), as the logical engine writes it
+    records: list[GenerationRecord] = field(default_factory=list)
 
 
 class DistributedClanRuntime:
@@ -144,11 +149,7 @@ class DistributedClanRuntime:
             raise ValueError("max_respawns must be >= 0")
         self.env_id = env_id
         self.config = config or NEATConfig.for_env(env_id)
-        if self.config.pop_size < 2 * n_clans:
-            raise ValueError(
-                f"population of {self.config.pop_size} cannot form "
-                f"{n_clans} clans of >= 2 members"
-            )
+        payloads = clan_init_payloads(self.config, seed, n_clans)
         self.n_clans = n_clans
         self.seed = seed
         self.rngs = RngFactory(seed)
@@ -174,18 +175,6 @@ class DistributedClanRuntime:
             chaos=chaos,
         )
         self._store = checkpoint_store
-        # the same clans as the logical engine, in WorkerClan's wire names
-        payloads = [
-            {
-                "clan_id": clan["clan_id"],
-                "n_clans": n_clans,
-                "members_wire": encode_genomes(clan["members"]),
-                "rng_seed": clan["seed"],
-                "next_genome_key": clan["next_genome_key"],
-                "num_outputs": self.config.num_outputs,
-            }
-            for clan in clan_seeds(self.config, seed, n_clans)
-        ]
         # clan_init replies with each clan's *initial* checkpoint, so a
         # worker that dies before its first streamed checkpoint can still
         # be respawned from generation zero
@@ -235,6 +224,9 @@ class DistributedClanRuntime:
     ) -> RealRunStats:
         """Run asynchronous clans in parallel until convergence.
 
+        Every generation is a barrier, folded with :meth:`CLAN_DDA.fold`
+        into ``stats.records`` (a clan lost to churn contributes nothing).
+
         Supervised: a clan process that dies (pipe EOF) or stalls past
         ``heartbeat_timeout_s`` during a step is respawned from its
         latest checkpoint, replayed up to the in-flight generation
@@ -254,11 +246,11 @@ class DistributedClanRuntime:
         for _ in range(max_generations):
             gen_start = clock.perf()
             with obs.span("generation", gen=self._generation):
-                summaries = self._supervised_step(
-                    stats.churn, respawns_used
-                )
+                steps = self._supervised_step(stats.churn, respawns_used)
             self._generation += 1
-            best = max(s.best_fitness for s in summaries)
+            record, _ = CLAN_DDA.fold(steps, self.n_clans, None)
+            stats.records.append(record)
+            best = record.best_fitness
             stats.per_generation_s.append(clock.perf() - gen_start)
             stats.best_fitness_per_generation.append(best)
             stats.generations += 1
@@ -272,7 +264,8 @@ class DistributedClanRuntime:
     def _supervised_step(
         self, churn: "ChurnStats", respawns_used: dict[int, int]
     ) -> list:
-        """One barrier generation across all live clans, with recovery."""
+        """One barrier generation across all live clans, with recovery:
+        each clan's step in clan order, None for a clan lost to churn."""
         live = [w for w in range(self.n_clans) if w not in self._lost]
         if not live:
             raise RuntimeError("no live clans remain (all lost to churn)")
@@ -287,14 +280,12 @@ class DistributedClanRuntime:
                 ):
                     continue
             pending.append(worker)
-        summaries = []
+        steps = [None] * self.n_clans
         for worker in pending:
             while True:
                 try:
-                    summaries.append(
-                        self.pool._collect(
-                            worker, timeout=self.heartbeat_timeout_s
-                        )
+                    steps[worker] = self.pool._collect(
+                        worker, timeout=self.heartbeat_timeout_s
                     )
                     break
                 except WorkerTimeout:
@@ -307,7 +298,7 @@ class DistributedClanRuntime:
                     worker, churn, respawns_used
                 ):
                     break
-        if not summaries:
+        if not any(steps):
             raise RuntimeError("no live clans remain (all lost to churn)")
         if (generation + 1) % self.checkpoint_period == 0:
             for worker in live:
@@ -325,7 +316,7 @@ class DistributedClanRuntime:
                     # failed mid-refresh: the stale checkpoint stands and
                     # the next step's supervision handles the worker
                     pass
-        return summaries
+        return steps
 
     def _recover_barrier(
         self, worker: int, churn: "ChurnStats", respawns_used: dict[int, int]
@@ -406,7 +397,7 @@ class DistributedClanRuntime:
         """Barrier-free execution: no per-generation pool join.
 
         Every worker free-runs its clan for up to ``max_generations``
-        local generations, streaming a summary after each one; the centre
+        local generations, streaming its step after each one; the centre
         consumes reports as they arrive and tracks best-so-far. When any
         report crosses the threshold the centre nudges the other clans to
         halt after their in-flight generation — fast clans never wait for
@@ -430,8 +421,10 @@ class DistributedClanRuntime:
         without tearing the pool down mid-message.
 
         Unlike :meth:`run`, clans drift apart in generation count, so the
-        best-so-far trajectory is indexed by report arrival, and
-        ``stats.generations`` is the *maximum* clan generation count.
+        best-so-far trajectory is indexed by report arrival,
+        ``stats.generations`` is the *maximum* clan generation count, and
+        ``stats.records`` stays empty: a record describes one generation
+        of every clan, and here no such generation exists.
 
         Supervision (see ``docs/fault_tolerance.md``): progress reports
         double as heartbeats. A clan whose process dies mid-run — or goes
@@ -568,7 +561,7 @@ class DistributedClanRuntime:
                         if on_champion is not None:
                             on_champion(event)
                 elif status == "progress":
-                    generation = value.generation
+                    generation = value.stats.generation
                     if generation <= max_done[worker]:
                         # bit-identical replay of an already-counted
                         # generation after a respawn
@@ -578,12 +571,12 @@ class DistributedClanRuntime:
                         generation - run_start + 1
                     )
                     stats.best_fitness = max(
-                        stats.best_fitness, value.best_fitness
+                        stats.best_fitness, value.stats.best_fitness
                     )
                     stats.best_fitness_per_generation.append(
                         stats.best_fitness
                     )
-                    if value.best_fitness >= threshold:
+                    if value.stats.best_fitness >= threshold:
                         stats.converged = True
                         if not halt_sent:
                             halt_sent = True

@@ -16,7 +16,7 @@ Two clients:
 - ``DistributedClanRuntime(checkpoint_store=...)`` streams every clan
   checkpoint it receives into the store as it lands.
 - ``repro learn --checkpoint-dir`` persists the logical engine's
-  population once per generation, and ``--resume`` reconstructs the
+  state once per generation, and ``--resume`` reconstructs the
   driver from the manifest and continues bit-identically (every RNG
   stream is name-derived, so there is no hidden generator state to
   lose).

@@ -263,11 +263,10 @@ def _worker_main(
             elif command == "clan_checkpoint":
                 conn.send(("ok", clan.checkpoint_payload()))
             elif command == "clan_step":
-                summary = clan.run_generation(payload)
-                conn.send(("ok", summary))
+                conn.send(("ok", clan.run_generation(payload)))
             elif command == "clan_run":
                 # barrier-free driver: run generations continuously,
-                # streaming one ("progress", summary) per generation; the
+                # streaming one ("progress", step) per generation; the
                 # centre never joins the pool per generation. Stops on
                 # budget, on own convergence, or on a "clan_halt" nudge.
                 start = payload["start_generation"]
@@ -300,7 +299,7 @@ def _worker_main(
                         if nudge == "clan_halt":
                             break
                     previous_best = clan.best_fitness
-                    summary = clan.run_generation(generation)
+                    step = clan.run_generation(generation)
                     ran += 1
                     if stream_champions and clan.best_fitness > (
                         previous_best
@@ -315,14 +314,14 @@ def _worker_main(
                             "genome_wire": clan.best_genome_wire(),
                         }
                         conn.send(("champion", champion))
-                    conn.send(("progress", summary))
+                    conn.send(("progress", step))
                     ship_spans(conn, clan_tracer)
                     if checkpoint_period and ran % checkpoint_period == 0:
                         # after the progress report, so the checkpoint
                         # never describes a generation the centre has not
                         # been told about
                         conn.send(("checkpoint", clan.checkpoint_payload()))
-                    if summary.best_fitness >= threshold:
+                    if step.stats.best_fitness >= threshold:
                         break
                 if not stopping:
                     ship_spans(conn, clan_tracer)
@@ -355,7 +354,7 @@ class WorkerPool:
 
         with WorkerPool(2, "CartPole-v0", config) as pool:
             checkpoints = pool.broadcast("clan_init", payloads)
-            summaries = pool.broadcast("clan_step", [0, 0])
+            steps = pool.broadcast("clan_step", [0, 0])
     """
 
     def __init__(

@@ -1,19 +1,20 @@
-"""Clan state hosted inside a worker process (real CLAN_DDA backend).
+"""One CLAN_DDA clan, as a worker process and the logical engine host it.
 
 A ``WorkerClan`` hosts one clan-shaped
-:class:`~repro.neat.population.Population` — the same class, and so the
-same generation loop, that the logical
-:class:`repro.core.protocols.CLAN_DDA` engine hosts in-process — and hides
-the formats of the pipe around it: members arrive as canonical wire bytes,
-each generation leaves as a :class:`ClanGenerationSummary`, and the
-checkpoint payload is JSON-serialisable hex. Kept in its own module so
-worker processes import it lazily without dragging the whole
+:class:`~repro.neat.population.Population` and hides the formats of the
+pipe around it: members arrive as canonical wire bytes, each generation
+leaves as the all-integer :class:`~repro.neat.population.EvolutionStep`
+that :meth:`repro.core.protocols.CLAN_DDA.fold` turns into the paper's
+record, and the checkpoint payload is JSON-serialisable hex. The logical
+:class:`repro.core.protocols.CLAN_DDA` engine runs ``n`` of them
+in-process, and each worker of
+:class:`repro.cluster.runtime.DistributedClanRuntime` runs one, so the
+two walk the same trajectory and write the same records. Kept in its own
+module so worker processes import it lazily without dragging the whole
 ``repro.core`` package into the hot path.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.cluster.serialization import (
     decode_genomes,
@@ -23,7 +24,7 @@ from repro.cluster.serialization import (
 from repro.neat.checkpoint import decode_genome_hex, encode_genome_hex
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import GenomeEvaluator
-from repro.neat.population import Population
+from repro.neat.population import EvolutionStep, Population, evolve
 
 #: format version of the per-clan checkpoint payload (independent of the
 #: population checkpoint version in :mod:`repro.neat.checkpoint`, but the
@@ -31,21 +32,9 @@ from repro.neat.population import Population
 CLAN_CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ClanGenerationSummary:
-    """What a clan reports to the centre after one local generation."""
-
-    clan_id: int
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-    n_species: int
-    n_members: int
-    solved: bool
-
-
 class WorkerClan:
-    """One clan evolving independently inside a worker process.
+    """One clan evolving independently, in a worker process or in the
+    logical CLAN_DDA engine.
 
     Algorithm state (``config``, ``species_set``, ``innovation``,
     ``rngs``, ``clan_id``, ...) is the hosted population's and reads
@@ -94,29 +83,13 @@ class WorkerClan:
         completed = self.population.generation
         return completed - 1 if completed else None
 
-    def _evaluate(self, genomes, generation):
-        # the evaluator's configured backend applies here: with
-        # backend="batched" each member's episodes run in lockstep through
-        # the NumPy engine instead of the scalar interpreter
-        return self.evaluator.evaluate_many(
-            genomes, self.population.config, generation
-        )
-
-    def run_generation(self, generation: int) -> ClanGenerationSummary:
+    def run_generation(self, generation: int) -> EvolutionStep:
         """One full local generation: I -> S -> plan -> R."""
-        stats = self.population.run_generation(self._evaluate, generation)
+        step = evolve(self.population, self.evaluator, generation)
         # a worker lives as long as its fleet: each generation is
         # reported and dropped, never accumulated
         self.population.history.clear()
-        return ClanGenerationSummary(
-            clan_id=self.population.clan_id,
-            generation=generation,
-            best_fitness=stats.best_fitness,
-            mean_fitness=stats.mean_fitness,
-            n_species=stats.n_species,
-            n_members=len(self.members),
-            solved=stats.solved,
-        )
+        return step
 
     @property
     def best_fitness(self) -> float:

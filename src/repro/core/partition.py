@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
+from repro.cluster.serialization import encode_genomes
 from repro.neat.population import Population
 from repro.utils.rng import RngFactory
 
@@ -53,30 +54,38 @@ def contiguous_blocks(items: Sequence[T], n_shards: int) -> list[list[T]]:
     return blocks
 
 
-def clan_seeds(
+def clan_init_payloads(
     config: "NEATConfig", seed: int, n_clans: int
 ) -> list[dict]:
     """Split serial NEAT's initial population into ``n_clans`` clans.
 
-    One dict of :class:`~repro.neat.population.Population` keyword
-    arguments per clan: ``members`` is a contiguous block of the
-    population ``Population(config, seed)`` starts from, ``seed`` the
-    clan's own RNG root (child stream ``clan:<id>`` of the run seed) and
-    ``next_genome_key`` its first fresh genome key (``pop_size +
-    clan_id``; keys then advance by ``n_clans``, so no two clans ever
-    mint the same one). The logical CLAN_DDA engine and the
-    process-backed runtime both seed their clans from here, which is
-    what makes them walk the same trajectory.
+    One ``clan_init`` payload — the keyword arguments of a
+    :class:`~repro.cluster.worker_clan.WorkerClan` — per clan:
+    ``members_wire`` is a contiguous block of the population
+    ``Population(config, seed)`` starts from, as wire bytes,
+    ``rng_seed`` the clan's own RNG root (child stream ``clan:<id>`` of
+    the run seed) and ``next_genome_key`` its first fresh genome key
+    (``pop_size + clan_id``; keys then advance by ``n_clans``, so no two
+    clans ever mint the same one). The process-backed runtime ships them
+    to its workers and the logical CLAN_DDA engine builds its in-process
+    clans from them, which is what makes the two walk the same
+    trajectory.
     """
+    if config.pop_size < 2 * n_clans:
+        raise ValueError(
+            f"population of {config.pop_size} cannot form "
+            f"{n_clans} clans of >= 2 members"
+        )
     rngs = RngFactory(seed)
     initial = Population(config, seed=seed).genomes
     return [
         {
             "clan_id": clan_id,
             "n_clans": n_clans,
-            "members": [initial[key] for key in block],
-            "seed": rngs.child(f"clan:{clan_id}").root_seed,
+            "members_wire": encode_genomes([initial[key] for key in block]),
+            "rng_seed": rngs.child(f"clan:{clan_id}").root_seed,
             "next_genome_key": config.pop_size + clan_id,
+            "num_outputs": config.num_outputs,
         }
         for clan_id, block in enumerate(
             contiguous_blocks(sorted(initial), n_clans)

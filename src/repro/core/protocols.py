@@ -6,43 +6,46 @@ and every message that would cross the WiFi network, producing one
 *logical* distributed executions: the algorithm, placement and communication
 are exact, while wall-clock time is assigned later by the cluster timing
 models (:mod:`repro.cluster.analytic` / :mod:`repro.cluster.simulator`).
-A physically parallel backend with one OS process per agent lives in
-:mod:`repro.cluster.runtime`. Every engine drives the one generation loop,
-:meth:`repro.neat.population.Population.run_generation`: over the whole
-population (Serial, DCS, DDS) or over one clan-shaped population per agent
-(DDA) — the class a worker process hosts too.
 
 Design note — evolve once, account many: child genomes are formed from RNG
 streams keyed by ``(seed, generation, child key)`` (see
 :meth:`repro.neat.population.Population.run_generation`), so where a child
-is formed never changes what it is. SerialNEAT, CLAN_DCS and CLAN_DDS
-*are* one evolution (:func:`evolve`) plus a per-protocol pure ``fold`` of
-each :class:`EvolutionStep` into its record; the figure cache folds one
-recorded evolution at every cluster size (:func:`fold_trajectory`).
-CLAN_DDA genuinely changes the algorithm (asynchronous speciation over
-clans: its clans *are* its placement), which is why the paper studies its
-convergence cost separately (Fig 7b).
+is formed never changes what it is. Every engine is an evolution plus a
+per-protocol pure ``fold`` of each generation's
+:class:`~repro.neat.population.EvolutionStep` into its record. SerialNEAT,
+CLAN_DCS and CLAN_DDS share one evolution (:func:`evolve`); the figure
+cache folds it at every cluster size (:func:`fold_trajectory`). CLAN_DDA
+genuinely changes the algorithm (asynchronous speciation over clans: its
+clans *are* its placement, Fig 7b): it evolves ``n_agents``
+:class:`~repro.cluster.worker_clan.WorkerClan` s, the class each worker of
+:mod:`repro.cluster.runtime` hosts, and folds their per-clan steps, as
+that runtime does with the steps its workers report.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.obs import tracer as obs
 from repro.core.messages import CENTER, Message, MessageType
 from repro.core.metrics import AgentLoad, GenerationRecord, RunResult
 from repro.core.partition import (
     assign_genomes,
-    clan_seeds,
+    clan_init_payloads,
     contiguous_blocks,
     round_robin,
 )
-from repro.cluster.serialization import genome_wire_floats, wire_floats
+from repro.cluster.serialization import wire_floats
+from repro.cluster.worker_clan import WorkerClan
 from repro.envs.registry import workload_spec
+from repro.neat.checkpoint import (
+    decode_genome_hex,
+    encode_genome_hex,
+    population_document,
+    population_from_document,
+)
 from repro.neat.config import NEATConfig
-from repro.neat.evaluation import FitnessResult, GenomeEvaluator
+from repro.neat.evaluation import GenomeEvaluator
 from repro.neat.genome import Genome
-from repro.neat.population import GenerationStats, Population
+from repro.neat.population import EvolutionStep, Population, evolve
 from repro.utils.rng import RngFactory
 
 #: 32-bit words per reported fitness entry: (genome key, fitness)
@@ -52,19 +55,6 @@ SPAWN_ENTRY_FLOATS = 2
 #: 32-bit words per child spec on the wire: (child, species, parent1,
 #: parent2-or-sentinel)
 CHILD_SPEC_FLOATS = 4
-
-
-def _evaluate(evaluator, genomes, config, generation):
-    """``{key: FitnessResult}`` for ``genomes``: one ``evaluate_many``
-    sweep, or a per-genome loop for injected evaluators that implement
-    only ``evaluate``."""
-    evaluate_many = getattr(evaluator, "evaluate_many", None)
-    if evaluate_many is not None:
-        return evaluate_many(genomes, config, generation)
-    return {
-        genome.key: evaluator.evaluate(genome, config, generation)
-        for genome in genomes
-    }
 
 
 class ProtocolBase:
@@ -90,7 +80,6 @@ class ProtocolBase:
         self.n_agents = n_agents
         self.config = config or NEATConfig.for_env(env_id)
         self.seed = seed
-        self.rngs = RngFactory(seed)
         # an injected evaluator must be seeded like the default one (see
         # default_evaluator) or the trajectory changes
         self.evaluator = evaluator or self.default_evaluator(
@@ -102,6 +91,9 @@ class ProtocolBase:
         self.records: list[GenerationRecord] = []
         self.best_fitness = float("-inf")
         self.best_genome: Genome | None = None
+        #: the fold's state carried between generations (``None``
+        #: before the first)
+        self._placement = None
 
     @staticmethod
     def default_evaluator(
@@ -133,8 +125,18 @@ class ProtocolBase:
 
     # -- template methods -----------------------------------------------------
 
-    def run_generation(self) -> GenerationRecord:
+    def evolve_step(self):
+        """Run the next generation of this engine's evolution and return
+        what its ``fold`` reads; no record is written."""
         raise NotImplementedError
+
+    def run_generation(self) -> GenerationRecord:
+        step = self.evolve_step()
+        record, self._placement = self.fold(
+            step, self.n_agents, self._placement
+        )
+        self.records.append(record)
+        return record
 
     def run(
         self,
@@ -180,117 +182,31 @@ class ProtocolBase:
 
     # -- shared helpers -------------------------------------------------------
 
-    def _new_record(self) -> GenerationRecord:
-        return GenerationRecord(
-            generation=self.generation,
-            protocol=self.name,
-            n_agents=self.n_agents,
-            agent_loads=[AgentLoad() for _ in range(self.n_agents)],
-        )
-
-    @staticmethod
-    def _log_genomes(record, msg_type, source, destination, genomes, **tags):
-        """Log one genome shipment with its wire and gene sizes."""
-        genomes = list(genomes)
-        record.messages.append(
-            Message(
-                msg_type,
-                source,
-                destination,
-                n_floats=sum(genome_wire_floats(g) for g in genomes),
-                n_genes=sum(g.gene_count() for g in genomes),
-                n_units=len(genomes),
-                **tags,
-            )
-        )
-
-    def _note_best(self, genome: Genome) -> None:
-        if genome.fitness is not None and genome.fitness > self.best_fitness:
+    def _note_best(self, genome: Genome | None) -> None:
+        if genome is not None and genome.fitness > self.best_fitness:
             self.best_fitness = genome.fitness
             self.best_genome = genome.copy()
-
-    def _evaluate_block_on_agent(
-        self,
-        genomes: list[Genome],
-        load: AgentLoad,
-        generation: int,
-    ) -> dict[int, FitnessResult]:
-        """Evaluate one agent's whole genome block as a single sweep,
-        charging the gene-op accounting per genome."""
-        results = _evaluate(self.evaluator, genomes, self.config, generation)
-        for genome in genomes:
-            _charge(load, genome.gene_count(), results[genome.key].steps)
-        return results
 
 
 # -- the shared evolution of the one-population engines ----------------------
 
 
-@dataclass(frozen=True)
-class EvolutionStep:
-    """One generation of the shared evolution: everything a placement
-    fold reads, as integers — no genome. A genome's gene count (the
-    paper's cost unit) is ``nodes + connections``; its wire size is
-    :func:`~repro.cluster.serialization.wire_floats` of the two."""
-
-    #: ``(key, nodes, connections, env steps)`` per evaluated genome, in
-    #: population order
-    evaluated: tuple[tuple[int, int, int, int], ...]
-    #: keys carried into the next generation unchanged
-    elites: tuple[int, ...]
-    #: ``(key, nodes, connections, parent1, parent2 or None)`` per
-    #: formed child, in plan order
-    children: tuple[tuple[int, int, int, int, int | None], ...]
-    #: entries of the plan's spawn-count table
-    spawn_entries: int
-    stats: GenerationStats
-
-
-def evolve(population: Population, evaluator) -> EvolutionStep:
-    """Run one generation of ``population``, evaluating every genome in
-    one sweep, and keep what the placement folds read."""
-    evaluated: list[tuple[int, int, int, int]] = []
-
-    def evaluate(genomes, generation):
-        results = _evaluate(evaluator, genomes, population.config, generation)
-        evaluated.extend(
-            (g.key, len(g.nodes), len(g.connections), results[g.key].steps)
-            for g in genomes
-        )
-        return results
-
-    stats = population.run_generation(evaluate)
-    plan = population.last_plan
-    children = []
-    for spec in plan.children:
-        child = population.genomes[spec.child_key]
-        children.append((
-            spec.child_key, len(child.nodes), len(child.connections),
-            spec.parent1_key, spec.parent2_key,
-        ))
-    return EvolutionStep(
-        evaluated=tuple(evaluated),
-        elites=tuple(plan.elites),
-        children=tuple(children),
-        spawn_entries=len(plan.spawn_counts),
-        stats=stats,
-    )
-
-
-def _step_record(step: EvolutionStep, protocol: str, n_agents: int):
-    """A record carrying ``step``'s population summary, no placement yet."""
-    stats = step.stats
+def _step_record(stats, protocol: str, n_agents: int):
+    """A record carrying the population summary of ``stats`` (one
+    :class:`~repro.neat.population.GenerationStats` per population that
+    ran the generation), no placement yet."""
+    members = sum(s.population_size for s in stats)
     return GenerationRecord(
-        generation=stats.generation,
+        generation=stats[0].generation,
         protocol=protocol,
         n_agents=n_agents,
         agent_loads=[AgentLoad() for _ in range(n_agents)],
-        best_fitness=stats.best_fitness,
-        mean_fitness=stats.mean_fitness,
-        n_species=stats.n_species,
-        population_size=stats.population_size,
-        solved=stats.solved,
-        speciation_comparisons=stats.speciation_comparisons,
+        best_fitness=max(s.best_fitness for s in stats),
+        mean_fitness=sum(s.fitness_sum for s in stats) / members,
+        n_species=sum(s.n_species for s in stats),
+        population_size=members,
+        solved=any(s.solved for s in stats),
+        speciation_comparisons=sum(s.speciation_comparisons for s in stats),
     )
 
 
@@ -301,7 +217,7 @@ def _charge(load: AgentLoad, genes: int, steps: int) -> None:
     load.genomes_evaluated += 1
 
 
-def _shipment(msg_type, source, destination, rows) -> Message:
+def _shipment(msg_type, source, destination, rows, **tags) -> Message:
     """One transfer of the genomes ``rows`` describe (an
     :class:`EvolutionStep` row: ``(key, nodes, connections, ...)``)."""
     return Message(
@@ -311,6 +227,7 @@ def _shipment(msg_type, source, destination, rows) -> Message:
         n_floats=sum(wire_floats(n, c) for _key, n, c, *_ in rows),
         n_genes=sum(n + c for _key, n, c, *_ in rows),
         n_units=len(rows),
+        **tags,
     )
 
 
@@ -343,18 +260,32 @@ class _SharedEvolution(ProtocolBase):
     def __init__(self, env_id: str, n_agents: int, **kwargs):
         super().__init__(env_id, n_agents=n_agents, **kwargs)
         self.population = Population(self.config, seed=self.seed)
-        #: the fold's state carried between generations
-        self._placement = None
 
-    def run_generation(self) -> GenerationRecord:
-        step = evolve(self.population, self.evaluator)
-        record, self._placement = self.fold(
-            step, self.n_agents, self._placement
-        )
+    def evolve_step(self) -> EvolutionStep:
+        step = evolve(self.population, self.evaluator, self.generation)
         self._note_best(self.population.best_genome)
         self.generation += 1
-        self.records.append(record)
-        return record
+        return step
+
+    def checkpoint(self) -> dict:
+        """The engine's state between generations as one JSON document,
+        which :meth:`restore` continues bit-identically from: the
+        population document plus the fold state as ``[key, agent]``
+        pairs."""
+        placement = self._placement
+        return {
+            **population_document(self.population),
+            "placement": (
+                None if placement is None else sorted(placement.items())
+            ),
+        }
+
+    def restore(self, document: dict) -> None:
+        self.population = population_from_document(document)
+        placement = document["placement"]
+        self._placement = None if placement is None else dict(placement)
+        self.generation = self.population.generation
+        self._note_best(self.population.best_genome)
 
 
 class SerialNEAT(_SharedEvolution):
@@ -369,7 +300,7 @@ class SerialNEAT(_SharedEvolution):
 
     @classmethod
     def fold(cls, step, n_agents, placement):
-        record = _step_record(step, cls.name, n_agents)
+        record = _step_record([step.stats], cls.name, n_agents)
         load, stats = record.agent_loads[0], step.stats
         # one agent ran everything: the population's own totals
         load.inference_gene_ops = stats.inference_genes
@@ -393,9 +324,9 @@ class CLAN_DCS(_SharedEvolution):
 
     @classmethod
     def fold(cls, step, n_agents, placement):
-        record = _step_record(step, cls.name, n_agents)
+        record = _step_record([step.stats], cls.name, n_agents)
         # round-robin over sorted keys: the assign_genomes sharding
-        shards = round_robin(sorted(step.evaluated), n_agents)
+        shards = round_robin(step.evaluated, n_agents)
         for agent, shard in enumerate(shards):
             if not shard:
                 continue
@@ -435,7 +366,7 @@ class CLAN_DDS(_SharedEvolution):
 
     @classmethod
     def fold(cls, step, n_agents, residency):
-        record = _step_record(step, cls.name, n_agents)
+        record = _step_record([step.stats], cls.name, n_agents)
         if residency is None:
             # the population is distributed once, before its first
             # inference
@@ -525,8 +456,10 @@ class CLAN_DDA(ProtocolBase):
     only reports fitness to the centre. Genomes cross the network exactly
     once, at initialisation — the paper's key communication saving
     (Fig 2d, Fig 4). Optional ``resync_period`` implements the "periodic
-    global speciation" the paper flags as future work: every k generations
-    all clans are gathered, re-partitioned and redistributed.
+    global speciation" the paper flags as future work: every k
+    generations all clans are gathered, re-partitioned and redistributed.
+    It is logical-only: the centre re-homes its in-process clans, which
+    :class:`repro.cluster.runtime.DistributedClanRuntime` does not do.
     """
 
     name = "CLAN_DDA"
@@ -539,73 +472,72 @@ class CLAN_DDA(ProtocolBase):
         **kwargs,
     ):
         super().__init__(env_id, n_agents=n_agents, **kwargs)
-        if self.config.pop_size < 2 * n_agents:
-            raise ValueError(
-                f"population of {self.config.pop_size} cannot form "
-                f"{n_agents} clans of >= 2 members"
-            )
         if resync_period is not None and resync_period < 1:
             raise ValueError("resync_period must be >= 1")
         self.resync_period = resync_period
-
-        # the centre builds the same initial population as serial NEAT and
-        # partitions it into contiguous clans, one population per agent
+        # the clans the physical runtime ships its workers
         self._clans = [
-            Population(self.config, **clan)
-            for clan in clan_seeds(self.config, self.seed, n_agents)
+            WorkerClan(env_id, self.config, self.evaluator, **payload)
+            for payload in clan_init_payloads(
+                self.config, self.seed, n_agents
+            )
         ]
 
     @property
     def clan_sizes(self) -> list[int]:
         return [clan.size for clan in self._clans]
 
-    def run_generation(self) -> GenerationRecord:
-        record = self._new_record()
-
-        if self.generation == 0:
-            # genomes cross the network exactly once, at initialisation
-            for clan in self._clans:
-                self._log_genomes(
-                    record, MessageType.SENDING_GENOMES, CENTER,
-                    clan.clan_id, clan.genomes.values(),
-                )
-
-        clan_stats = []
+    def evolve_step(self) -> tuple[EvolutionStep, ...]:
+        steps = tuple(
+            clan.run_generation(self.generation) for clan in self._clans
+        )
         for clan in self._clans:
-            load = record.agent_loads[clan.clan_id]
-
-            def evaluate(genomes, generation):
-                return self._evaluate_block_on_agent(
-                    genomes, load, generation
-                )
-
-            stats = clan.run_generation(evaluate, self.generation)
-            load.speciation_gene_ops += stats.speciation_genes
-            load.reproduction_gene_ops += stats.reproduction_genes
-            record.speciation_comparisons += stats.speciation_comparisons
-            record.messages.append(_fitness_report(clan.clan_id, clan.size))
-            clan_stats.append(stats)
             self._note_best(clan.best_genome)
+        self.generation += 1
+        return steps
 
+    def run_generation(self) -> GenerationRecord:
+        record = super().run_generation()
+        generation = record.generation
         if (
             self.resync_period is not None
-            and self.generation > 0
-            and self.generation % self.resync_period == 0
+            and generation > 0
+            and generation % self.resync_period == 0
         ):
-            with obs.span("resync", gen=self.generation):
+            with obs.span("resync", gen=generation):
                 self._global_resync(record)
-
-        total_members = sum(s.population_size for s in clan_stats)
-        record.best_fitness = max(s.best_fitness for s in clan_stats)
-        record.mean_fitness = (
-            sum(s.fitness_sum for s in clan_stats) / total_members
-        )
-        record.n_species = sum(s.n_species for s in clan_stats)
-        record.population_size = total_members
-        record.solved = any(s.solved for s in clan_stats)
-        self.generation += 1
-        self.records.append(record)
         return record
+
+    @classmethod
+    def fold(cls, steps, n_agents, placement):
+        """``steps`` holds each clan's step in clan order (None for a
+        clan lost to churn on the physical runtime); the clans are the
+        placement, so the fold state passes through."""
+        reported = [(c, step) for c, step in enumerate(steps) if step]
+        record = _step_record(
+            [step.stats for _clan_id, step in reported], cls.name, n_agents
+        )
+        if record.generation == 0:
+            # genomes cross the network exactly once, at initialisation
+            for clan_id, step in reported:
+                record.messages.append(
+                    _shipment(
+                        MessageType.SENDING_GENOMES, CENTER, clan_id,
+                        step.evaluated,
+                    )
+                )
+        for clan_id, step in reported:
+            load = record.agent_loads[clan_id]
+            for _key, nodes, connections, env_steps in step.evaluated:
+                _charge(load, nodes + connections, env_steps)
+            load.speciation_gene_ops += step.stats.speciation_genes
+            load.reproduction_gene_ops += step.stats.reproduction_genes
+            record.messages.append(
+                _fitness_report(
+                    clan_id, len(step.elites) + len(step.children)
+                )
+            )
+        return record, placement
 
     def _global_resync(self, record: GenerationRecord) -> None:
         """Gather all clans, re-partition, redistribute (extension).
@@ -617,11 +549,19 @@ class CLAN_DDA(ProtocolBase):
         *next* inference start on this end-of-generation traffic.
         """
         merged: dict[int, Genome] = {}
+        rows: dict[int, tuple[int, int, int]] = {}
         for clan in self._clans:
-            self._log_genomes(
-                record, MessageType.SENDING_CHILDREN, clan.clan_id,
-                CENTER, clan.genomes.values(), phase="resync",
+            clan_rows = [
+                (key, len(g.nodes), len(g.connections))
+                for key, g in clan.genomes.items()
+            ]
+            record.messages.append(
+                _shipment(
+                    MessageType.SENDING_CHILDREN, clan.clan_id, CENTER,
+                    clan_rows, phase="resync",
+                )
             )
+            rows.update((row[0], row) for row in clan_rows)
             merged.update(clan.genomes)
 
         blocks = contiguous_blocks(sorted(merged), self.n_agents)
@@ -629,12 +569,38 @@ class CLAN_DDA(ProtocolBase):
             with obs.span(
                 "resync", track=f"clan:{clan.clan_id}", members=len(block)
             ):
-                members = {key: merged[key] for key in block}
-                self._log_genomes(
-                    record, MessageType.SENDING_GENOMES, CENTER,
-                    clan.clan_id, members.values(), phase="resync",
+                record.messages.append(
+                    _shipment(
+                        MessageType.SENDING_GENOMES, CENTER, clan.clan_id,
+                        [rows[key] for key in block], phase="resync",
+                    )
                 )
-                clan.adopt_members(members)
+                clan.adopt_members({key: merged[key] for key in block})
+
+    def checkpoint(self) -> dict:
+        """Each clan's :meth:`~repro.cluster.worker_clan.WorkerClan.
+        checkpoint_payload`, keyed by clan id, plus the engine's best."""
+        best = self.best_genome
+        return {
+            "generation": self.generation,
+            "clans": {
+                str(clan.clan_id): clan.checkpoint_payload()
+                for clan in self._clans
+            },
+            "best_genome": None if best is None else encode_genome_hex(best),
+        }
+
+    def restore(self, document: dict) -> None:
+        self._clans = [
+            WorkerClan.restore(
+                self.env_id, self.config, self.evaluator,
+                document["clans"][str(clan_id)],
+            )
+            for clan_id in range(self.n_agents)
+        ]
+        self.generation = document["generation"]
+        best = document["best_genome"]
+        self._note_best(best and decode_genome_hex(best))
 
 
 _PROTOCOLS = {
@@ -654,8 +620,9 @@ def fold_trajectory(
     name: str, n_agents: int, steps
 ) -> list[GenerationRecord]:
     """``name``'s records at ``n_agents`` for a recorded evolution: what
-    a fresh engine of that protocol would log over ``steps`` (from
-    :func:`evolve` on the same seed), without evolving again."""
+    a fresh engine of that protocol would log over ``steps`` (its
+    :meth:`~ProtocolBase.evolve_step` results on the same seed), without
+    evolving again."""
     cls = _PROTOCOLS[name]
     if n_agents < 1 or (cls is SerialNEAT and n_agents != 1):
         raise ValueError(f"{name} cannot run on {n_agents} agents")

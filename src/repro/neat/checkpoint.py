@@ -202,9 +202,14 @@ def save_population(population: Population, path) -> None:
     so a crash mid-write leaves the previous checkpoint intact and a
     damaged file is detected on load rather than silently resumed from.
     """
+    atomic_write_json(path, population_document(population))
+
+
+def population_document(population: Population) -> dict:
+    """The JSON-serialisable checkpoint document of ``population``."""
     state = population.snapshot()
     best = state["best_genome"]
-    document = {
+    return {
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(population.config),
         "seed": state["seed"],
@@ -217,7 +222,6 @@ def save_population(population: Population, path) -> None:
         "species": state["species"],
         "best_genome": None if best is None else encode_genome_hex(best),
     }
-    atomic_write_json(path, document)
 
 
 def load_population(path) -> Population:
@@ -233,7 +237,7 @@ def load_population(path) -> Population:
         )
 
     try:
-        return _population_from_document(document)
+        return population_from_document(document)
     except (KeyError, TypeError, ValueError) as error:
         raise CheckpointCorrupt(
             f"checkpoint {path} passed its checksum but failed to "
@@ -242,7 +246,8 @@ def load_population(path) -> Population:
         )
 
 
-def _population_from_document(document: dict) -> Population:
+def population_from_document(document: dict) -> Population:
+    """Rebuild a :class:`Population` from :func:`population_document`."""
     config_data = dict(document["config"])
     for field in _TUPLE_FIELDS:
         config_data[field] = tuple(config_data[field])

@@ -9,9 +9,10 @@ A CLAN_DDA clan (paper Fig 2d) *is* a population: the same loop over given
 members, with genome keys, node ids and species ids drawn from the clan's
 residue class (``clan_id`` modulo ``n_clans``) so concurrently evolving
 clans never collide without talking to each other. Serial NEAT is clan 0
-of 1. The logical engine (:class:`repro.core.protocols.CLAN_DDA`) and the
-worker-hosted :class:`repro.cluster.worker_clan.WorkerClan` both host this
-class, so their parity is structural.
+of 1. Every host steps it through :func:`evolve`, which keeps one
+generation as an all-integer :class:`EvolutionStep` — what the protocol
+engines' placement folds read, and what a
+:class:`repro.cluster.worker_clan.WorkerClan` reports over its pipe.
 """
 
 from __future__ import annotations
@@ -358,3 +359,75 @@ class Population:
     @property
     def size(self) -> int:
         return len(self.genomes)
+
+
+# -- one generation, as the protocol folds read it ----------------------------
+
+
+def _evaluate_block(evaluator, genomes, config, generation):
+    """``{key: FitnessResult}`` for ``genomes``: one ``evaluate_many``
+    sweep, or a per-genome loop for injected evaluators that implement
+    only ``evaluate``."""
+    evaluate_many = getattr(evaluator, "evaluate_many", None)
+    if evaluate_many is not None:
+        return evaluate_many(genomes, config, generation)
+    return {
+        genome.key: evaluator.evaluate(genome, config, generation)
+        for genome in genomes
+    }
+
+
+@dataclass(frozen=True)
+class EvolutionStep:
+    """One generation of a population: everything a placement fold
+    reads, as integers — no genome. A genome's gene count (the paper's
+    cost unit) is ``nodes + connections``; its wire size is
+    :func:`~repro.cluster.serialization.wire_floats` of the two."""
+
+    #: ``(key, nodes, connections, env steps)`` per evaluated genome, in
+    #: key order (a restored population iterates its genomes in another)
+    evaluated: tuple[tuple[int, int, int, int], ...]
+    #: keys carried into the next generation unchanged
+    elites: tuple[int, ...]
+    #: ``(key, nodes, connections, parent1, parent2 or None)`` per
+    #: formed child, in plan order
+    children: tuple[tuple[int, int, int, int, int | None], ...]
+    #: entries of the plan's spawn-count table
+    spawn_entries: int
+    stats: GenerationStats
+
+
+def evolve(
+    population: Population, evaluator, generation: int | None = None
+) -> EvolutionStep:
+    """Run one generation of ``population`` (numbered ``generation``,
+    by default its own count), evaluating every genome in one sweep, and
+    keep what the placement folds read."""
+    evaluated: list[tuple[int, int, int, int]] = []
+
+    def evaluate(genomes, generation):
+        results = _evaluate_block(
+            evaluator, genomes, population.config, generation
+        )
+        evaluated.extend(
+            (g.key, len(g.nodes), len(g.connections), results[g.key].steps)
+            for g in genomes
+        )
+        return results
+
+    stats = population.run_generation(evaluate, generation)
+    plan = population.last_plan
+    children = []
+    for spec in plan.children:
+        child = population.genomes[spec.child_key]
+        children.append((
+            spec.child_key, len(child.nodes), len(child.connections),
+            spec.parent1_key, spec.parent2_key,
+        ))
+    return EvolutionStep(
+        evaluated=tuple(sorted(evaluated)),
+        elites=tuple(plan.elites),
+        children=tuple(children),
+        spawn_entries=len(plan.spawn_counts),
+        stats=stats,
+    )

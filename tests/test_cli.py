@@ -580,28 +580,85 @@ def _champion_payloads(path):
     )
 
 
+def _learn_digests(monkeypatch, argv):
+    """Run ``repro learn argv``; the record digests of the generations
+    it ran."""
+    from repro.core.driver import ClanDriver
+
+    from tests.test_protocol_records import record_digest
+
+    runs = []
+    learn = ClanDriver.learn
+
+    def recording(driver, *args, **kwargs):
+        runs.append(learn(driver, *args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ClanDriver, "learn", recording)
+    assert main(argv) in (0, 1)
+    monkeypatch.undo()
+    return [record_digest(r) for r in runs[0].result.records]
+
+
+def _resume_pair(monkeypatch, tmp_path, argv):
+    """Records of a 4-generation run, and of the same run stopped after
+    2 generations and resumed from its checkpoint directory; the two
+    checkpoint directories."""
+    full, split = tmp_path / "full", tmp_path / "split"
+    straight = _learn_digests(
+        monkeypatch,
+        argv + ["--generations", "4", "--checkpoint-dir", str(full)],
+    )
+    head = _learn_digests(
+        monkeypatch,
+        argv + ["--generations", "2", "--checkpoint-dir", str(split)],
+    )
+    tail = _learn_digests(
+        monkeypatch,
+        argv
+        + ["--generations", "4", "--checkpoint-dir", str(split), "--resume"],
+    )
+    return straight, head + tail, full, split
+
+
 class TestLearnResume:
     def test_resume_requires_checkpoint_dir(self, capsys):
         code = main(_RESUME_ARGS + ["--generations", "1", "--resume"])
         assert code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
-    def test_checkpoint_dir_rejects_engines_without_population(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "protocol,agents", [("Serial", 1), ("CLAN_DCS", 3), ("CLAN_DDS", 3)]
+    )
+    def test_resumed_records_equal_the_uninterrupted_run(
+        self, monkeypatch, tmp_path, protocol, agents
     ):
-        code = main(
-            [
-                "learn", "CartPole-v0",
-                "--protocol", "CLAN_DDA",
-                "--agents", "2",
-                "--pop", "20",
-                "--generations", "1",
-                "--threshold", "1e9",
-                "--checkpoint-dir", str(tmp_path / "store"),
-            ]
+        argv = list(_RESUME_ARGS)
+        argv[argv.index("--protocol") + 1] = protocol
+        straight, resumed, _full, _split = _resume_pair(
+            monkeypatch, tmp_path, argv + ["--agents", str(agents)]
         )
-        assert code == 2
-        assert "Serial/CLAN_DCS/CLAN_DDS" in capsys.readouterr().err
+        # a resumed CLAN_DDS run must not re-ship its whole population:
+        # the checkpoint carries the residency map its fold continues
+        assert resumed == straight
+
+    def test_dda_resume_equals_the_uninterrupted_run(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.cluster.store import CheckpointStore
+
+        argv = list(_RESUME_ARGS)
+        argv[argv.index("--protocol") + 1] = "CLAN_DDA"
+        straight, resumed, full, split = _resume_pair(
+            monkeypatch, tmp_path, argv + ["--agents", "3"]
+        )
+        assert resumed == straight
+        clans = [
+            CheckpointStore(store).read("population")["clans"]
+            for store in (full, split)
+        ]
+        assert sorted(clans[0]) == ["0", "1", "2"]
+        assert clans[0] == clans[1]
 
     def test_resume_from_empty_store_errors(self, tmp_path, capsys):
         code = main(

@@ -1,10 +1,21 @@
 """Tests for the physically parallel runtimes (processes)."""
 
+import json
+
 import pytest
 
 from repro.cluster.runtime import DistributedClanRuntime
 from repro.core.protocols import CLAN_DDA
 from repro.neat.config import NEATConfig
+
+from tests.test_protocol_records import (
+    GENERATIONS,
+    GOLDEN,
+    POP,
+    SEED,
+    case_name,
+    record_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +38,20 @@ class TestDistributedClans:
             record.best_fitness for record in logical.records
         ]
         assert champion.fitness == logical_engine.best_fitness
+
+    @pytest.mark.parametrize("n_clans", [2, 3])
+    def test_barrier_run_writes_the_logical_engines_records(self, n_clans):
+        golden = json.loads(GOLDEN.read_text())
+        with DistributedClanRuntime(
+            "CartPole-v0",
+            n_clans=n_clans,
+            config=NEATConfig.for_env("CartPole-v0", pop_size=POP),
+            seed=SEED,
+        ) as runtime:
+            stats = runtime.run(GENERATIONS, fitness_threshold=1e9)
+        assert [record_digest(r) for r in stats.records] == golden[
+            case_name("cartpole_multi_step", "CLAN_DDA", n_clans)
+        ]
 
     def test_rejects_too_many_clans(self, config):
         with pytest.raises(ValueError):

@@ -43,16 +43,17 @@ class TestWorkerClan:
     def test_generation_preserves_clan_size(self, setup):
         clan, _config = setup
         for generation in range(3):
-            summary = clan.run_generation(generation)
-            assert summary.n_members == 8
+            step = clan.run_generation(generation)
+            assert len(step.evaluated) == 8
+            assert len(step.elites) + len(step.children) == 8
 
     def test_summary_fields(self, setup):
         clan, _config = setup
-        summary = clan.run_generation(0)
-        assert summary.clan_id == 0
-        assert summary.generation == 0
-        assert summary.best_fitness >= summary.mean_fitness
-        assert summary.n_species >= 1
+        stats = clan.run_generation(0).stats
+        assert stats.generation == 0
+        assert stats.population_size == 8
+        assert stats.best_fitness >= stats.mean_fitness
+        assert stats.n_species >= 1
 
     def test_new_keys_respect_stride(self, setup):
         clan, config = setup

@@ -22,7 +22,7 @@ import pytest
 
 from repro.cluster.serialization import encode_genomes
 from repro.cluster.worker_clan import WorkerClan
-from repro.core.partition import clan_seeds
+from repro.core.partition import clan_init_payloads
 from repro.core.protocols import ProtocolBase, make_protocol
 from repro.neat.checkpoint import load_population
 from repro.neat.config import NEATConfig
@@ -62,18 +62,8 @@ class StubEvaluator:
 
 
 def worker_clan(config, seed, evaluator, clan_id=0, n_clans=2):
-    clan = clan_seeds(config, seed, n_clans)[clan_id]
-    return WorkerClan(
-        env_id=ENV,
-        config=config,
-        evaluator=evaluator,
-        clan_id=clan_id,
-        n_clans=n_clans,
-        members_wire=encode_genomes(clan["members"]),
-        rng_seed=clan["seed"],
-        next_genome_key=clan["next_genome_key"],
-        num_outputs=config.num_outputs,
-    )
+    payload = clan_init_payloads(config, seed, n_clans)[clan_id]
+    return WorkerClan(ENV, config, evaluator, **payload)
 
 
 class TestBestEverIsStrict:
@@ -202,7 +192,7 @@ class TestSharedSnapshot:
             ENV, pop_size=18, compatibility_threshold=0.8
         )
         straight, interrupted = (
-            Population(config, **clan_seeds(config, 5, 3)[1])
+            worker_clan(config, 5, None, clan_id=1, n_clans=3).population
             for _ in range(2)
         )
         for generation in range(3):
@@ -278,11 +268,11 @@ class TestSharedSnapshot:
         )
         # the writer is byte-compatible too: same payload back out
         assert clan.checkpoint_payload() == payload
-        summary = clan.run_generation(2)
+        stats = clan.run_generation(2).stats
         expected = parent["expected"]
         assert digest(clan.members) == expected["clan_after_generation_2"]
-        assert summary.best_fitness == expected["clan_best"]
-        assert summary.n_species == expected["clan_n_species"]
+        assert stats.best_fitness == expected["clan_best"]
+        assert stats.n_species == expected["clan_n_species"]
         next_payload = json.dumps(
             clan.checkpoint_payload(), sort_keys=True
         ).encode()
