@@ -432,6 +432,54 @@ class TestRuntimeSupervision:
         )
 
 
+class TestCheckpointCadence:
+    """Both drivers checkpoint after generation ``g`` iff
+    ``(g + 1) % checkpoint_period == 0``, however the generations are
+    split into calls: at period 2, a clan killed after generations 0-2
+    resumes from its generation-1 checkpoint and re-runs one generation.
+    """
+
+    @staticmethod
+    def _four_calls(driver: str, kill: bool):
+        with DistributedClanRuntime(
+            "CartPole-v0",
+            n_clans=2,
+            config=NEATConfig.for_env("CartPole-v0", pop_size=16),
+            seed=4,
+            checkpoint_period=2,
+            respawn_backoff_s=0.0,
+        ) as runtime:
+            call = getattr(runtime, driver)
+            for _ in range(3):
+                call(1, fitness_threshold=1e9)
+            if kill:
+                os.kill(runtime.pool._procs[0].pid, signal.SIGKILL)
+                runtime.pool._procs[0].join(timeout=5)
+            last = call(1, fitness_threshold=1e9)
+            best = runtime.best_genome()
+            states = runtime.pool.broadcast(
+                "clan_checkpoint", [None, None], timeout=30.0
+            )
+        return last, best, states
+
+    @pytest.mark.parametrize("driver", ["run", "run_async"])
+    def test_kill_after_three_calls_reruns_one_generation(self, driver):
+        baseline, baseline_best, baseline_states = self._four_calls(
+            driver, kill=False
+        )
+        stats, best, states = self._four_calls(driver, kill=True)
+        assert stats.churn.deaths == 1
+        assert stats.churn.respawns == 1
+        assert stats.churn.lost_generations == 1
+        assert encode_genome(best) == encode_genome(baseline_best)
+        # the last call's trajectory: barrier records, or (async) the
+        # per-clan generation counts; arrival order is not compared
+        assert stats.records == baseline.records
+        assert stats.per_clan_generations == baseline.per_clan_generations
+        assert stats.best_fitness == baseline.best_fitness
+        assert states == baseline_states
+
+
 class TestEvaluatorFailures:
     def test_broken_evaluator_stops_engine(self, config):
         engine = SerialNEAT("CartPole-v0", config=config, seed=0)
