@@ -29,11 +29,19 @@ ACTIONS = ("kill", "stall", "drop", "duplicate", "delay", "corrupt")
 #: where faults can attach
 SCOPES = ("worker", "replica", "registry")
 
+#: the commands a clan worker pool sends through its chaos hook
+WORKER_KINDS = (
+    "clan_init", "clan_restore", "clan_run", "clan_halt", "clan_best",
+    "clan_checkpoint", "ping", "inject_stall",
+)
+
 #: which actions are meaningful per (scope, message-kind) attachment
-#: point. ``None`` kind = the fault matches any message kind, which
+#: point; a kind missing here is sent by nothing, so a fault on it could
+#: never fire. ``None`` kind = the fault matches any message kind, which
 #: restricts it to actions that are kind-agnostic (kill/stall/drop).
 _SUPPORTED: dict[tuple[str, str | None], tuple[str, ...]] = {
     ("worker", None): ("kill", "stall", "drop"),
+    **{("worker", kind): ("kill", "stall", "drop") for kind in WORKER_KINDS},
     ("replica", None): ("kill",),
     ("replica", "publish"): ("kill", "drop", "duplicate", "delay", "corrupt"),
     ("replica", "infer"): ("kill", "drop", "duplicate"),
@@ -67,11 +75,13 @@ class Fault:
             raise ValueError(f"unknown fault scope {self.scope!r}")
         if self.at < 1:
             raise ValueError(f"fault 'at' is 1-based, got {self.at}")
-        key = (self.scope, self.kind)
-        supported = _SUPPORTED.get(key)
+        supported = _SUPPORTED.get((self.scope, self.kind))
         if supported is None:
-            # unknown kind: fall back to the kind-agnostic action set
-            supported = _SUPPORTED[(self.scope, None)]
+            known = sorted(k for s, k in _SUPPORTED if s == self.scope and k)
+            raise ValueError(
+                f"unknown {self.scope} event kind {self.kind!r} (known: "
+                f"{', '.join(known)})"
+            )
         if self.action not in supported:
             raise ValueError(
                 f"action {self.action!r} is not supported for scope "
@@ -165,7 +175,7 @@ def parse_fault_spec(spec: str) -> Fault:
     Grammar: ``ACTION[,key=value...]`` with keys ``scope``, ``target``,
     ``kind``, ``at``, ``value`` — e.g.::
 
-        kill,scope=worker,target=1,kind=clan_step,at=3
+        kill,scope=worker,target=1,kind=clan_run,at=3
         drop,scope=replica,target=0,kind=publish
         delay,scope=registry,value=0.05
     """

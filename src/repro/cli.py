@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault", action="append", default=[], metavar="SPEC",
         help="inline fault spec "
         "'action,scope=S[,target=N][,kind=K][,at=N][,value=X]', e.g. "
-        "'kill,scope=worker,target=1,kind=clan_step,at=2'; repeatable, "
+        "'kill,scope=worker,target=1,kind=clan_run,at=2'; repeatable, "
         "appended to any --plan faults",
     )
     chaos.add_argument(

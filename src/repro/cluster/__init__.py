@@ -13,8 +13,9 @@
   analytic model, plus pipelined and barrier-free ``async`` execution
   modes (see ``docs/asynchrony.md``).
 * :mod:`repro.cluster.transport` / :mod:`repro.cluster.runtime` — a real
-  multiprocess CLAN_DDA backend (one OS process per clan), with lock-step
-  and barrier-free clan drivers.
+  multiprocess CLAN_DDA backend (one OS process per clan): one clan
+  protocol, ``clan_run`` windows, under a barrier driver (one-generation
+  windows) and a barrier-free one.
 """
 
 from repro.cluster.netmodel import WiFiModel

@@ -23,12 +23,7 @@ from typing import Callable
 from repro.obs import clock
 from repro.obs import tracer as obs
 from repro.cluster.serialization import decode_genome
-from repro.cluster.transport import (
-    WorkerDied,
-    WorkerFailure,
-    WorkerPool,
-    WorkerTimeout,
-)
+from repro.cluster.transport import WorkerDied, WorkerFailure, WorkerPool
 from repro.core.metrics import ChurnStats, GenerationRecord
 from repro.core.partition import clan_init_payloads
 from repro.core.protocols import CLAN_DDA
@@ -36,6 +31,7 @@ from repro.neat.checkpoint import decode_genome_hex
 from repro.envs.registry import workload_spec
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
+from repro.neat.population import EvolutionStep
 from repro.utils.rng import RngFactory
 
 
@@ -122,13 +118,14 @@ class DistributedClanRuntime:
         a clan whose process dies or stalls mid-run is respawned from its
         latest checkpoint, up to ``max_respawns`` times per clan per run
         (with exponential backoff starting at ``respawn_backoff_s``),
-        after which the clan is abandoned and its remaining generation
-        budget re-assigned to survivors. ``heartbeat_timeout_s`` bounds
-        how long a clan may go without reporting before it is presumed
-        hung and killed (None disables stall detection; raise it well
-        above your slowest generation). ``checkpoint_period`` sets how
-        many local generations elapse between streamed clan checkpoints
-        (1 = every generation; higher trades recovery re-work for less
+        after which the clan is abandoned (:meth:`run_async` re-assigns
+        its remaining generation budget to survivors).
+        ``heartbeat_timeout_s`` bounds how long a clan may go without
+        reporting before it is presumed hung and killed (None disables
+        stall detection; raise it well above your slowest generation). A
+        clan streams a checkpoint after generation ``g`` iff
+        ``(g + 1) % checkpoint_period == 0``, under either driver (1 =
+        every generation; higher trades recovery re-work for less
         checkpoint traffic). ``command_timeout_s`` bounds individual
         request/reply commands (restore, best-genome collection).
         Recovery is exact: re-running a generation from a checkpoint is
@@ -224,16 +221,19 @@ class DistributedClanRuntime:
     ) -> RealRunStats:
         """Run asynchronous clans in parallel until convergence.
 
-        Every generation is a barrier, folded with :meth:`CLAN_DDA.fold`
-        into ``stats.records`` (a clan lost to churn contributes nothing).
+        Every generation ``g`` is a barrier: each live clan runs the
+        one-generation window ``clan_run(g, 1)`` under the supervision
+        loop :meth:`run_async` uses, and the steps are folded with
+        :meth:`CLAN_DDA.fold` into ``stats.records``. The threshold is
+        checked on the folded record, never by the clans, and a clan lost
+        to churn contributes nothing; its budget goes to no survivor.
 
         Supervised: a clan process that dies (pipe EOF) or stalls past
-        ``heartbeat_timeout_s`` during a step is respawned from its
-        latest checkpoint, replayed up to the in-flight generation
-        (bit-identical — every RNG stream is generation-named), and the
-        step retried; after ``max_respawns`` failures the clan is
-        abandoned and the run continues on the survivors. Churn is
-        tallied on ``stats.churn``.
+        ``heartbeat_timeout_s`` is respawned from its latest checkpoint
+        and re-runs its window from there (bit-identical — every RNG
+        stream is generation-named); after ``max_respawns`` failures the
+        clan is abandoned and the run continues on the survivors. Churn
+        is tallied on ``stats.churn``.
         """
         threshold = (
             self.solved_threshold
@@ -245,8 +245,11 @@ class DistributedClanRuntime:
         respawns_used = {w: 0 for w in range(self.n_clans)}
         for _ in range(max_generations):
             gen_start = clock.perf()
+            steps = [None] * self.n_clans
             with obs.span("generation", gen=self._generation):
-                steps = self._supervised_step(stats.churn, respawns_used)
+                self._run_windows(stats, respawns_used, 1, steps.__setitem__)
+            if not any(steps):
+                raise RuntimeError("no live clans remain (all lost to churn)")
             self._generation += 1
             record, _ = CLAN_DDA.fold(steps, self.n_clans, None)
             stats.records.append(record)
@@ -261,79 +264,166 @@ class DistributedClanRuntime:
         stats.wall_time_s = clock.perf() - start
         return stats
 
-    def _supervised_step(
-        self, churn: "ChurnStats", respawns_used: dict[int, int]
-    ) -> list:
-        """One barrier generation across all live clans, with recovery:
-        each clan's step in clan order, None for a clan lost to churn."""
+    def _run_windows(
+        self,
+        stats: RealRunStats,
+        respawns_used: dict[int, int],
+        budget: int,
+        on_step: Callable[[int, EvolutionStep], None],
+        threshold: float | None = None,
+        on_champion: Callable[[ChampionEvent], None] | None = None,
+        stop: threading.Event | None = None,
+    ) -> None:
+        """Send every live clan the window ``clan_run(g, budget)``, ``g``
+        the fleet's generation count, and supervise it until all drain.
+
+        ``on_step(clan, step)`` sees each clan generation once, in
+        arrival order. Progress reports double as heartbeats: a clan that
+        dies, or goes silent past ``heartbeat_timeout_s``, is respawned
+        from its latest checkpoint and re-sent ``clan_run`` from there,
+        and the generations it replays are filtered out. A report that
+        crosses ``threshold``, or a set ``stop``, halts every clan after
+        its in-flight generation, and an abandoned clan's unspent budget
+        goes to the first survivor that drains its own. Without a
+        threshold (the barrier's one-generation windows) every clan runs
+        its window out and nobody inherits a lost clan's budget.
+        """
+        churn = stats.churn
+        start = self._generation
         live = [w for w in range(self.n_clans) if w not in self._lost]
         if not live:
             raise RuntimeError("no live clans remain (all lost to churn)")
-        generation = self._generation
-        pending = []
-        for worker in live:
+        active: set[int] = set()
+        #: highest generation number each clan has *completed and
+        #: reported* — replays after a respawn re-report the same
+        #: numbers and are filtered against this
+        max_done = dict.fromkeys(live, start - 1)
+        #: inclusive final generation each clan owes (grows when a lost
+        #: clan's budget is re-assigned)
+        clan_end = dict.fromkeys(live, start + budget - 1)
+        last_seen: dict[int, float] = {}
+        reassign_pool = 0
+        halt_sent = False
+        champion_best = float("-inf")
+
+        def send(worker: int, first: int, count: int) -> None:
+            active.add(worker)
+            last_seen[worker] = clock.perf()
+            payload = {
+                "start_generation": first,
+                "max_generations": count,
+                "threshold": threshold,
+                "stream_champions": on_champion is not None,
+                "checkpoint_period": self.checkpoint_period,
+                # workers trace (and ship span batches back) iff the
+                # driver process has an active tracer to merge them into
+                "trace": obs.current() is not None,
+            }
             try:
-                self.pool._request(worker, "clan_step", generation)
+                self.pool.send(worker, "clan_run", payload)
             except WorkerDied:
-                if not self._recover_barrier(
-                    worker, churn, respawns_used
-                ):
-                    continue
-            pending.append(worker)
-        steps = [None] * self.n_clans
-        for worker in pending:
-            while True:
+                fail(worker)
+
+        def halt() -> None:
+            nonlocal halt_sent
+            if halt_sent:
+                return
+            halt_sent = True
+            for other in sorted(active):
                 try:
-                    steps[worker] = self.pool._collect(
-                        worker, timeout=self.heartbeat_timeout_s
-                    )
-                    break
-                except WorkerTimeout:
-                    # alive but silent past the heartbeat window:
-                    # presumed hung — kill, then recover like a death
-                    self.pool.kill(worker)
+                    self.pool.send(other, "clan_halt")
                 except WorkerDied:
-                    pass
-                if not self._recover_barrier(
-                    worker, churn, respawns_used
-                ):
-                    break
-        if not any(steps):
-            raise RuntimeError("no live clans remain (all lost to churn)")
-        if (generation + 1) % self.checkpoint_period == 0:
-            for worker in live:
-                if worker in self._lost:
-                    continue
-                try:
-                    self.pool._request(worker, "clan_checkpoint", None)
-                    self._record_checkpoint(
-                        worker,
-                        self.pool._collect(
-                            worker, timeout=self.command_timeout_s
-                        ),
-                    )
-                except WorkerFailure:
-                    # failed mid-refresh: the stale checkpoint stands and
-                    # the next step's supervision handles the worker
-                    pass
-        return steps
+                    fail(other)
 
-    def _recover_barrier(
-        self, worker: int, churn: "ChurnStats", respawns_used: dict[int, int]
-    ) -> bool:
-        """Respawn ``worker`` and replay it up to the in-flight barrier
-        generation; False when it is abandoned instead (budget spent)."""
-        resume = self._note_death(worker, churn, self._generation - 1)
+        def fail(worker: int) -> None:
+            """Death handler: respawn from checkpoint or abandon."""
+            nonlocal reassign_pool
+            active.discard(worker)
+            resume = self._note_death(worker, churn, max_done[worker])
+            if halt_sent or stats.converged:
+                # winding down anyway; recovery would re-do work only to
+                # halt it again
+                return
+            if self._respawn(worker, churn, respawns_used, resume):
+                if resume <= clan_end[worker]:
+                    send(worker, resume, clan_end[worker] - resume + 1)
+            elif threshold is not None:
+                # abandoned: a survivor inherits its unspent budget
+                reassign_pool += max(
+                    0, clan_end[worker] - max(max_done[worker], resume - 1)
+                )
 
-        def replay() -> None:
-            # deterministic catch-up: re-run every generation since the
-            # checkpoint, then re-issue the in-flight one (caller collects)
-            for generation in range(resume, self._generation):
-                self.pool._request(worker, "clan_step", generation)
-                self.pool._collect(worker, timeout=self.heartbeat_timeout_s)
-            self.pool._request(worker, "clan_step", self._generation)
+        for worker in live:
+            send(worker, start, budget)
 
-        return self._respawn(worker, churn, respawns_used, resume, replay)
+        # a blocking wait is fine without a stop event or heartbeat; with
+        # either, wake up periodically so stops and stall detection are
+        # honoured promptly
+        wait_timeout = (
+            None
+            if stop is None and self.heartbeat_timeout_s is None
+            else 0.05
+        )
+        while active:
+            if stop is not None and stop.is_set():
+                halt()
+            for worker, status, value in self.pool.wait_any(wait_timeout):
+                last_seen[worker] = clock.perf()
+                if status == "checkpoint":
+                    self._record_checkpoint(worker, value)
+                elif status == "champion":
+                    # clans stream their *local* improvements; only
+                    # global improvements become events (this also
+                    # filters re-streamed champions from replays)
+                    if value["fitness"] > champion_best:
+                        champion_best = value["fitness"]
+                        genome = decode_genome(value["genome_wire"])
+                        event = ChampionEvent(
+                            clan_id=value["clan_id"],
+                            generation=value["generation"],
+                            genome_key=genome.key,
+                            fitness=value["fitness"],
+                            genome=genome,
+                        )
+                        stats.champions.append(event)
+                        on_champion(event)
+                elif status == "progress":
+                    if value.stats.generation <= max_done[worker]:
+                        # bit-identical replay of an already-counted
+                        # generation after a respawn
+                        continue
+                    max_done[worker] = value.stats.generation
+                    on_step(worker, value)
+                    if (
+                        threshold is not None
+                        and value.stats.best_fitness >= threshold
+                    ):
+                        stats.converged = True
+                        halt()
+                elif status == "done":
+                    if (
+                        reassign_pool > 0
+                        and not halt_sent
+                        and not stats.converged
+                    ):
+                        # inherit a lost clan's unspent budget: keep
+                        # free-running past our own end
+                        extra, reassign_pool = reassign_pool, 0
+                        clan_end[worker] = max_done[worker] + extra
+                        churn.reassigned_generations += extra
+                        send(worker, max_done[worker] + 1, extra)
+                    else:
+                        active.discard(worker)
+                elif status == "died":
+                    fail(worker)
+            if self.heartbeat_timeout_s is not None:
+                now = clock.perf()
+                for worker in sorted(active):
+                    if now - last_seen[worker] > self.heartbeat_timeout_s:
+                        # silent past the heartbeat window: presumed
+                        # hung — kill, then recover like a death
+                        self.pool.kill(worker)
+                        fail(worker)
 
     def _note_death(
         self, worker: int, churn: "ChurnStats", max_done: int
@@ -355,14 +445,11 @@ class DistributedClanRuntime:
         churn: "ChurnStats",
         respawns_used: dict[int, int],
         resume: int,
-        reissue: Callable[[], None],
     ) -> bool:
-        """Bring a dead clan back from its latest checkpoint.
-
-        ``reissue()`` re-sends the work the dead process still owed, once
-        the fresh one holds the checkpointed clan (which resumes at
-        generation ``resume``). False when the clan's respawn budget is
-        spent: it is abandoned for good instead.
+        """Bring a dead clan back from its latest checkpoint, which
+        resumes at generation ``resume``; the caller re-sends its window.
+        False when the clan's respawn budget is spent: it is abandoned
+        for good instead.
         """
         if respawns_used[worker] >= self.max_respawns:
             self._lost.add(worker)
@@ -381,7 +468,6 @@ class DistributedClanRuntime:
             worker, "clan_restore", self._checkpoints[worker]
         )
         self.pool._collect(worker, timeout=self.command_timeout_s)
-        reissue()
         churn.respawns += 1
         churn.recovery_latency_s.append(clock.perf() - started)
         obs.instant("respawn", clan=worker, resume=resume)
@@ -397,12 +483,13 @@ class DistributedClanRuntime:
         """Barrier-free execution: no per-generation pool join.
 
         Every worker free-runs its clan for up to ``max_generations``
-        local generations, streaming its step after each one; the centre
-        consumes reports as they arrive and tracks best-so-far. When any
-        report crosses the threshold the centre nudges the other clans to
-        halt after their in-flight generation — fast clans never wait for
-        stragglers, which is where this driver beats :meth:`run` on
-        heterogeneous fleets (see ``docs/asynchrony.md``).
+        local generations in one ``clan_run`` window, streaming its step
+        after each one; the centre consumes reports as they arrive and
+        tracks best-so-far. When any report crosses the threshold the
+        centre nudges the other clans to halt after their in-flight
+        generation — fast clans never wait for stragglers, which is where
+        this driver beats :meth:`run` on heterogeneous fleets (see
+        ``docs/asynchrony.md``).
 
         ``on_champion`` turns on champion streaming: clans additionally
         ship their champion genome whenever their best-ever fitness
@@ -426,15 +513,11 @@ class DistributedClanRuntime:
         ``stats.records`` stays empty: a record describes one generation
         of every clan, and here no such generation exists.
 
-        Supervision (see ``docs/fault_tolerance.md``): progress reports
-        double as heartbeats. A clan whose process dies mid-run — or goes
-        silent past ``heartbeat_timeout_s`` and is presumed hung — is
-        respawned from its latest streamed checkpoint and free-runs again
-        from there; replayed generations are bit-identical and are not
-        double-counted in the stats. After ``max_respawns`` failures the
-        clan is abandoned and its remaining generation budget handed to
-        the first surviving clan that drains its own. Churn is tallied on
-        ``stats.churn``; an undisturbed run's outputs are unchanged.
+        Supervision is :meth:`run`'s (see ``docs/fault_tolerance.md``),
+        with one addition: after ``max_respawns`` failures a clan is
+        abandoned and its remaining generation budget handed to the first
+        surviving clan that drains its own. Replayed generations are not
+        double-counted; an undisturbed run's outputs are unchanged.
         """
         threshold = (
             self.solved_threshold
@@ -443,180 +526,29 @@ class DistributedClanRuntime:
         )
         stats = RealRunStats()
         stats.per_clan_generations = [0] * self.n_clans
-        churn = stats.churn
         start = clock.perf()
         run_start = self._generation
-        stream = on_champion is not None
 
-        def run_payload(start_generation: int, budget: int) -> dict:
-            return {
-                "start_generation": start_generation,
-                "max_generations": budget,
-                "threshold": threshold,
-                "stream_champions": stream,
-                "checkpoint_period": self.checkpoint_period,
-                # workers trace (and ship span batches back) iff the
-                # driver process has an active tracer to merge them into
-                "trace": obs.current() is not None,
-            }
+        def on_step(worker: int, step: EvolutionStep) -> None:
+            stats.per_clan_generations[worker] = (
+                step.stats.generation - run_start + 1
+            )
+            stats.best_fitness = max(
+                stats.best_fitness, step.stats.best_fitness
+            )
+            stats.best_fitness_per_generation.append(stats.best_fitness)
 
-        active: set[int] = set()
-        #: highest generation number each clan has *completed and
-        #: reported* — replays after a respawn re-report the same
-        #: numbers and are filtered against this
-        max_done: dict[int, int] = {}
-        #: inclusive final generation each clan owes (grows when a lost
-        #: clan's budget is re-assigned)
-        clan_end: dict[int, int] = {}
-        respawns_used: dict[int, int] = {}
-        last_seen: dict[int, float] = {}
-        reassign_pool = 0
-        halt_sent = False
-        champion_best = float("-inf")
-
-        def send_halt_all() -> None:
-            for other in sorted(active):
-                try:
-                    self.pool.send(other, "clan_halt")
-                except WorkerDied:
-                    fail(other)
-
-        def fail(worker: int) -> None:
-            """Death handler: respawn from checkpoint or abandon."""
-            nonlocal reassign_pool
-            active.discard(worker)
-            resume = self._note_death(worker, churn, max_done[worker])
-            if halt_sent or stats.converged:
-                # winding down anyway; recovery would re-do work only to
-                # halt it again
-                return
-
-            def free_run() -> None:
-                budget = clan_end[worker] - resume + 1
-                if budget > 0:
-                    self.pool.send(
-                        worker, "clan_run", run_payload(resume, budget)
-                    )
-                    active.add(worker)
-
-            if self._respawn(worker, churn, respawns_used, resume, free_run):
-                last_seen[worker] = clock.perf()
-            else:
-                # abandoned: a survivor inherits its unspent budget
-                reassign_pool += max(
-                    0, clan_end[worker] - max(max_done[worker], resume - 1)
-                )
-
-        now = clock.perf()
-        for worker in range(self.n_clans):
-            if worker in self._lost:
-                continue
-            clan_end[worker] = run_start + max_generations - 1
-            max_done[worker] = run_start - 1
-            respawns_used[worker] = 0
-            last_seen[worker] = now
-            active.add(worker)
-            try:
-                self.pool.send(
-                    worker,
-                    "clan_run",
-                    run_payload(run_start, max_generations),
-                )
-            except WorkerDied:
-                fail(worker)
-        if not active and max_generations > 0 and not self._lost:
-            raise RuntimeError("no live clans remain (all lost to churn)")
-
-        # a blocking wait is fine without a stop event or heartbeat; with
-        # either, wake up periodically so stops and stall detection are
-        # honoured promptly
-        wait_timeout = (
-            None
-            if stop is None and self.heartbeat_timeout_s is None
-            else 0.05
+        self._run_windows(
+            stats,
+            {w: 0 for w in range(self.n_clans)},
+            max_generations,
+            on_step,
+            threshold,
+            on_champion,
+            stop,
         )
-        while active:
-            if stop is not None and stop.is_set() and not halt_sent:
-                halt_sent = True
-                send_halt_all()
-            for worker, status, value in self.pool.wait_any(wait_timeout):
-                last_seen[worker] = clock.perf()
-                if status == "checkpoint":
-                    self._record_checkpoint(worker, value)
-                elif status == "champion":
-                    # clans stream their *local* improvements; only
-                    # global improvements become events (this also
-                    # filters re-streamed champions from replays)
-                    if value["fitness"] > champion_best:
-                        champion_best = value["fitness"]
-                        genome = decode_genome(value["genome_wire"])
-                        event = ChampionEvent(
-                            clan_id=value["clan_id"],
-                            generation=value["generation"],
-                            genome_key=genome.key,
-                            fitness=value["fitness"],
-                            genome=genome,
-                        )
-                        stats.champions.append(event)
-                        if on_champion is not None:
-                            on_champion(event)
-                elif status == "progress":
-                    generation = value.stats.generation
-                    if generation <= max_done[worker]:
-                        # bit-identical replay of an already-counted
-                        # generation after a respawn
-                        continue
-                    max_done[worker] = generation
-                    stats.per_clan_generations[worker] = (
-                        generation - run_start + 1
-                    )
-                    stats.best_fitness = max(
-                        stats.best_fitness, value.stats.best_fitness
-                    )
-                    stats.best_fitness_per_generation.append(
-                        stats.best_fitness
-                    )
-                    if value.stats.best_fitness >= threshold:
-                        stats.converged = True
-                        if not halt_sent:
-                            halt_sent = True
-                            send_halt_all()
-                elif status == "done":
-                    if (
-                        reassign_pool > 0
-                        and not halt_sent
-                        and not stats.converged
-                    ):
-                        # inherit a lost clan's unspent budget: keep
-                        # free-running past our own end
-                        extra = reassign_pool
-                        reassign_pool = 0
-                        resume = max_done[worker] + 1
-                        clan_end[worker] = resume + extra - 1
-                        churn.reassigned_generations += extra
-                        try:
-                            self.pool.send(
-                                worker,
-                                "clan_run",
-                                run_payload(resume, extra),
-                            )
-                        except WorkerDied:
-                            fail(worker)
-                    else:
-                        active.discard(worker)
-                elif status == "died":
-                    fail(worker)
-            if self.heartbeat_timeout_s is not None:
-                now = clock.perf()
-                for worker in sorted(active):
-                    if now - last_seen[worker] > self.heartbeat_timeout_s:
-                        # silent past the heartbeat window: presumed
-                        # hung — kill, then recover like a death
-                        self.pool.kill(worker)
-                        fail(worker)
-
-        self._generation += max(stats.per_clan_generations, default=0)
         stats.generations = max(stats.per_clan_generations, default=0)
+        self._generation += stats.generations
         stats.wall_time_s = clock.perf() - start
         return stats
 

@@ -6,11 +6,13 @@ clans in parallel across worker processes, shipping genomes over pipes in
 the canonical 32-bit wire format of :mod:`repro.cluster.serialization` —
 the same bytes the cost model counts.
 
-Workers are long-lived (started once, fed per-generation commands) to match
-the persistent agents of the paper's testbed. Each worker hosts one clan
-(CLAN_DDA): ``clan_init`` / ``clan_restore`` seed it, ``clan_step`` runs one
-lock-step generation and ``clan_run`` free-runs generations, streaming a
-report after each one. ``ping`` and ``inject_stall`` probe liveness.
+Workers are long-lived (started once, fed commands) to match the
+persistent agents of the paper's testbed. Each worker hosts one clan
+(CLAN_DDA): ``clan_init`` / ``clan_restore`` seed it, and ``clan_run`` is
+the one command that runs generations: a window of them, streaming a
+report after each one. The barrier driver sends one-generation windows,
+the barrier-free driver long ones. ``ping`` and ``inject_stall`` probe
+liveness.
 
 Fault tolerance (``docs/fault_tolerance.md``): worker death surfaces as
 :class:`WorkerDied` (pipe EOF / liveness check) and hangs as
@@ -71,7 +73,12 @@ def ship_spans(conn, tracer) -> None:
         conn.send(("spans", spans))
 
 
-def _child_main(target, conn, slot: int, args: tuple) -> None:
+def _child_main(target, conn, slot: int, args: tuple, parent_ends) -> None:
+    # the fork copied the parent's end of every pipe in the group: held
+    # open here, they would hide the parent's close from this child and
+    # its siblings, so no child would ever read EOF
+    for end in parent_ends:
+        end.close()
     # the fork copied the parent's active tracer: whatever a child
     # recorded into that copy would never be shipped home
     obs.deactivate()
@@ -100,19 +107,27 @@ class ProcessGroup:
         self._state_lock = threading.Lock()
         #: sends to one slot may come from several threads
         self._send_locks = [threading.Lock() for _ in range(n)]
-        pipes = [self._fork(slot) for slot in range(n)]
-        self.conns = [conn for conn, _ in pipes]  # guarded-by: _state_lock
-        self.procs = [proc for _, proc in pipes]  # guarded-by: _state_lock
+        self.conns = []  # guarded-by: _state_lock
+        self.procs = []  # guarded-by: _state_lock
         #: slots whose pipe hit EOF, or marked dead by the caller
         self.dead: set[int] = set()  # guarded-by: _state_lock
         #: pipes a respawn replaced (see :meth:`respawn`)
         self._retired = []  # guarded-by: _state_lock
+        for slot in range(n):
+            conn, proc = self._fork(slot, self.conns)
+            self.conns.append(conn)
+            self.procs.append(proc)
 
-    def _fork(self, slot: int):
+    def _fork(self, slot: int, inherited: list):
+        """Start ``slot``'s process; the child closes its copies of
+        ``inherited`` (the group's parent-side ends) and of its own."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_child_main,
-            args=(self._target, child_conn, slot, self._args),
+            args=(
+                self._target, child_conn, slot, self._args,
+                [parent_conn, *inherited],
+            ),
             name=f"{self._target.__name__.strip('_')}-{slot}",
             daemon=True,
         )
@@ -195,7 +210,9 @@ class ProcessGroup:
         :meth:`close`: a concurrent :meth:`read` may be waiting on it."""
         self.mark_dead(slot)
         self.kill(slot)
-        conn, proc = self._fork(slot)
+        with self._state_lock:
+            inherited = self.conns + self._retired
+        conn, proc = self._fork(slot, inherited)
         with self._state_lock:
             self._retired.append(self.conns[slot])
             self.conns[slot] = conn
@@ -225,7 +242,7 @@ def _worker_main(
         while True:
             command, payload = conn.recv()
             if clan is None and command in (
-                "clan_checkpoint", "clan_step", "clan_run", "clan_best"
+                "clan_checkpoint", "clan_run", "clan_best"
             ):
                 raise RuntimeError(f"{command} before clan_init")
             if command == "stop":
@@ -262,13 +279,11 @@ def _worker_main(
                 conn.send(("ok", clan.last_generation))
             elif command == "clan_checkpoint":
                 conn.send(("ok", clan.checkpoint_payload()))
-            elif command == "clan_step":
-                conn.send(("ok", clan.run_generation(payload)))
             elif command == "clan_run":
-                # barrier-free driver: run generations continuously,
-                # streaming one ("progress", step) per generation; the
-                # centre never joins the pool per generation. Stops on
-                # budget, on own convergence, or on a "clan_halt" nudge.
+                # run a window of generations, streaming one ("progress",
+                # step) per generation. Stops on budget, on reaching the
+                # threshold (None: the barrier driver checks it on the
+                # folded record instead), or on a "clan_halt" nudge.
                 start = payload["start_generation"]
                 budget = payload["max_generations"]
                 threshold = payload["threshold"]
@@ -282,9 +297,10 @@ def _worker_main(
                 # champion genome whenever its best-ever fitness improves,
                 # so the centre can hot-swap a deployed policy mid-run
                 stream_champions = payload.get("stream_champions", False)
-                # stream a full clan checkpoint every K completed
-                # generations (0 = never) — the supervisor's respawn
-                # source when this process dies or stalls
+                # stream a full clan checkpoint after generation g iff
+                # (g + 1) % K == 0 (K = 0: never), however the driver
+                # splits generations into windows — the supervisor's
+                # respawn source when this process dies or stalls
                 checkpoint_period = payload.get("checkpoint_period", 0)
                 ran = 0
                 stopping = False
@@ -316,12 +332,18 @@ def _worker_main(
                         conn.send(("champion", champion))
                     conn.send(("progress", step))
                     ship_spans(conn, clan_tracer)
-                    if checkpoint_period and ran % checkpoint_period == 0:
+                    if (
+                        checkpoint_period
+                        and (generation + 1) % checkpoint_period == 0
+                    ):
                         # after the progress report, so the checkpoint
                         # never describes a generation the centre has not
                         # been told about
                         conn.send(("checkpoint", clan.checkpoint_payload()))
-                    if step.stats.best_fitness >= threshold:
+                    if (
+                        threshold is not None
+                        and step.stats.best_fitness >= threshold
+                    ):
                         break
                 if not stopping:
                     ship_spans(conn, clan_tracer)
@@ -343,6 +365,8 @@ def _worker_main(
                 )
             else:
                 raise ValueError(f"unknown command {command!r}")
+    except EOFError:
+        pass  # the parent closed the pipe: nobody is left to serve
     except Exception:  # pragma: no cover - surfaced to the parent
         conn.send(("error", traceback.format_exc()))
 
@@ -354,7 +378,10 @@ class WorkerPool:
 
         with WorkerPool(2, "CartPole-v0", config) as pool:
             checkpoints = pool.broadcast("clan_init", payloads)
-            steps = pool.broadcast("clan_step", [0, 0])
+            window = {"start_generation": 0, "max_generations": 1,
+                      "threshold": None}
+            pool.send(0, "clan_run", window)  # streams progress, done
+            reports = pool.wait_any()
     """
 
     def __init__(

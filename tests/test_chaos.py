@@ -39,6 +39,13 @@ class TestFault:
         with pytest.raises(ValueError, match="not supported"):
             Fault(action="duplicate", scope="registry", kind="publish")
 
+    def test_kinds_nothing_sends_are_rejected(self):
+        # a fault on a retired command (or a typo) could never fire
+        with pytest.raises(ValueError, match="known: .*clan_run"):
+            Fault(action="kill", scope="worker", kind="clan_step")
+        with pytest.raises(ValueError, match="known: infer, publish"):
+            Fault(action="kill", scope="replica", kind="infr")
+
     def test_stall_and_delay_need_a_duration(self):
         with pytest.raises(ValueError, match="duration"):
             Fault(action="stall", scope="worker")
@@ -53,7 +60,7 @@ class TestFault:
         assert not fault.matches("replica", 1, "infer")
         assert not fault.matches("worker", 1, "publish")
         anywhere = Fault(action="kill", scope="worker")
-        assert anywhere.matches("worker", 3, "clan_step")
+        assert anywhere.matches("worker", 3, "clan_run")
 
     def test_dict_roundtrip_rejects_unknown_fields(self):
         fault = Fault(action="kill", scope="worker", target=2, at=3)
@@ -91,10 +98,10 @@ class TestFaultPlan:
 class TestParseFaultSpec:
     def test_full_spec(self):
         fault = parse_fault_spec(
-            "kill,scope=worker,target=1,kind=clan_step,at=3"
+            "kill,scope=worker,target=1,kind=clan_run,at=3"
         )
         assert fault == Fault(
-            action="kill", scope="worker", target=1, kind="clan_step", at=3
+            action="kill", scope="worker", target=1, kind="clan_run", at=3
         )
 
     def test_value_field(self):
@@ -127,7 +134,7 @@ class TestChaosInjector:
                     action="drop",
                     scope="worker",
                     target=1,
-                    kind="clan_step",
+                    kind="clan_run",
                     at=2,
                 ),
             )
@@ -135,13 +142,13 @@ class TestChaosInjector:
         injector = ChaosInjector(plan)
         # first matching event passes; events for other targets/kinds
         # are not counted at all
-        assert injector.on_event("worker", 1, "clan_step") is PASS
-        assert injector.on_event("worker", 0, "clan_step") is PASS
+        assert injector.on_event("worker", 1, "clan_run") is PASS
+        assert injector.on_event("worker", 0, "clan_run") is PASS
         assert injector.on_event("worker", 1, "clan_init") is PASS
-        decision = injector.on_event("worker", 1, "clan_step")
+        decision = injector.on_event("worker", 1, "clan_run")
         assert decision.deliveries == 0
         # one-shot: the third matching event passes again
-        assert injector.on_event("worker", 1, "clan_step") is PASS
+        assert injector.on_event("worker", 1, "clan_run") is PASS
         assert injector.injected_counts() == {"drop": 1}
         assert injector.faults_fired == 1
         assert injector.faults_pending == 0
@@ -229,7 +236,7 @@ class TestLearnDeterminism:
                     action="kill",
                     scope="worker",
                     target=1,
-                    kind="clan_step",
+                    kind="clan_run",
                     at=2,
                 ),
             )
@@ -250,6 +257,56 @@ class TestLearnDeterminism:
         assert encode_genome(best2) == encode_genome(best)
 
 
+class RecordingInjector(ChaosInjector):
+    """An injector that also records every (scope, kind) it is shown."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.seen = set()
+
+    def on_event(self, scope, target, kind):
+        self.seen.add((scope, kind))
+        return super().on_event(scope, target, kind)
+
+
+class TestWorkerVocabulary:
+    def test_both_drivers_send_only_declared_kinds(self):
+        injector = RecordingInjector(
+            FaultPlan(
+                faults=(
+                    Fault(
+                        action="kill",
+                        scope="worker",
+                        target=0,
+                        kind="clan_run",
+                        at=1,
+                    ),
+                )
+            )
+        )
+        with DistributedClanRuntime(
+            "CartPole-v0",
+            n_clans=2,
+            config=CHAOS_CONFIG,
+            seed=8,
+            respawn_backoff_s=0.0,
+            chaos=injector,
+        ) as runtime:
+            runtime.run(max_generations=1, fitness_threshold=1e9)
+            # a threshold every report crosses: the centre sends halts
+            runtime.run_async(max_generations=2, fitness_threshold=0.0)
+            runtime.best_genome()
+        assert {
+            ("worker", "clan_init"),
+            ("worker", "clan_restore"),
+            ("worker", "clan_run"),
+            ("worker", "clan_halt"),
+            ("worker", "clan_best"),
+        } <= injector.seen
+        for scope, kind in injector.seen:
+            Fault(action="kill", scope=scope, kind=kind)  # declared
+
+
 class TestLearnRunner:
     def test_outcome_shape_and_replayability(self):
         plan = FaultPlan(
@@ -258,7 +315,7 @@ class TestLearnRunner:
                     action="kill",
                     scope="worker",
                     target=0,
-                    kind="clan_step",
+                    kind="clan_run",
                     at=1,
                 ),
             )

@@ -833,7 +833,7 @@ class TestChaosCommand:
                 "--generations", "2",
                 "--seed", "4",
                 "--fault",
-                "kill,scope=worker,target=0,kind=clan_step,at=1",
+                "kill,scope=worker,target=0,kind=clan_run,at=1",
                 "--json", str(report),
             ]
         )
@@ -857,7 +857,7 @@ class TestChaosCommand:
             faults=(
                 Fault(
                     action="kill", scope="worker", target=0,
-                    kind="clan_step", at=1,
+                    kind="clan_run", at=1,
                 ),
             ),
         ).save(plan_path)
@@ -887,7 +887,7 @@ class TestChaosCommand:
                 "--generations", "1",
                 "--seed", "4",
                 "--fault",
-                "kill,scope=worker,target=0,kind=clan_step,at=99",
+                "kill,scope=worker,target=0,kind=clan_run,at=99",
             ]
         )
         out = capsys.readouterr().out

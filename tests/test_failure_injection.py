@@ -105,8 +105,8 @@ class TestWorkerFailures:
 
     def test_clan_step_before_init_surfaces(self, config):
         with WorkerPool(1, "CartPole-v0", config) as pool:
-            pool._request(0, "clan_step", 0)
-            with pytest.raises(RuntimeError, match="clan_step"):
+            pool._request(0, "clan_run", None)
+            with pytest.raises(RuntimeError, match="clan_run before"):
                 pool._collect(0)
 
     @pytest.mark.parametrize(

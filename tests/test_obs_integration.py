@@ -132,6 +132,27 @@ class TestCrossProcessMerge:
                 ]
                 assert gens == [0, 1, 2]
 
+    def test_barrier_run_merges_worker_spans_too(self, config):
+        """Barrier generations are one-generation clan_run windows, so a
+        traced barrier run gets the same per-clan tracks."""
+        tracer = Tracer(track="driver")
+        obs.activate(tracer)
+        with DistributedClanRuntime(
+            "CartPole-v0", n_clans=2, config=config, seed=8
+        ) as runtime:
+            runtime.run(max_generations=2, fitness_threshold=1e9)
+        events = tracer.events()
+        for clan in range(2):
+            gens = [
+                e.args["gen"]
+                for e in events
+                if e.track == f"clan:{clan}" and e.name == "evaluate"
+            ]
+            assert gens == [0, 1]
+        assert [
+            e.args["gen"] for e in events if e.name == "generation"
+        ] == [0, 1]
+
     def test_untraced_run_ships_no_spans(self, config):
         assert obs.current() is None
         with DistributedClanRuntime(

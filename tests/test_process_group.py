@@ -149,6 +149,43 @@ class TestGroupUnderConcurrency:
         assert multiprocessing.active_children() == []
 
 
+def _block_in_recv(conn, slot):
+    """Child target: wait for a message that never comes; exit on EOF."""
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+
+
+class TestChildrenSeeEof:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closing_the_parent_ends_stops_every_child(self, n):
+        # each fork copies every parent-side end the group holds: its
+        # own, its siblings' and (after a respawn) retired ones. A child
+        # that kept any of them would hold some slot's pipe open
+        group = transport.ProcessGroup(n, _block_in_recv)
+        group.respawn(0)
+        procs = list(group.procs)
+        for conn in group.conns + group._retired:
+            conn.close()
+        for proc in procs:
+            proc.join(timeout=5)
+        exitcodes = [proc.exitcode for proc in procs]
+        group.close()
+        assert exitcodes == [0] * n
+
+    def test_a_clan_worker_exits_cleanly_on_eof(self):
+        pool = transport.WorkerPool(
+            1, "CartPole-v0", NEATConfig.for_env("CartPole-v0", pop_size=12)
+        )
+        proc = pool._procs[0]
+        pool._group.conns[0].close()  # the parent goes without a stop
+        proc.join(timeout=5)
+        exitcode = proc.exitcode
+        pool.shutdown()
+        assert exitcode == 0
+
+
 #: calls that fork, make pipes, wait on pipes or merge span batches
 PROCESS_CALLS = {"Process", "Pipe", "get_context", "absorb"}
 
