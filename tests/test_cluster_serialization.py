@@ -1,5 +1,7 @@
 """Tests for the genome wire format."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster.serialization import (
@@ -16,6 +18,7 @@ from repro.cluster.serialization import (
 from repro.neat.config import NEATConfig
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome
+from repro.neat.population import Population
 
 from tests.conftest import make_evolved_genome
 
@@ -111,6 +114,42 @@ class TestBatch:
         data = encode_genomes([genome]) + b"\x00"
         with pytest.raises(ValueError, match="trailing"):
             decode_genomes(data)
+
+
+def mixed_batch() -> list[Genome]:
+    """Newborns and evolved genomes, with and without a fitness."""
+    config = NEATConfig.for_env("LunarLander-v2", pop_size=6)
+    batch = list(Population(config, seed=4).genomes.values())
+    batch += [
+        make_evolved_genome(config, seed=s, mutations=40, key=100 + s)
+        for s in range(3)
+    ]
+    for i, genome in enumerate(batch):
+        genome.fitness = None if i % 3 == 0 else i / 7.0
+    return batch
+
+
+class TestBatchCodecPinned:
+    """The batch codec's bytes are canonical and fixed: a digest taken
+    from the per-gene codec pins them."""
+
+    BATCH_SHA256 = (
+        "126a45a377bb2a67e1359c53da68c6ae63be92c34ee20cae3fbdd70c9a7b6818"
+    )
+
+    def test_encoding_is_pinned(self):
+        wire = encode_genomes(mixed_batch())
+        assert hashlib.sha256(wire).hexdigest() == self.BATCH_SHA256
+
+    def test_round_trip_equal_and_reencodes_identically(self):
+        batch = mixed_batch()
+        wire = encode_genomes(batch)
+        decoded = decode_genomes(wire)
+        assert len(decoded) == len(batch)
+        for original, copy in zip(batch, decoded):
+            assert genomes_equal(original, copy)
+            assert encode_genome(copy) == encode_genome(original)
+        assert encode_genomes(decoded) == wire
 
 
 class TestValidation:

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from repro.neat.config import NEATConfig
+from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome, creates_cycle
 from repro.neat.innovation import InnovationTracker
+from repro.neat.population import Population
+from repro.utils.rng import RngFactory
 
 from tests.conftest import make_evolved_genome
 
@@ -66,6 +69,108 @@ class TestConstruction:
         first.weight += 10.0
         original = genome.connections[first.key]
         assert original.weight != first.weight
+
+
+def per_gene_birth(key: int, config: NEATConfig, rng) -> Genome:
+    """The reference birth: one ``random`` gene constructor per gene.
+
+    Node genes first (bias, then response, per output key), then one
+    weight per connection in (input, output) order.
+    """
+    genome = Genome(key)
+    for out_key in config.output_keys:
+        genome.nodes[out_key] = NodeGene.random(out_key, config, rng)
+    if config.initial_connection == "full":
+        for in_key in config.input_keys:
+            for out_key in config.output_keys:
+                conn_key = (in_key, out_key)
+                genome.connections[conn_key] = ConnectionGene.random(
+                    conn_key, config, rng
+                )
+    return genome
+
+
+def assert_same_genes(actual: Genome, expected: Genome) -> None:
+    assert actual.key == expected.key
+    # insertion order too: it is what a newborn's dict iteration yields
+    assert list(actual.nodes) == list(expected.nodes)
+    assert list(actual.connections) == list(expected.connections)
+    for key, gene in expected.nodes.items():
+        assert actual.nodes[key] == gene
+    for key, gene in expected.connections.items():
+        assert actual.connections[key] == gene
+        assert type(actual.connections[key].key[0]) is int
+
+
+#: CartPole, LunarLander and Airraid make an even number of Gaussian
+#: draws per birth; 3 inputs x 1 output makes 2 + 3 = 5, so
+#: ``random.gauss`` is left holding its cached second value
+BIRTH_CONFIGS = {
+    "cartpole": NEATConfig.for_env("CartPole-v0"),
+    "lunarlander": NEATConfig.for_env("LunarLander-v2"),
+    "airraid": NEATConfig.for_env("Airraid-ram-v0"),
+    "odd-draws": NEATConfig(num_inputs=3, num_outputs=1),
+    "unconnected": NEATConfig(
+        num_inputs=5, num_outputs=3, initial_connection="none"
+    ),
+}
+
+
+class TestBirthExactness:
+    """``configure_new`` is draw-for-draw the per-gene reference: same
+    genes, same dict order, and the same RNG state afterwards (callers
+    such as serving-champion construction keep drawing on it)."""
+
+    @pytest.mark.parametrize("name", sorted(BIRTH_CONFIGS))
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_matches_per_gene_birth(self, name, primed):
+        config = BIRTH_CONFIGS[name]
+        reference_rng, rng = random.Random(17), random.Random(17)
+        if primed:
+            # a pending cached Gaussian must be the first one consumed
+            reference_rng.gauss(0.0, 1.0)
+            rng.gauss(0.0, 1.0)
+        expected = per_gene_birth(5, config, reference_rng)
+        genome = Genome(5)
+        genome.configure_new(config, rng)
+        assert_same_genes(genome, expected)
+        assert rng.getstate() == reference_rng.getstate()
+        # and the stream goes on identically
+        assert rng.gauss(0.0, 1.0) == reference_rng.gauss(0.0, 1.0)
+
+    def test_odd_draw_count_leaves_a_cached_gaussian(self):
+        rng = random.Random(3)
+        Genome(0).configure_new(BIRTH_CONFIGS["odd-draws"], rng)
+        assert rng.getstate()[2] is not None
+
+    @pytest.mark.parametrize("name", ["cartpole", "odd-draws", "unconnected"])
+    def test_population_matches_per_gene_birth(self, name):
+        config = BIRTH_CONFIGS[name].evolve_with(pop_size=12)
+        population = Population(config, seed=8)
+        rngs = RngFactory(8)
+        assert list(population.genomes) == list(range(12))
+        for key, genome in population.genomes.items():
+            expected = per_gene_birth(
+                key, config, rngs.get(f"genome-init:{key}")
+            )
+            assert_same_genes(genome, expected)
+
+    def test_clamps_like_new_float(self):
+        config = NEATConfig(
+            num_inputs=6,
+            num_outputs=4,
+            weight_init_stdev=5.0,
+            weight_min=-1.0,
+            weight_max=1.0,
+            bias_init_stdev=5.0,
+            bias_min=-0.5,
+            bias_max=0.5,
+        )
+        genome = Genome(0)
+        genome.configure_new(config, random.Random(2))
+        assert_same_genes(genome, per_gene_birth(0, config, random.Random(2)))
+        weights = {g.weight for g in genome.connections.values()}
+        assert {-1.0, 1.0} <= weights
 
 
 class TestMutations:
