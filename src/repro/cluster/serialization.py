@@ -24,7 +24,7 @@ import struct
 from repro.neat.activations import ACTIVATIONS
 from repro.neat.aggregations import AGGREGATIONS
 from repro.neat.genes import ConnectionGene, NodeGene
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, collector_paused
 from repro.neat.network import BatchedPlan, LayerPlan, _require_numpy
 
 try:  # numpy is only needed for the batched-plan codec below
@@ -37,12 +37,13 @@ WORD_BYTES = 4
 #: accounted words in the genome header
 HEADER_WORDS = 4
 
-_HEADER_FMT = "<idii"
-_NODE_FMT = "<iddii"
-_CONN_FMT = "<iidi"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
-_NODE_SIZE = struct.calcsize(_NODE_FMT)
-_CONN_SIZE = struct.calcsize(_CONN_FMT)
+_HEADER = struct.Struct("<idii")
+_NODE = struct.Struct("<iddii")
+_CONN = struct.Struct("<iidi")
+_WORD = struct.Struct("<i")
+_HEADER_SIZE = _HEADER.size
+_NODE_SIZE = _NODE.size
+_CONN_SIZE = _CONN.size
 
 _ACTIVATION_IDS = {name: i for i, name in enumerate(sorted(ACTIVATIONS))}
 _ACTIVATION_NAMES = {i: name for name, i in _ACTIVATION_IDS.items()}
@@ -82,100 +83,134 @@ def genome_stream_bytes(genome: Genome) -> int:
 def encode_genome(genome: Genome) -> bytes:
     """Serialise a genome to its canonical byte stream."""
     fitness = genome.fitness if genome.fitness is not None else math.nan
-    parts = [
-        struct.pack(
-            _HEADER_FMT,
-            genome.key,
-            fitness,
-            len(genome.nodes),
-            len(genome.connections),
+    nodes = genome.nodes
+    conns = genome.connections
+    activation_ids = _ACTIVATION_IDS
+    aggregation_ids = _AGGREGATION_IDS
+    pack_node = _NODE.pack
+    pack_conn = _CONN.pack
+    # one precompiled record pack per gene: a pack per block would need
+    # a format per genome size, and sizes vary too much to cache them
+    parts = [_HEADER.pack(genome.key, fitness, len(nodes), len(conns))]
+    parts += [
+        pack_node(
+            node.key,
+            node.bias,
+            node.response,
+            activation_ids[node.activation],
+            aggregation_ids[node.aggregation],
         )
+        for node in map(nodes.__getitem__, sorted(nodes))
     ]
-    for key in sorted(genome.nodes):
-        node = genome.nodes[key]
-        parts.append(
-            struct.pack(
-                _NODE_FMT,
-                node.key,
-                node.bias,
-                node.response,
-                _ACTIVATION_IDS[node.activation],
-                _AGGREGATION_IDS[node.aggregation],
-            )
+    parts += [
+        pack_conn(
+            conn.key[0], conn.key[1], conn.weight, 1 if conn.enabled else 0
         )
-    for key in sorted(genome.connections):
-        conn = genome.connections[key]
-        parts.append(
-            struct.pack(
-                _CONN_FMT,
-                conn.key[0],
-                conn.key[1],
-                conn.weight,
-                1 if conn.enabled else 0,
-            )
-        )
+        for conn in map(conns.__getitem__, sorted(conns))
+    ]
     return b"".join(parts)
 
 
-def decode_genome(data: bytes) -> Genome:
-    """Reconstruct a genome from :func:`encode_genome` output."""
+def _columns(record: struct.Struct, block, fields: int) -> list[tuple]:
+    """A block of packed records as one tuple per field."""
+    return list(zip(*record.iter_unpack(block))) or [()] * fields
+
+
+def _decode_genome(data, keys: dict) -> Genome:
+    """Decode one genome stream; ``keys`` interns connection key tuples
+    (one dict per batch)."""
     if len(data) < _HEADER_SIZE:
         raise ValueError("genome byte stream shorter than header")
-    key, fitness, n_nodes, n_conns = struct.unpack_from(_HEADER_FMT, data, 0)
+    key, fitness, n_nodes, n_conns = _HEADER.unpack_from(data, 0)
     expected = _HEADER_SIZE + _NODE_SIZE * n_nodes + _CONN_SIZE * n_conns
-    if len(data) != expected:
+    if len(data) != expected or n_nodes < 0 or n_conns < 0:
         raise ValueError(
             f"genome byte stream length {len(data)} != expected {expected}"
         )
     genome = Genome(key)
     genome.fitness = None if math.isnan(fitness) else fitness
-    offset = _HEADER_SIZE
-    for _ in range(n_nodes):
-        node_key, bias, response, act_id, agg_id = struct.unpack_from(
-            _NODE_FMT, data, offset
+    view = memoryview(data)
+    nodes_end = _HEADER_SIZE + _NODE_SIZE * n_nodes
+    node_keys, biases, responses, act_ids, agg_ids = _columns(
+        _NODE, view[_HEADER_SIZE:nodes_end], 5
+    )
+    try:
+        activations = [_ACTIVATION_NAMES[i] for i in act_ids]
+        aggregations = [_AGGREGATION_NAMES[i] for i in agg_ids]
+    except KeyError:
+        bad = next(
+            node_key
+            for node_key, act_id, agg_id in zip(node_keys, act_ids, agg_ids)
+            if act_id not in _ACTIVATION_NAMES
+            or agg_id not in _AGGREGATION_NAMES
         )
-        offset += _NODE_SIZE
-        try:
-            activation = _ACTIVATION_NAMES[act_id]
-            aggregation = _AGGREGATION_NAMES[agg_id]
-        except KeyError:
-            raise ValueError(
-                f"unknown activation/aggregation id in node {node_key}"
-            ) from None
-        genome.nodes[node_key] = NodeGene(
-            node_key, bias, response, activation, aggregation
-        )
-    for _ in range(n_conns):
-        in_key, out_key, weight, enabled = struct.unpack_from(
-            _CONN_FMT, data, offset
-        )
-        offset += _CONN_SIZE
-        genome.connections[(in_key, out_key)] = ConnectionGene(
-            (in_key, out_key), weight, bool(enabled)
-        )
+        raise ValueError(
+            f"unknown activation/aggregation id in node {bad}"
+        ) from None
+    genome.nodes = NodeGene.from_columns(
+        node_keys, biases, responses, activations, aggregations
+    )
+    in_keys, out_keys, weights, flags = _columns(_CONN, view[nodes_end:], 4)
+    pairs = list(zip(in_keys, out_keys))
+    genome.connections = ConnectionGene.from_columns(
+        list(map(keys.setdefault, pairs, pairs)), weights, map(bool, flags)
+    )
     return genome
+
+
+def decode_genome(data: bytes) -> Genome:
+    """Reconstruct a genome from :func:`encode_genome` output."""
+    return _decode_genome(data, {})
 
 
 def encode_genomes(genomes: list[Genome]) -> bytes:
     """Serialise a batch: a count word followed by length-prefixed genomes."""
-    parts = [struct.pack("<i", len(genomes))]
+    parts = [_WORD.pack(len(genomes))]
     for genome in genomes:
         payload = encode_genome(genome)
-        parts.append(struct.pack("<i", len(payload)))
+        parts.append(_WORD.pack(len(payload)))
         parts.append(payload)
     return b"".join(parts)
 
 
 def decode_genomes(data: bytes) -> list[Genome]:
-    """Inverse of :func:`encode_genomes`."""
-    (count,) = struct.unpack_from("<i", data, 0)
+    """Inverse of :func:`encode_genomes`.
+
+    Connection key tuples are interned across the batch: equal keys in
+    different genomes are one tuple. A truncated or overstated batch
+    raises ``ValueError`` naming the offset where it ran out.
+    """
+    if len(data) < WORD_BYTES:
+        raise ValueError(
+            f"genome batch truncated at offset 0: no count word "
+            f"({len(data)} bytes)"
+        )
+    (count,) = _WORD.unpack_from(data, 0)
+    if count < 0:
+        raise ValueError(f"genome batch count {count} at offset 0 < 0")
     offset = WORD_BYTES
+    view = memoryview(data)
     genomes = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<i", data, offset)
-        offset += WORD_BYTES
-        genomes.append(decode_genome(data[offset: offset + length]))
-        offset += length
+    keys: dict[tuple[int, int], tuple[int, int]] = {}
+    with collector_paused():
+        for index in range(count):
+            if offset + WORD_BYTES > len(data):
+                raise ValueError(
+                    f"genome batch truncated at offset {offset}: length "
+                    f"word of genome {index} of {count} missing"
+                )
+            (length,) = _WORD.unpack_from(data, offset)
+            offset += WORD_BYTES
+            if length < 0 or offset + length > len(data):
+                raise ValueError(
+                    f"genome batch truncated at offset {offset}: genome "
+                    f"{index} of {count} needs {length} bytes, "
+                    f"{len(data) - offset} left"
+                )
+            genomes.append(
+                _decode_genome(view[offset: offset + length], keys)
+            )
+            offset += length
     if offset != len(data):
         raise ValueError("trailing bytes after genome batch")
     return genomes

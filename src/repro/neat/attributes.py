@@ -19,6 +19,7 @@ Two families share one parameter scheme (:func:`float_mutation_params`):
 from __future__ import annotations
 
 import random
+from math import cos, log, pi, sin, sqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -37,6 +38,56 @@ def new_float(
 ) -> float:
     """Draw a fresh attribute value from a clamped Gaussian."""
     return clamp(rng.gauss(mean, stdev), low, high)
+
+
+def gaussians(rng: random.Random, count: int) -> list[float]:
+    """``count`` standard normals, drawn exactly as ``count`` successive
+    ``rng.gauss(0.0, 1.0)`` calls draw them.
+
+    Replays ``random.Random.gauss``'s Box-Muller pairs inline (two
+    ``random()`` draws give a cos/sin pair; a pending ``gauss_next`` is
+    consumed first and an odd count leaves one pending), so both the
+    values and ``rng``'s state afterwards match the one-call-at-a-time
+    stream. ``mean + z * stdev`` on each value is then bit-for-bit what
+    ``rng.gauss(mean, stdev)`` returns.
+    """
+    if type(rng).gauss is not random.Random.gauss:
+        # a subclass with its own gauss: draw through it
+        gauss = rng.gauss
+        return [gauss(0.0, 1.0) for _ in range(count)]
+    normals: list[float] = []
+    if count <= 0:
+        return normals
+    draw = rng.random
+    if rng.gauss_next is not None:
+        normals.append(rng.gauss_next)
+        count -= 1
+    rng.gauss_next = None
+    two_pi = 2.0 * pi
+    for _ in range(count >> 1):
+        x2pi = draw() * two_pi
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        normals += (cos(x2pi) * g2rad, sin(x2pi) * g2rad)
+    if count & 1:
+        x2pi = draw() * two_pi
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        normals.append(cos(x2pi) * g2rad)
+        rng.gauss_next = sin(x2pi) * g2rad
+    return normals
+
+
+def new_floats(
+    normals, mean: float, stdev: float, low: float, high: float
+) -> list[float]:
+    """:func:`new_float` over a column of :func:`gaussians` draws."""
+    values = []
+    append = values.append
+    for z in normals:
+        value = mean + z * stdev
+        # strictly inside the bounds ``clamp`` returns ``value`` itself;
+        # anything else (a bound, beyond it, NaN) goes through clamp
+        append(value if low < value < high else clamp(value, low, high))
+    return values
 
 
 def mutate_float(

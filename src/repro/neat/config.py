@@ -12,12 +12,38 @@ workloads here share these defaults (only input/output sizes change, via
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from repro.neat.activations import ACTIVATIONS
 from repro.neat.aggregations import AGGREGATIONS
 
 #: genetics engines accepted by :attr:`NEATConfig.genetics`
 GENETICS_ENGINES = ("scalar", "vectorized")
+
+
+# Key layouts are built once per problem shape and shared: every genome
+# born from a config holds these very tuples (and their int objects) as
+# its gene keys, instead of a fresh copy per gene.
+@cache
+def _input_keys(num_inputs: int) -> tuple[int, ...]:
+    return tuple(-(i + 1) for i in range(num_inputs))
+
+
+@cache
+def _output_keys(num_outputs: int) -> tuple[int, ...]:
+    return tuple(range(num_outputs))
+
+
+@cache
+def _full_connection_keys(
+    num_inputs: int, num_outputs: int
+) -> tuple[tuple[int, int], ...]:
+    outputs = _output_keys(num_outputs)
+    return tuple(
+        (in_key, out_key)
+        for in_key in _input_keys(num_inputs)
+        for out_key in outputs
+    )
 
 
 @dataclass
@@ -171,9 +197,18 @@ class NEATConfig:
     @property
     def input_keys(self) -> tuple[int, ...]:
         """Node keys reserved for inputs: -1, -2, ... (neat-python scheme)."""
-        return tuple(-(i + 1) for i in range(self.num_inputs))
+        return _input_keys(self.num_inputs)
 
     @property
     def output_keys(self) -> tuple[int, ...]:
         """Node keys reserved for outputs: 0 .. num_outputs - 1."""
-        return tuple(range(self.num_outputs))
+        return _output_keys(self.num_outputs)
+
+    @property
+    def initial_connection_keys(self) -> tuple[tuple[int, int], ...]:
+        """A newborn genome's connection keys, in birth draw order:
+        every (input, output) pair, input-major, for ``"full"``;
+        none for ``"none"``."""
+        if self.initial_connection == "full":
+            return _full_connection_keys(self.num_inputs, self.num_outputs)
+        return ()

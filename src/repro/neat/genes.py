@@ -11,7 +11,8 @@ cost accounting in :mod:`repro.core.costs` and serialisation in
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.neat.attributes import mutate_bool, mutate_float, new_float
 
@@ -50,6 +51,41 @@ class NodeGene:
         self.response = response
         self.activation = activation
         self.aggregation = aggregation
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: Sequence[int],
+        biases: Iterable[float],
+        responses: Iterable[float],
+        activations: Iterable[str],
+        aggregations: Iterable[str],
+    ) -> dict[int, "NodeGene"]:
+        """Node genes built in bulk from attribute columns, keyed and
+        ordered as ``keys``.
+
+        The construction-from-nothing twin of ``__init__`` (population
+        birth, the wire codec): keys are validated once per block and
+        each gene is made with ``__new__`` plus attribute stores.
+        """
+        if keys and min(keys) < 0:
+            bad = next(key for key in keys if key < 0)
+            raise ValueError(
+                f"node gene key must be >= 0 (inputs are implicit), got {bad}"
+            )
+        new = cls.__new__
+        genes = {}
+        for key, bias, response, activation, aggregation in zip(
+            keys, biases, responses, activations, aggregations
+        ):
+            gene = new(cls)
+            gene.key = key
+            gene.bias = bias
+            gene.response = response
+            gene.activation = activation
+            gene.aggregation = aggregation
+            genes[key] = gene
+        return genes
 
     @classmethod
     def random(
@@ -176,6 +212,9 @@ class NodeGene:
         )
 
 
+_OUT_KEY = itemgetter(1)
+
+
 class ConnectionGene:
     """A synapse: weight and enabled flag, keyed by (input, output) node."""
 
@@ -198,6 +237,36 @@ class ConnectionGene:
         self.key = (int(in_node), int(out_node))
         self.weight = weight
         self.enabled = enabled
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: Sequence[tuple[int, int]],
+        weights: Iterable[float],
+        enabled: Iterable[bool],
+    ) -> dict[tuple[int, int], "ConnectionGene"]:
+        """Connection genes built in bulk from columns, keyed and ordered
+        as ``keys`` (see :meth:`NodeGene.from_columns`).
+
+        ``keys`` must already be ``(int, int)`` tuples; each gene stores
+        its key tuple itself, so callers that pass shared tuples (a
+        config's key layout, a decoded batch's interned keys) get genes
+        that share them.
+        """
+        if keys and min(map(_OUT_KEY, keys)) < 0:
+            bad = next(key for key in keys if key[1] < 0)
+            raise ValueError(
+                f"connection cannot end at an input node: {bad}"
+            )
+        new = cls.__new__
+        genes = {}
+        for key, weight, on in zip(keys, weights, enabled):
+            gene = new(cls)
+            gene.key = key
+            gene.weight = weight
+            gene.enabled = on
+            genes[key] = gene
+        return genes
 
     @classmethod
     def random(

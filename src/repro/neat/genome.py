@@ -13,9 +13,13 @@ policies); structural mutation refuses to create cycles.
 
 from __future__ import annotations
 
+import gc
 import random
-from typing import TYPE_CHECKING, Iterable
+from contextlib import contextmanager
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.neat.attributes import gaussians, new_floats
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.innovation import InnovationTracker
 
@@ -51,6 +55,26 @@ def creates_cycle(
     return False
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while genomes are built from
+    nothing, then restore the caller's collector state.
+
+    Genes, their dicts and their key tuples form no reference cycles,
+    yet a population's worth of them triggers several full collections
+    that find nothing. Use it only around construction from nothing
+    (population birth, batch decode), never inside a generation: the
+    collections it defers would then run outside every traced span.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class Genome:
     """One member of the population: nodes + connections + fitness."""
 
@@ -65,16 +89,47 @@ class Genome:
     # -- construction -------------------------------------------------------
 
     def configure_new(self, config: "NEATConfig", rng: random.Random) -> None:
-        """Initialise a minimal genome per ``config.initial_connection``."""
-        for key in config.output_keys:
-            self.nodes[key] = NodeGene.random(key, config, rng)
-        if config.initial_connection == "full":
-            for in_key in config.input_keys:
-                for out_key in config.output_keys:
-                    conn_key = (in_key, out_key)
-                    self.connections[conn_key] = ConnectionGene.random(
-                        conn_key, config, rng
-                    )
+        """Initialise a minimal genome per ``config.initial_connection``.
+
+        Draw-for-draw the per-gene birth: bias then response per output
+        node, then one weight per connection in (input, output) order,
+        each a clamped ``rng.gauss`` (see ``docs/genetics.md``). The
+        connection keys are the config's shared key tuples.
+        """
+        output_keys = config.output_keys
+        conn_keys = config.initial_connection_keys
+        n_node_draws = 2 * len(output_keys)
+        normals = gaussians(rng, n_node_draws + len(conn_keys))
+        self.nodes = NodeGene.from_columns(
+            output_keys,
+            new_floats(
+                normals[0:n_node_draws:2],
+                config.bias_init_mean,
+                config.bias_init_stdev,
+                config.bias_min,
+                config.bias_max,
+            ),
+            new_floats(
+                normals[1:n_node_draws:2],
+                config.response_init_mean,
+                config.response_init_stdev,
+                config.response_min,
+                config.response_max,
+            ),
+            repeat(config.default_activation),
+            repeat(config.default_aggregation),
+        )
+        self.connections = ConnectionGene.from_columns(
+            conn_keys,
+            new_floats(
+                normals[n_node_draws:],
+                config.weight_init_mean,
+                config.weight_init_stdev,
+                config.weight_min,
+                config.weight_max,
+            ),
+            repeat(True),
+        )
 
     def copy(self, new_key: int | None = None) -> "Genome":
         """Deep copy; fitness is *not* carried over unless key is kept."""
@@ -237,7 +292,7 @@ class Genome:
         self, config: "NEATConfig", rng: random.Random
     ) -> bool:
         """Remove a random hidden node and its incident connections."""
-        output_keys = config.output_keys  # a tuple built per access
+        output_keys = config.output_keys
         hidden = [k for k in self.nodes if k not in output_keys]
         if not hidden:
             return False

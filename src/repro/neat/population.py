@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, collector_paused
 from repro.neat.innovation import InnovationTracker
 from repro.neat.reproduction import (
     brood_rng,
@@ -114,12 +114,13 @@ class Population:
         self.n_clans = n_clans
         if members is None:
             members = []
-            for key in range(config.pop_size):
-                genome = Genome(key)
-                genome.configure_new(
-                    config, self.rngs.get(f"genome-init:{key}")
-                )
-                members.append(genome)
+            with collector_paused():
+                for key in range(config.pop_size):
+                    genome = Genome(key)
+                    genome.configure_new(
+                        config, self.rngs.get(f"genome-init:{key}")
+                    )
+                    members.append(genome)
         else:
             members = list(members)
             config = config.evolve_with(pop_size=len(members))

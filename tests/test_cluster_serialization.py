@@ -151,6 +151,61 @@ class TestBatchCodecPinned:
             assert encode_genome(copy) == encode_genome(original)
         assert encode_genomes(decoded) == wire
 
+    def test_keys_interned_within_a_batch(self):
+        config = NEATConfig.for_env("CartPole-v0", pop_size=4)
+        decoded = decode_genomes(
+            encode_genomes(list(Population(config, seed=1).genomes.values()))
+        )
+        first, *rest = decoded
+        for genome in rest:
+            for key, gene in genome.connections.items():
+                assert key is gene.key
+                assert gene.key is first.connections[key].key
+
+
+class TestMalformedBatch:
+    """A malformed batch raises ``ValueError`` naming the offset, never
+    a bare ``struct.error``."""
+
+    @pytest.fixture
+    def wire(self, config, rng):
+        batch = []
+        for key in range(3):
+            genome = Genome(key)
+            genome.configure_new(config, rng)
+            batch.append(genome)
+        return encode_genomes(batch)
+
+    def test_truncated_count_word(self, wire):
+        with pytest.raises(ValueError, match="offset 0"):
+            decode_genomes(wire[:2])
+
+    def test_truncated_length_word(self, wire):
+        first = WORD_BYTES + int.from_bytes(wire[4:8], "little") + 4
+        with pytest.raises(ValueError, match=f"offset {first}"):
+            decode_genomes(wire[:first + 2])
+
+    def test_overstated_count(self, wire):
+        data = (2**31 - 1).to_bytes(4, "little") + wire[4:]
+        with pytest.raises(ValueError, match=f"offset {len(wire)}"):
+            decode_genomes(data)
+
+    def test_negative_count(self, wire):
+        data = (-1).to_bytes(4, "little", signed=True) + wire[4:]
+        with pytest.raises(ValueError, match="offset 0"):
+            decode_genomes(data)
+
+    def test_overstated_length(self, wire):
+        data = (10**6).to_bytes(4, "little") + wire[8:]
+        data = wire[:4] + data
+        with pytest.raises(ValueError, match="offset 8"):
+            decode_genomes(data)
+
+    def test_every_prefix_rejected(self, wire):
+        for cut in range(len(wire)):
+            with pytest.raises(ValueError):
+                decode_genomes(wire[:cut])
+
 
 class TestValidation:
     def test_truncated_stream_rejected(self, config, rng):
@@ -163,6 +218,42 @@ class TestValidation:
     def test_short_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             decode_genome(b"\x00" * 4)
+
+    def test_negative_gene_counts_rejected(self, config, rng):
+        # counts that cancel out to the right length are still refused
+        genome = Genome(0)
+        genome.configure_new(config, rng)
+        data = bytearray(encode_genome(genome))
+        n_conns = len(genome.connections)
+        data[12:16] = (-5).to_bytes(4, "little", signed=True)
+        data[16:20] = (n_conns + 7).to_bytes(4, "little")
+        with pytest.raises(ValueError, match="length"):
+            decode_genome(bytes(data[:20 + 20 * n_conns]))
+
+    def test_negative_node_key_rejected(self, config, rng):
+        genome = Genome(0)
+        genome.configure_new(config, rng)
+        data = bytearray(encode_genome(genome))
+        data[20:24] = (-3).to_bytes(4, "little", signed=True)
+        with pytest.raises(ValueError, match="inputs are implicit"):
+            decode_genome(bytes(data))
+
+    def test_connection_into_an_input_rejected(self, config, rng):
+        genome = Genome(0)
+        genome.configure_new(config, rng)
+        data = bytearray(encode_genome(genome))
+        out_key = 20 + 28 * len(genome.nodes) + 4
+        data[out_key:out_key + 4] = (-2).to_bytes(4, "little", signed=True)
+        with pytest.raises(ValueError, match="cannot end at an input"):
+            decode_genome(bytes(data))
+
+    def test_unknown_aggregation_id_rejected(self, config, rng):
+        genome = Genome(0)
+        genome.configure_new(config, rng)
+        data = bytearray(encode_genome(genome))
+        data[20 + 24:20 + 28] = (999).to_bytes(4, "little")
+        with pytest.raises(ValueError, match="aggregation id in node 0"):
+            decode_genome(bytes(data))
 
 
 class TestAccounting:

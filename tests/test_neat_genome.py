@@ -155,6 +155,16 @@ class TestBirthExactness:
             )
             assert_same_genes(genome, expected)
 
+    def test_population_shares_key_tuples(self):
+        config = BIRTH_CONFIGS["lunarlander"].evolve_with(pop_size=3)
+        first, second, _ = Population(config, seed=1).genomes.values()
+        for key, gene in first.connections.items():
+            other = second.connections[key]
+            assert gene.key is key
+            assert other.key is gene.key
+        assert config.input_keys is config.input_keys
+        assert config.output_keys is config.output_keys
+
     def test_clamps_like_new_float(self):
         config = NEATConfig(
             num_inputs=6,

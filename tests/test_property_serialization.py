@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +76,27 @@ class TestRoundTripProperties:
         assert len(decoded) == len(batch)
         for original, copy in zip(batch, decoded):
             assert encode_genome(original) == encode_genome(copy)
+
+
+class TestMalformedBatchProperties:
+    """Any prefix of a batch, or a batch whose count word has one bit
+    flipped, raises ``ValueError`` and nothing else."""
+
+    @given(st.lists(genome_strategy(), min_size=3, max_size=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_prefix_raises_value_error(self, batch, data):
+        wire = encode_genomes(batch)
+        cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
+        with pytest.raises(ValueError):
+            decode_genomes(wire[:cut])
+
+    @given(
+        st.lists(genome_strategy(), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_flipped_count_raises_value_error(self, batch, bit):
+        wire = bytearray(encode_genomes(batch))
+        wire[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ValueError):
+            decode_genomes(bytes(wire))
