@@ -44,7 +44,6 @@ from repro.obs.tracer import (
     Tracer,
     activate,
     current,
-    current_stack,
     deactivate,
     instant,
     span,
@@ -57,7 +56,6 @@ __all__ = [
     "Tracer",
     "activate",
     "current",
-    "current_stack",
     "deactivate",
     "instant",
     "span",

@@ -303,8 +303,3 @@ def instant(name: str, *, track: str | None = None, **args: Any) -> None:
     if tracer is None or not tracer.enabled:
         return
     tracer.instant(name, track=track, **args)
-
-
-def current_stack() -> tuple[str, ...]:
-    """Names of the spans enclosing the caller (outermost first)."""
-    return _STACK.get()

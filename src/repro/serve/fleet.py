@@ -69,7 +69,6 @@ and infer send paths for replayable fault scenarios.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 import threading
 import time
@@ -1140,8 +1139,3 @@ class ServingFleet:
     @property
     def live_replicas(self) -> list[int]:
         return [h.id for h in self._live]
-
-
-def default_replicas() -> int:
-    """A sensible replica count for this host: one per core, capped."""
-    return max(1, min(4, os.cpu_count() or 1))
