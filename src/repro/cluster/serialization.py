@@ -85,29 +85,34 @@ def encode_genome(genome: Genome) -> bytes:
     fitness = genome.fitness if genome.fitness is not None else math.nan
     nodes = genome.nodes
     conns = genome.connections
-    activation_ids = _ACTIVATION_IDS
-    aggregation_ids = _AGGREGATION_IDS
-    pack_node = _NODE.pack
-    pack_conn = _CONN.pack
-    # one precompiled record pack per gene: a pack per block would need
-    # a format per genome size, and sizes vary too much to cache them
+    # one precompiled record struct per gene family: a single pack per
+    # block would need a format per genome size, and sizes vary too much
+    # for struct's format cache
     parts = [_HEADER.pack(genome.key, fitness, len(nodes), len(conns))]
-    parts += [
-        pack_node(
-            node.key,
-            node.bias,
-            node.response,
-            activation_ids[node.activation],
-            aggregation_ids[node.aggregation],
+    append = parts.append
+    pack = _NODE.pack
+    for key in sorted(nodes):
+        node = nodes[key]
+        append(
+            pack(
+                node.key,
+                node.bias,
+                node.response,
+                _ACTIVATION_IDS[node.activation],
+                _AGGREGATION_IDS[node.aggregation],
+            )
         )
-        for node in map(nodes.__getitem__, sorted(nodes))
-    ]
-    parts += [
-        pack_conn(
-            conn.key[0], conn.key[1], conn.weight, 1 if conn.enabled else 0
+    pack = _CONN.pack
+    for key in sorted(conns):
+        conn = conns[key]
+        append(
+            pack(
+                conn.key[0],
+                conn.key[1],
+                conn.weight,
+                1 if conn.enabled else 0,
+            )
         )
-        for conn in map(conns.__getitem__, sorted(conns))
-    ]
     return b"".join(parts)
 
 
