@@ -192,7 +192,7 @@ def decode_genomes(data: bytes) -> list[Genome]:
         )
     (count,) = _WORD.unpack_from(data, 0)
     if count < 0:
-        raise ValueError(f"genome batch count {count} at offset 0 < 0")
+        raise ValueError(f"genome batch count at offset 0 is {count} < 0")
     offset = WORD_BYTES
     view = memoryview(data)
     genomes = []

@@ -51,28 +51,19 @@ def gaussians(rng: random.Random, count: int) -> list[float]:
     stream. ``mean + z * stdev`` on each value is then bit-for-bit what
     ``rng.gauss(mean, stdev)`` returns.
     """
-    if type(rng).gauss is not random.Random.gauss:
-        # a subclass with its own gauss: draw through it
-        gauss = rng.gauss
-        return [gauss(0.0, 1.0) for _ in range(count)]
     normals: list[float] = []
-    if count <= 0:
-        return normals
-    draw = rng.random
-    if rng.gauss_next is not None:
+    if count > 0 and rng.gauss_next is not None:
         normals.append(rng.gauss_next)
+        rng.gauss_next = None
         count -= 1
-    rng.gauss_next = None
+    draw = rng.random
     two_pi = 2.0 * pi
-    for _ in range(count >> 1):
+    for _ in range((count + 1) >> 1):
         x2pi = draw() * two_pi
         g2rad = sqrt(-2.0 * log(1.0 - draw()))
         normals += (cos(x2pi) * g2rad, sin(x2pi) * g2rad)
     if count & 1:
-        x2pi = draw() * two_pi
-        g2rad = sqrt(-2.0 * log(1.0 - draw()))
-        normals.append(cos(x2pi) * g2rad)
-        rng.gauss_next = sin(x2pi) * g2rad
+        rng.gauss_next = normals.pop()
     return normals
 
 
