@@ -196,15 +196,9 @@ class TestMalformedBatch:
             decode_genomes(data)
 
     def test_overstated_length(self, wire):
-        data = (10**6).to_bytes(4, "little") + wire[8:]
-        data = wire[:4] + data
+        data = wire[:4] + (10**6).to_bytes(4, "little") + wire[8:]
         with pytest.raises(ValueError, match="offset 8"):
             decode_genomes(data)
-
-    def test_every_prefix_rejected(self, wire):
-        for cut in range(len(wire)):
-            with pytest.raises(ValueError):
-                decode_genomes(wire[:cut])
 
 
 class TestValidation:

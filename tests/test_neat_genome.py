@@ -113,6 +113,17 @@ BIRTH_CONFIGS = {
     "unconnected": NEATConfig(
         num_inputs=5, num_outputs=3, initial_connection="none"
     ),
+    # wide init distributions against narrow bounds: many draws clamp
+    "clamped": NEATConfig(
+        num_inputs=6,
+        num_outputs=4,
+        weight_init_stdev=5.0,
+        weight_min=-1.0,
+        weight_max=1.0,
+        bias_init_stdev=5.0,
+        bias_min=-0.5,
+        bias_max=0.5,
+    ),
 }
 
 
@@ -165,20 +176,9 @@ class TestBirthExactness:
         assert config.input_keys is config.input_keys
         assert config.output_keys is config.output_keys
 
-    def test_clamps_like_new_float(self):
-        config = NEATConfig(
-            num_inputs=6,
-            num_outputs=4,
-            weight_init_stdev=5.0,
-            weight_min=-1.0,
-            weight_max=1.0,
-            bias_init_stdev=5.0,
-            bias_min=-0.5,
-            bias_max=0.5,
-        )
+    def test_clamped_config_reaches_its_bounds(self):
         genome = Genome(0)
-        genome.configure_new(config, random.Random(2))
-        assert_same_genes(genome, per_gene_birth(0, config, random.Random(2)))
+        genome.configure_new(BIRTH_CONFIGS["clamped"], random.Random(17))
         weights = {g.weight for g in genome.connections.values()}
         assert {-1.0, 1.0} <= weights
 
