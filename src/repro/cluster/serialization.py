@@ -235,10 +235,24 @@ def decode_genomes(data: bytes) -> list[Genome]:
 #: v2 stores layer weights sparsely (nonzero (slot, weight) pairs per row)
 _PLAN_MAGIC = 0x42500002
 
-_PLAN_HEADER_FMT = "<iiiii"
-_PLAN_HEADER_SIZE = struct.calcsize(_PLAN_HEADER_FMT)
-_LAYER_HEADER_FMT = "<iii"
-_LAYER_HEADER_SIZE = struct.calcsize(_LAYER_HEADER_FMT)
+_PLAN_HEADER = struct.Struct("<iiiii")
+_TRIPLE = struct.Struct("<iii")
+_PAIR = struct.Struct("<ii")
+_ITEM_BYTES = {"<i4": 4, "<f8": 8}
+
+
+def _unpack(record: struct.Struct, data, offset: int) -> tuple:
+    """``record`` at ``offset`` (counts, ids and rows: none negative);
+    ``ValueError`` when one is, or the stream ends first."""
+    if offset + record.size > len(data):
+        raise ValueError(
+            f"plan byte stream truncated at offset {offset}: "
+            f"{record.size} bytes needed, {len(data) - offset} left"
+        )
+    fields = record.unpack_from(data, offset)
+    if min(fields) < 0:
+        raise ValueError(f"negative plan field at offset {offset}")
+    return fields
 
 
 def _read_array(data: bytes, offset: int, dtype: str, count: int):
@@ -246,6 +260,12 @@ def _read_array(data: bytes, offset: int, dtype: str, count: int):
 
     The slice is copied so decoded plans own writable, aligned arrays.
     """
+    size = _ITEM_BYTES[dtype]
+    if count < 0 or offset + count * size > len(data):
+        raise ValueError(
+            f"plan byte stream truncated at offset {offset}: {count} "
+            f"items of {size} bytes, {len(data) - offset} bytes left"
+        )
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
     return arr.copy(), offset + arr.nbytes
 
@@ -256,8 +276,7 @@ def encode_batched_plan(plan: BatchedPlan) -> bytes:
     n_inputs = len(plan.input_keys)
     n_outputs = len(plan.output_keys)
     parts = [
-        struct.pack(
-            _PLAN_HEADER_FMT,
+        _PLAN_HEADER.pack(
             _PLAN_MAGIC,
             n_inputs,
             n_outputs,
@@ -270,8 +289,7 @@ def encode_batched_plan(plan: BatchedPlan) -> bytes:
     ]
     for layer in plan.layers:
         parts.append(
-            struct.pack(
-                _LAYER_HEADER_FMT,
+            _TRIPLE.pack(
                 len(layer.node_slots),
                 len(layer.act_groups),
                 len(layer.generic_nodes),
@@ -286,62 +304,63 @@ def encode_batched_plan(plan: BatchedPlan) -> bytes:
         # keeping decoded outputs bit-exact.
         for row in range(len(layer.node_slots)):
             (cols,) = np.nonzero(layer.weights[row])
-            parts.append(struct.pack("<i", len(cols)))
+            parts.append(_WORD.pack(len(cols)))
             parts.append(cols.astype("<i4").tobytes())
             parts.append(layer.weights[row, cols].astype("<f8").tobytes())
         for name, rows in layer.act_groups:
-            parts.append(
-                struct.pack("<ii", _ACTIVATION_IDS[name], len(rows))
-            )
+            parts.append(_PAIR.pack(_ACTIVATION_IDS[name], len(rows)))
             parts.append(rows.astype("<i4").tobytes())
         for row, aggregation, src_slots, link_weights in layer.generic_nodes:
-            parts.append(
-                struct.pack(
-                    "<iii",
-                    row,
-                    _AGGREGATION_IDS[aggregation],
-                    len(src_slots),
-                )
-            )
+            agg_id = _AGGREGATION_IDS[aggregation]
+            parts.append(_TRIPLE.pack(row, agg_id, len(src_slots)))
             parts.append(src_slots.astype("<i4").tobytes())
             parts.append(link_weights.astype("<f8").tobytes())
     return b"".join(parts)
 
 
 def decode_batched_plan(data: bytes) -> BatchedPlan:
-    """Reconstruct a plan from :func:`encode_batched_plan` output."""
+    """Reconstruct a plan from :func:`encode_batched_plan` output.
+
+    A truncated or inconsistent stream raises ``ValueError`` naming the
+    offset, never a bare ``struct.error`` or a huge allocation.
+    """
     _require_numpy()
-    if len(data) < _PLAN_HEADER_SIZE:
+    if len(data) < _PLAN_HEADER.size:
         raise ValueError("plan byte stream shorter than header")
-    magic, n_inputs, n_outputs, total_slots, n_layers = struct.unpack_from(
-        _PLAN_HEADER_FMT, data, 0
-    )
-    if magic != _PLAN_MAGIC:
+    if (magic := _PLAN_HEADER.unpack_from(data, 0)[0]) != _PLAN_MAGIC:
         raise ValueError(f"bad plan magic {magic:#x}")
-    offset = _PLAN_HEADER_SIZE
+    _, n_inputs, n_outputs, total_slots, n_layers = _unpack(
+        _PLAN_HEADER, data, 0
+    )
+    # every slot costs the stream at least one 4-byte word
+    if total_slots > len(data) // WORD_BYTES:
+        raise ValueError(
+            f"plan names {total_slots} slots in {len(data)} bytes"
+        )
+    offset = _PLAN_HEADER.size
     input_keys, offset = _read_array(data, offset, "<i4", n_inputs)
     output_keys, offset = _read_array(data, offset, "<i4", n_outputs)
     output_slots, offset = _read_array(data, offset, "<i4", n_outputs)
     layers: list[LayerPlan] = []
     for _ in range(n_layers):
-        n_nodes, n_act_groups, n_generic = struct.unpack_from(
-            _LAYER_HEADER_FMT, data, offset
-        )
-        offset += _LAYER_HEADER_SIZE
+        n_nodes, n_act_groups, n_generic = _unpack(_TRIPLE, data, offset)
+        offset += _TRIPLE.size
         node_slots, offset = _read_array(data, offset, "<i4", n_nodes)
         bias, offset = _read_array(data, offset, "<f8", n_nodes)
         response, offset = _read_array(data, offset, "<f8", n_nodes)
         weights = np.zeros((n_nodes, total_slots), dtype=np.float64)
         for row in range(n_nodes):
-            (n_links,) = struct.unpack_from("<i", data, offset)
+            (n_links,) = _unpack(_WORD, data, offset)
             offset += WORD_BYTES
             cols, offset = _read_array(data, offset, "<i4", n_links)
             row_weights, offset = _read_array(data, offset, "<f8", n_links)
+            if n_links and not 0 <= cols.min() <= cols.max() < total_slots:
+                raise ValueError(f"link slot out of range before {offset}")
             weights[row, cols] = row_weights
         act_groups = []
         for _ in range(n_act_groups):
-            act_id, n_rows = struct.unpack_from("<ii", data, offset)
-            offset += 2 * WORD_BYTES
+            act_id, n_rows = _unpack(_PAIR, data, offset)
+            offset += _PAIR.size
             rows, offset = _read_array(data, offset, "<i4", n_rows)
             try:
                 act_groups.append((_ACTIVATION_NAMES[act_id], rows))
@@ -349,10 +368,15 @@ def decode_batched_plan(data: bytes) -> BatchedPlan:
                 raise ValueError(
                     f"unknown activation id {act_id} in plan"
                 ) from None
+        if sum(len(rows) for _, rows in act_groups) != n_nodes:
+            raise ValueError(
+                f"activation groups before offset {offset} do not "
+                f"cover the layer's {n_nodes} nodes"
+            )
         generic_nodes = []
         for _ in range(n_generic):
-            row, agg_id, fan_in = struct.unpack_from("<iii", data, offset)
-            offset += 3 * WORD_BYTES
+            row, agg_id, fan_in = _unpack(_TRIPLE, data, offset)
+            offset += _TRIPLE.size
             src_slots, offset = _read_array(data, offset, "<i4", fan_in)
             link_weights, offset = _read_array(data, offset, "<f8", fan_in)
             try:
@@ -374,6 +398,11 @@ def decode_batched_plan(data: bytes) -> BatchedPlan:
         )
     if offset != len(data):
         raise ValueError("trailing bytes after plan stream")
+    if total_slots != n_inputs + sum(len(layer.bias) for layer in layers):
+        raise ValueError(
+            f"plan names {total_slots} slots, its inputs and layers fill "
+            f"{n_inputs + sum(len(layer.bias) for layer in layers)}"
+        )
     return BatchedPlan(
         input_keys=tuple(int(key) for key in input_keys),
         output_keys=tuple(int(key) for key in output_keys),
@@ -381,3 +410,32 @@ def decode_batched_plan(data: bytes) -> BatchedPlan:
         output_slots=output_slots,
         layers=layers,
     )
+
+
+# -- serving chunks -----------------------------------------------------------
+#
+# The serving fleet's request path crosses the pipe as raw column frames,
+# not pickles: ``(chunk id, rows, columns)``, then one row-major matrix —
+# float64 observations one way, int64 (action, version, size) answers back.
+
+_CHUNK = struct.Struct("<qii")
+
+
+def encode_chunk(chunk_id: int, matrix, dtype: str) -> bytes:
+    """One chunk of rows as a raw column frame, its cells as ``dtype``
+    (``"<f8"`` or ``"<i8"``)."""
+    matrix = np.asarray(matrix, dtype=dtype)
+    return _CHUNK.pack(chunk_id, *matrix.shape) + matrix.tobytes()
+
+
+def decode_chunk(data: bytes, dtype: str):
+    """Inverse of :func:`encode_chunk`: ``(chunk_id, matrix)``; the
+    matrix is a read-only view of ``data``."""
+    if len(data) < _CHUNK.size:
+        raise ValueError("chunk frame shorter than its header")
+    chunk_id, rows, cols = _CHUNK.unpack_from(data, 0)
+    cells = len(data) - _CHUNK.size
+    if min(rows, cols) < 0 or rows * cols * 8 != cells:
+        raise ValueError(f"chunk frame of {rows}x{cols} has {cells} bytes")
+    matrix = np.frombuffer(data, dtype, rows * cols, _CHUNK.size)
+    return chunk_id, matrix.reshape(rows, cols)

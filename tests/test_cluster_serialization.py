@@ -1,14 +1,17 @@
 """Tests for the genome wire format."""
 
 import hashlib
+import struct
 
 import pytest
 
 from repro.cluster.serialization import (
     HEADER_WORDS,
     WORD_BYTES,
+    decode_batched_plan,
     decode_genome,
     decode_genomes,
+    encode_batched_plan,
     encode_genome,
     encode_genomes,
     genome_stream_bytes,
@@ -18,6 +21,7 @@ from repro.cluster.serialization import (
 from repro.neat.config import NEATConfig
 from repro.neat.genes import ConnectionGene, NodeGene
 from repro.neat.genome import Genome
+from repro.neat.network import compile_batched
 from repro.neat.population import Population
 
 from tests.conftest import make_evolved_genome
@@ -199,6 +203,29 @@ class TestMalformedBatch:
         data = wire[:4] + (10**6).to_bytes(4, "little") + wire[8:]
         with pytest.raises(ValueError, match="offset 8"):
             decode_genomes(data)
+
+
+class TestMalformedPlan:
+    """A truncated compiled plan raises ``ValueError`` naming the offset,
+    never a bare ``struct.error``: serving replicas decode plans straight
+    off the wire."""
+
+    @pytest.fixture
+    def wire(self):
+        config = NEATConfig.for_env("CartPole-v0", pop_size=8)
+        genome = make_evolved_genome(config, seed=3, mutations=120, key=1)
+        return encode_batched_plan(compile_batched(genome, config))
+
+    def test_every_truncation_raises_value_error(self, wire):
+        for cut in range(len(wire)):
+            with pytest.raises(ValueError):
+                decode_batched_plan(wire[:cut])
+
+    def test_a_cut_layer_header_names_its_offset(self, wire):
+        n_inputs, n_outputs = struct.unpack_from("<ii", wire, 4)
+        first_layer = 20 + 4 * (n_inputs + 2 * n_outputs)
+        with pytest.raises(ValueError, match=f"offset {first_layer}"):
+            decode_batched_plan(wire[:first_layer + 6])
 
 
 class TestValidation:

@@ -2,13 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
+    decode_batched_plan,
     decode_genome,
     decode_genomes,
+    encode_batched_plan,
     encode_genome,
     encode_genomes,
     genome_stream_bytes,
@@ -17,6 +20,7 @@ from repro.cluster.serialization import (
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.innovation import InnovationTracker
+from repro.neat.network import compile_batched
 
 CONFIG = NEATConfig(num_inputs=4, num_outputs=3, pop_size=10)
 
@@ -100,3 +104,47 @@ class TestMalformedBatchProperties:
         wire[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(ValueError):
             decode_genomes(bytes(wire))
+
+
+def _count_offsets(plan) -> list[int]:
+    """Byte offsets of every count word in ``encode_batched_plan(plan)``."""
+    offsets = [4, 8, 12, 16]  # inputs, outputs, slots, layers
+    offset = 20 + 4 * (len(plan.input_keys) + 2 * len(plan.output_keys))
+    for layer in plan.layers:
+        offsets += [offset, offset + 4, offset + 8]  # nodes, groups, generic
+        offset += 12 + 20 * len(layer.node_slots)
+        for row in layer.weights:
+            offsets.append(offset)  # links of one row
+            offset += 4 + 12 * int(np.count_nonzero(row))
+        for _, rows in layer.act_groups:
+            offsets.append(offset + 4)  # rows of one activation group
+            offset += 8 + 4 * len(rows)
+        for _, _, src_slots, _ in layer.generic_nodes:
+            offsets.append(offset + 8)  # fan-in of one generic node
+            offset += 12 + 12 * len(src_slots)
+    assert offset == len(encode_batched_plan(plan))
+    return offsets
+
+
+class TestPlanDecodeIsTotal:
+    """Whatever a damaged plan stream holds, decoding it raises
+    ``ValueError`` and nothing else."""
+
+    @given(genome_strategy())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_every_prefix_raises_value_error(self, genome):
+        wire = encode_batched_plan(compile_batched(genome, CONFIG))
+        for cut in range(len(wire)):
+            with pytest.raises(ValueError):
+                decode_batched_plan(wire[:cut])
+
+    @given(genome_strategy(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_one_flipped_count_bit_raises_value_error(self, genome, data):
+        plan = compile_batched(genome, CONFIG)
+        offset = data.draw(st.sampled_from(_count_offsets(plan)))
+        bit = data.draw(st.integers(min_value=0, max_value=31))
+        wire = bytearray(encode_batched_plan(plan))
+        wire[offset + bit // 8] ^= 1 << bit % 8
+        with pytest.raises(ValueError):
+            decode_batched_plan(bytes(wire))
