@@ -25,12 +25,18 @@ one layer up in :class:`repro.cluster.runtime.DistributedClanRuntime`.
 Both process tiers — these clans and the serving replicas of
 :mod:`repro.serve.fleet` — run on one :class:`ProcessGroup` (fork,
 pipes, reader, kill, respawn, reaping); :class:`WorkerPool` is the
-clan protocol on top of it.
+clan protocol on top of it. Clans are read with :meth:`ProcessGroup.read`,
+replicas through a :class:`Channel` on the event loop at each end.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing as mp
+import os
+import pickle
+import socket
+import struct
 import threading
 import time
 import traceback
@@ -73,6 +79,106 @@ def ship_spans(conn, tracer) -> None:
         conn.send(("spans", spans))
 
 
+#: a frame's header: body bytes, kind-name bytes, and 1 when the body
+#: is a raw ``bytes`` value rather than a pickled one
+_FRAME = struct.Struct("<IBB")
+
+
+def encode_frame(message) -> bytes:
+    """One ``(kind, value)`` message as a length-prefixed frame: header,
+    kind name, then the value — as is when it is ``bytes`` (a raw column
+    frame, see :mod:`repro.cluster.serialization`), pickled otherwise."""
+    kind, value = message
+    raw = type(value) is bytes
+    name = kind.encode()
+    body = value if raw else pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    return _FRAME.pack(len(body), len(name), raw) + name + body
+
+
+class Channel(asyncio.Protocol):
+    """One pipe as framed ``(kind, value)`` messages on an event loop.
+
+    ``on_message(kind, value)`` gets each message as it arrives —
+    ``"spans"`` are absorbed into the active tracer instead — and then
+    exactly one ``("died", None)`` at EOF or a broken pipe, unless the
+    channel was closed or retired first. All of it runs on the loop.
+
+    Back-pressure: :meth:`send` never blocks and never raises. What the
+    pipe cannot take yet waits in the transport's buffer, so two ends
+    that both write a lot cannot deadlock; the protocol on top bounds
+    what it leaves in flight (``docs/serving.md``). A send on a closed
+    channel is dropped: its death is, or was, reported.
+    """
+
+    def __init__(self, sock, on_message):
+        self.sock = sock
+        self.transport = None
+        self._on_message = on_message
+        self._partial = b""
+        #: set once the death is reported, or must never be
+        self._silent = False
+        self._lost = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._lost = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
+        if self._partial:
+            data = self._partial + data
+        offset, end = 0, len(data)
+        while end - offset >= _FRAME.size:
+            size, name_size, raw = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size + name_size
+            if start + size > end:
+                break  # the rest of this frame is still on its way
+            kind = str(data[offset + _FRAME.size:start], "ascii")
+            value = data[start:start + size]
+            offset = start + size
+            if not raw:
+                value = pickle.loads(value)
+            if kind != "spans":
+                self._on_message(kind, value)
+            elif (tracer := obs.current()) is not None:
+                tracer.absorb(value)
+        self._partial = data[offset:]
+
+    def connection_lost(self, exc) -> None:
+        self._lost.set_result(None)
+        if not self._silent:
+            self._silent = True
+            self._on_message("died", None)
+
+    def send(self, message) -> None:
+        """Queue one ``(kind, value)`` message (see the class doc)."""
+        if not self.transport.is_closing():
+            self.transport.write(encode_frame(message))
+
+    def retire(self) -> None:
+        """Report nothing from now on (any thread): the pipe is retired."""
+        self._silent = True
+
+    def close(self) -> asyncio.Future:
+        """Stop reading, flush what is buffered, then close the pipe;
+        the returned future resolves once it is closed. Reports no
+        death."""
+        self._silent = True
+        self.transport.close()
+        return self._lost
+
+
+async def open_channel(conn, on_message) -> Channel:
+    """``conn``'s pipe as a :class:`Channel` on the running loop (a
+    child's end; :meth:`ProcessGroup.attach` is the parent's). It uses a
+    non-blocking duplicate of the descriptor: ``conn`` is done with."""
+    sock = socket.socket(fileno=os.dup(conn.fileno()))
+    channel = Channel(sock, on_message)
+    await asyncio.get_running_loop().connect_accepted_socket(
+        lambda: channel, sock
+    )
+    return channel
+
+
 def _child_main(target, conn, slot: int, args: tuple, parent_ends) -> None:
     # the fork copied the parent's end of every pipe in the group: held
     # open here, they would hide the parent's close from this child and
@@ -94,8 +200,10 @@ class ProcessGroup:
     Slot ``i`` runs ``target(conn, i, *args)`` and starts untraced. The
     group holds the process mechanics both tiers share, and no protocol.
     A slot whose pipe hits EOF is *dead*: :meth:`read` skips it until
-    :meth:`respawn` replaces its process. Span batches that children
-    send with :func:`ship_spans` are absorbed here and nowhere else.
+    :meth:`respawn` replaces its process. A slot can instead be driven
+    by a :class:`Channel` on an event loop (:meth:`attach`). Span
+    batches that children send with :func:`ship_spans` are absorbed
+    here and nowhere else.
     """
 
     def __init__(self, n: int, target, args: tuple = ()):
@@ -113,6 +221,9 @@ class ProcessGroup:
         self.dead: set[int] = set()  # guarded-by: _state_lock
         #: pipes a respawn replaced (see :meth:`respawn`)
         self._retired = []  # guarded-by: _state_lock
+        #: ``(slot, channel)`` per attach, retired ones too: each fork
+        #: closes its copies of their sockets, like the pipe ends
+        self._channels = []  # guarded-by: _state_lock
         for slot in range(n):
             conn, proc = self._fork(slot, self.conns)
             self.conns.append(conn)
@@ -134,6 +245,18 @@ class ProcessGroup:
         proc.start()
         child_conn.close()
         return parent_conn, proc
+
+    async def attach(self, slot: int, on_message) -> Channel:
+        """Run ``slot``'s pipe as a :class:`Channel` on the running loop,
+        and from then on only through it; close the channel, on its
+        loop, before :meth:`close`. A :meth:`respawn` retires it: the
+        new pipe needs an attach of its own."""
+        with self._state_lock:
+            conn = self.conns[slot]
+        channel = await open_channel(conn, on_message)
+        with self._state_lock:
+            self._channels.append((slot, channel))
+        return channel
 
     def send(self, slot: int, message) -> None:
         """Send to ``slot``; ``OSError`` when its pipe broke."""
@@ -207,11 +330,17 @@ class ProcessGroup:
     def respawn(self, slot: int) -> None:
         """Replace ``slot``'s process (killed if still running) with a
         fresh fork. The old pipe reports no death and stays open until
-        :meth:`close`: a concurrent :meth:`read` may be waiting on it."""
+        :meth:`close`: a concurrent :meth:`read` may be waiting on it. An
+        attached channel is retired, and closes at the old EOF."""
         self.mark_dead(slot)
+        with self._state_lock:
+            for attached, channel in self._channels:
+                if attached == slot:
+                    channel.retire()
         self.kill(slot)
         with self._state_lock:
             inherited = self.conns + self._retired
+            inherited += [channel.sock for _, channel in self._channels]
         conn, proc = self._fork(slot, inherited)
         with self._state_lock:
             self._retired.append(self.conns[slot])

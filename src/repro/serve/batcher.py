@@ -217,7 +217,14 @@ class MicroBatcher:
         )
 
     async def submit_block(self, observations) -> ServedBlock:
-        """Queue a ``(k, n_inputs)`` block; resolves with its answer.
+        """Queue a ``(k, n_inputs)`` block; resolves with its answer
+        (see :meth:`enqueue_block`)."""
+        return await self.enqueue_block(observations)
+
+    def enqueue_block(self, observations) -> asyncio.Future:
+        """Queue a ``(k, n_inputs)`` block now; the future of its
+        answer, a :class:`ServedBlock` — await it, or answer from its
+        done-callback with no task at all (a fleet replica does).
 
         Rows are accepted while the pending queue has room: the head of
         the block that fits is queued and answered, the tail is shed
@@ -228,8 +235,9 @@ class MicroBatcher:
         rows = np.asarray(observations, dtype=np.float64)
         future = self._enqueue(rows)
         if future is None:
-            return ServedBlock(rows[:0], None, 0.0)
-        return await future
+            future = asyncio.get_running_loop().create_future()
+            future.set_result(ServedBlock(rows[:0], None, 0.0))
+        return future
 
     def _enqueue(self, rows) -> asyncio.Future | None:
         """Queue the head of ``rows`` that fits under ``max_pending``

@@ -17,17 +17,20 @@ propagation is monotone: once a replica acks seq ``s`` it can never
 serve a deployment older than ``s`` — even across a rollback, which
 lowers the champion *version* but still raises the *seq*.
 
-The request path is block-native on both sides of the pipe. The parent
-keeps one waiter — ``(observation, future, submitted_at, retries)`` —
-per request and forwards each replica's backlog in chunks; a chunk
-crosses the pipe as ``("infer", (chunk_id, observations))`` with
-``observations`` one ``(k, n_inputs)`` float64 matrix. The replica feeds
-the matrix to its micro-batcher as *one block* (one future, no
-per-request task or object; see :mod:`repro.serve.batcher`) and replies
-``("answers", (chunk_id, status, accepted, actions, versions, sizes))``
-— three ``(accepted,)`` integer arrays, one entry per answered row —
-which the parent fans out to the waiting futures in order. Rows past
-``accepted`` were shed by the replica's pending queue.
+The request path is block-native on both sides of the pipe, and each
+end runs its pipe on its event loop as a :class:`~repro.cluster
+.transport.Channel`: no reader thread, no queue, no task per message.
+The parent keeps one waiter — ``(observation, future, submitted_at,
+retries)`` — per request and forwards each replica's backlog in chunks;
+a chunk crosses as an ``"infer"`` raw column frame (:func:`~repro
+.cluster.serialization.encode_chunk`: its id and one ``(k, n_inputs)``
+float64 matrix, no pickling). The replica feeds the matrix to its
+micro-batcher as *one block* (one future, no per-request task or
+object; see :mod:`repro.serve.batcher`) and, from that future's
+done-callback, replies with an ``"answers"`` frame — a ``(3,
+accepted)`` int64 matrix of action, champion version and batch size per
+answered row — which the parent fans out to the waiting futures in
+order. Rows past ``accepted`` were shed by the replica's pending queue.
 
 Overload surfaces at two levels: each replica sheds via its own bounded
 micro-batcher queue, and the parent sheds (``fleet_shed``) when a
@@ -38,9 +41,9 @@ work-conserving, with no coalescing window and nothing to tune (see
 
 Replicas run on the clans' :class:`~repro.cluster.transport
 .ProcessGroup` (fork, pipes, reaping, span collection); this module is
-the serving policy. A reader thread hands each replica message to the
-loop as it arrives, and EOF marks a replica dead. From there the fleet
-*heals* rather than merely isolates (mirroring the cluster runtime):
+the serving policy. A replica's channel reports its death once, at EOF
+or a broken pipe. From there the fleet *heals* rather than merely
+isolates (mirroring the cluster runtime):
 
 - requests pending on the dead replica are transparently re-dispatched
   to a surviving replica with seeded jitter, up to ``SUBMIT_RETRIES``
@@ -69,8 +72,9 @@ and infer send paths for replayable fault scenarios.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -79,9 +83,11 @@ import numpy as np
 
 from repro.cluster.serialization import (
     decode_batched_plan,
+    decode_chunk,
     encode_batched_plan,
+    encode_chunk,
 )
-from repro.cluster.transport import ProcessGroup, ship_spans
+from repro.cluster.transport import ProcessGroup, open_channel, ship_spans
 from repro.core.metrics import ServiceStats
 from repro.neat.network import BatchedFeedForwardNetwork
 from repro.obs import clock
@@ -133,54 +139,46 @@ class _ReplicaChampionStore:
     installed from the parent's deployment stream. ``install`` enforces
     the monotone-seq guard: a deployment is applied iff its seq exceeds
     the last applied one, so re-ordered or replayed publishes can never
-    regress the replica to an older deployment.
+    regress the replica to an older deployment. It is only ever used on
+    the replica's one thread, its event loop.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._current: _ReplicaRecord | None = None  # guarded-by: _lock
-        self._seq = -1  # guarded-by: _lock
-        self._swaps = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
+        self._current: _ReplicaRecord | None = None
+        self._seq = -1
+        self.swaps = 0
+        self._closed = False
 
     def install(self, seq: int, version: int, plan_wire: bytes) -> bool:
         """Apply deployment ``seq`` (decoding the wire plan); returns
         whether it was applied (False = stale, ignored)."""
         network = BatchedFeedForwardNetwork(decode_batched_plan(plan_wire))
-        with self._lock:
-            if seq <= self._seq:
-                return False
-            if self._current is not None:
-                self._swaps += 1
-            self._seq = seq
-            self._current = _ReplicaRecord(version=version, network=network)
-            return True
+        if seq <= self._seq:
+            return False
+        if self._current is not None:
+            self.swaps += 1
+        self._seq = seq
+        self._current = _ReplicaRecord(version=version, network=network)
+        return True
 
     def current(self) -> _ReplicaRecord:
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("replica store is closed")
-            if self._current is None:
-                raise LookupError("no champion deployed to this replica")
-            return self._current
+        if self._closed:
+            raise ServiceClosed("replica store is closed")
+        if self._current is None:
+            raise LookupError("no champion deployed to this replica")
+        return self._current
 
     @property
     def version(self) -> int:
-        with self._lock:
-            return self._current.version if self._current else 0
-
-    @property
-    def swaps(self) -> int:
-        with self._lock:
-            return self._swaps
+        return self._current.version if self._current else 0
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
+        self._closed = True
 
 
-async def _answer_chunk(gateway: InferenceGateway, observations) -> tuple:
-    """Serve one forwarded chunk as one block; the reply columns.
+def _chunk_reply(block) -> tuple:
+    """The reply columns of one chunk — which rode the batcher as one
+    block, one future and no per-request task — from that future.
 
     Returns ``(status, accepted, actions, versions, sizes)``: with
     status ``"ok"`` the three integer arrays hold one entry per
@@ -188,17 +186,24 @@ async def _answer_chunk(gateway: InferenceGateway, observations) -> tuple:
     shed by the replica's pending queue) — greedy action, champion
     version and flush size. Any other status (``"closed"``, or the repr
     of the exception that failed the block) applies to the whole chunk.
-    The chunk rides the batcher as a single block — one future, no
-    per-request task — and coalesces with whatever else is queued.
     """
     try:
-        served = await gateway.submit_block(observations)
+        served = block.result()
     except ServiceClosed:
         return ("closed", 0, None, None, None)
     except Exception as exc:
         return (repr(exc), 0, None, None, None)
     actions, versions, sizes, _ = served.columns()
     return ("ok", served.accepted, actions, versions, sizes)
+
+
+async def _answer_chunk(gateway: InferenceGateway, observations) -> tuple:
+    """Serve one chunk and await its reply columns — what a replica
+    sends from the block's done-callback."""
+    block = gateway.enqueue_block(observations)
+    with contextlib.suppress(Exception):
+        await block
+    return _chunk_reply(block)
 
 
 async def _replica_serve(
@@ -208,7 +213,8 @@ async def _replica_serve(
     max_pending: int,
     trace: bool = False,
 ) -> None:
-    """Event loop body of one replica process."""
+    """Event loop body of one replica process: every message is handled
+    in its channel's callback, with no thread and no queue between."""
     tracer = None
     if trace:
         # the parent had a tracer active when the fleet started, so this
@@ -220,63 +226,45 @@ async def _replica_serve(
         store, max_batch=max_batch, max_pending=max_pending
     )
     await gateway.start()
-    loop = asyncio.get_running_loop()
-    inbox: asyncio.Queue = asyncio.Queue()
+    stop = asyncio.get_running_loop().create_future()
 
-    def read_pipe() -> None:
-        # blocking recv on a dedicated thread; messages hop onto the
-        # loop via call_soon_threadsafe (same pattern as the cluster
-        # transport's result reader)
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                msg = ("_eof", None)
-            loop.call_soon_threadsafe(inbox.put_nowait, msg)
-            if msg[0] in ("_eof", "close"):
-                return
+    def answer(chunk_id, block) -> None:
+        status, _, actions, versions, sizes = _chunk_reply(block)
+        if status == "ok":
+            columns = np.stack((actions, versions, sizes))
+            channel.send(("answers", encode_chunk(chunk_id, columns, "<i8")))
+        else:
+            channel.send(("failed", (chunk_id, status)))
+        ship_spans(channel, tracer)
 
-    reader = threading.Thread(
-        target=read_pipe, name=f"replica{replica_id}-read", daemon=True
-    )
-    reader.start()
-    chunk_tasks: set[asyncio.Task] = set()
-
-    async def handle_chunk(chunk_id, observations):
-        reply = await _answer_chunk(gateway, observations)
-        conn.send(("answers", (chunk_id, *reply)))
-        ship_spans(conn, tracer)
-
-    while True:
-        kind, payload = await inbox.get()
-        if kind == "publish":
+    def on_message(kind, payload) -> None:
+        if kind == "infer":
+            chunk_id, observations = decode_chunk(payload, "<f8")
+            gateway.enqueue_block(observations).add_done_callback(
+                functools.partial(answer, chunk_id)
+            )
+        elif kind == "publish":
             seq, version, plan_wire = payload
             store.install(seq, version, plan_wire)
-            conn.send(("published", (seq, version)))
-        elif kind == "infer":
-            chunk_id, observations = payload
-            task = loop.create_task(handle_chunk(chunk_id, observations))
-            chunk_tasks.add(task)
-            task.add_done_callback(chunk_tasks.discard)
+            channel.send(("published", (seq, version)))
         elif kind == "stats":
-            conn.send(("stats", gateway.stats()))
-        elif kind == "close":
-            # FIFO pipe: every infer chunk sent before "close" has
-            # already been dispatched above — drain those answers, then
-            # the gateway, then report final stats.
-            if chunk_tasks:
-                await asyncio.gather(
-                    # repro-lint: disable=RPR004 -- gather awaits every task
-                    *list(chunk_tasks), return_exceptions=True
-                )
-            await gateway.close()
-            ship_spans(conn, tracer)
-            conn.send(("closed", gateway.stats()))
-            return
-        elif kind == "_eof":
-            # parent vanished: nothing to answer to, just stop
-            await gateway.close()
-            return
+            channel.send(("stats", gateway.stats()))
+        elif not stop.done():
+            # "close", or "died": the parent vanished
+            stop.set_result(kind)
+
+    channel = await open_channel(conn, on_message)
+    closing = (await stop) == "close"
+    # FIFO pipe: every chunk sent before "close" is queued already. The
+    # drain resolves their blocks, and their done-callbacks (scheduled
+    # as each flush resolves them) run before the collector's exit
+    # wakes this coroutine: every answer is sent before "closed"
+    await gateway.close()
+    if closing:
+        ship_spans(channel, tracer)
+        channel.send(("closed", gateway.stats()))
+    # flush the buffered replies: the process exits right after
+    await channel.close()
 
 
 def _replica_main(conn, replica_id: int, *args) -> None:
@@ -293,6 +281,7 @@ class _ReplicaHandle:
 
     __slots__ = (
         "id",
+        "channel",
         "outbox",
         "flush_scheduled",
         "inflight",
@@ -304,7 +293,6 @@ class _ReplicaHandle:
         "stats_future",
         "closed_future",
         "version_trace",
-        "dead_handled",
         "catching_up",
         "respawns",
         "breaker_failures",
@@ -313,6 +301,8 @@ class _ReplicaHandle:
 
     def __init__(self, replica_id: int):
         self.id = replica_id
+        #: the replica's pipe on the loop (replaced by each respawn)
+        self.channel = None
         #: accepted-but-unsent ``(observation, future, submitted_at,
         #: retries)`` — the observation rides along so a request caught
         #: on a dying replica can be re-dispatched elsewhere
@@ -334,9 +324,6 @@ class _ReplicaHandle:
         #: champion versions in served order (consecutive dedup) — the
         #: stale-serve audit asserts this never regresses between acks
         self.version_trace: list[int] = []
-        #: guards against the death handler running twice for one death
-        #: (reader EOF and a failed send can both report it)
-        self.dead_handled = False
         #: a respawned replica is alive but held out of the balancer
         #: until it acks the current deployment seq
         self.catching_up = False
@@ -405,7 +392,7 @@ class ServingFleet:
         #: per-replica cap on accepted-but-unanswered requests; beyond
         #: it the *parent* sheds (fleet backpressure)
         self.max_inflight = max_inflight
-        #: requests forwarded per pipe message (amortises pickling)
+        #: requests forwarded per pipe frame (amortises per-frame costs)
         self.chunk_size = chunk_size
         #: self-healing policy (see the module docstring)
         self.max_replica_respawns = max_replica_respawns
@@ -435,8 +422,6 @@ class ServingFleet:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._subscription: Subscription | None = None
         self._group: ProcessGroup | None = None
-        self._reader: threading.Thread | None = None
-        self._reader_stop = threading.Event()
         self._next_chunk_id = 0
         self._deploy_waiters: list[tuple[int, asyncio.Future]] = []
         self._scrape_lock: asyncio.Lock | None = None
@@ -458,8 +443,8 @@ class ServingFleet:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn replicas, start the pipe reader, subscribe to the
-        registry (replaying the current deployment, if any)."""
+        """Spawn replicas, attach their pipes to this loop, subscribe to
+        the registry (replaying the current deployment, if any)."""
         if self._loop is not None:
             raise RuntimeError("fleet already started")
         self._loop = asyncio.get_running_loop()
@@ -472,11 +457,9 @@ class ServingFleet:
             (self.max_batch, self.max_pending, trace),
         )
         self._handles = {i: _ReplicaHandle(i) for i in range(self.replicas)}
+        for handle in self._handles.values():
+            await self._attach(handle)
         self._rebuild_live()
-        self._reader = threading.Thread(
-            target=self._read_replies, name="fleet-read", daemon=True
-        )
-        self._reader.start()
         self._started_at = clock.perf()
         self._repair_task = self._loop.create_task(
             self._deploy_repair_loop()
@@ -485,14 +468,11 @@ class ServingFleet:
             self._on_deployment, replay_current=True
         )
 
-    def _read_replies(self) -> None:
-        """Hand every replica message to the event loop as it arrives;
-        all parent-side state mutation happens on the loop."""
-        while not self._reader_stop.is_set():
-            for replica_id, kind, payload in self._group.read(0.05):
-                self._loop.call_soon_threadsafe(
-                    self._on_message, self._handles[replica_id], kind, payload
-                )
+    async def _attach(self, handle: _ReplicaHandle) -> None:
+        """Run the replica's pipe on this loop, into :meth:`_on_message`."""
+        handle.channel = await self._group.attach(
+            handle.id, functools.partial(self._on_message, handle)
+        )
 
     async def close(self) -> None:
         """Drain every replica, collect final stats, reap processes.
@@ -513,18 +493,15 @@ class ServingFleet:
         for handle in live:
             handle.closed_future = self._loop.create_future()
             self._flush_outbox(handle)
-            try:
-                self._group.send(handle.id, ("close", None))
-            except (OSError, ValueError):
-                self._on_replica_death(handle)
+            handle.channel.send(("close", None))
         if live:
             await asyncio.wait(
                 [handle.closed_future for handle in live],
                 timeout=CLOSE_TIMEOUT_S,
             )
-        self._reader_stop.set()
-        if self._reader is not None:
-            await self._loop.run_in_executor(None, self._reader.join)
+        for handle in self._handles.values():
+            handle.channel.close()
+        if self._group is not None:
             await self._loop.run_in_executor(None, self._group.close)
         closed = ServiceClosed("fleet closed with work in flight")
         for handle in self._handles.values():
@@ -540,11 +517,12 @@ class ServingFleet:
     def _on_deployment(self, seq: int, record) -> None:
         """Registry subscription callback (any publisher thread).
 
-        Encodes the compiled plan once, then pipes it to every live
-        replica. Per-pipe FIFO plus the registry's per-subscriber
-        ordering guarantee means each replica receives deployments in
-        global seq order; the replica-side monotone guard makes
-        application idempotent on top.
+        Encodes the compiled plan once and applies the fault plan here,
+        then hops the sends onto the loop, the one thread that writes to
+        the channels. Hops run in call order and each pipe is FIFO, so
+        with the registry's per-subscriber ordering each replica
+        receives deployments in global seq order; the replica-side
+        monotone guard makes application idempotent on top.
         """
         if self._closed:
             return
@@ -558,6 +536,7 @@ class ServingFleet:
                 # registry-publish delay: holds delivery to the whole
                 # fleet (the publisher thread is the delivery thread)
                 time.sleep(registry_decision.delay_s)
+        sends = []
         for handle in self._handles.values():
             if not handle.alive:
                 continue
@@ -578,13 +557,14 @@ class ServingFleet:
                         # must recover, which is the point of the fault
                         payload = self._chaos.corrupt_bytes(wire)
                     deliveries = decision.deliveries
-            try:
-                for _ in range(deliveries):
-                    self._group.send(
-                        handle.id, ("publish", (seq, record.version, payload))
-                    )
-            except (OSError, ValueError):  # pragma: no cover - racy death
-                pass
+            message = ("publish", (seq, record.version, payload))
+            sends += [(handle, message)] * deliveries
+        self._loop.call_soon_threadsafe(self._send_all, sends)
+
+    @staticmethod
+    def _send_all(sends) -> None:
+        for handle, message in sends:
+            handle.channel.send(message)
 
     async def wait_deployed(self, seq: int | None = None) -> None:
         """Wait until every *live* replica has acked deployment ``seq``
@@ -675,14 +655,13 @@ class ServingFleet:
     def _flush_outbox(self, handle: _ReplicaHandle) -> None:
         """Forward the accepted backlog in chunks (loop thread only).
 
-        A chunk crosses the pipe as one ``(k, n_inputs)`` float64
-        matrix; the waiters keep their own observation so a chunk that
+        A chunk crosses the pipe as one raw ``(k, n_inputs)`` float64
+        frame; the waiters keep their own observation so a chunk that
         is lost, or caught on a dying replica, can be re-dispatched.
         """
         handle.flush_scheduled = False
         if not handle.alive:
-            self._on_replica_death(handle)
-            return
+            return  # the death handler moved the outbox elsewhere
         outbox = handle.outbox
         while outbox:
             waiters = [
@@ -702,6 +681,7 @@ class ServingFleet:
                 continue
             chunk_id = self._next_chunk_id
             self._next_chunk_id += 1
+            message = ("infer", encode_chunk(chunk_id, observations, "<f8"))
             if self._chaos is not None:
                 decision = self._chaos.on_event(
                     "replica", handle.id, "infer"
@@ -723,48 +703,28 @@ class ServingFleet:
                     if decision.deliveries > 1:
                         # duplicate chunk: the second answer finds no
                         # waiters and is dropped (idempotent)
-                        try:
-                            self._group.send(
-                                handle.id, ("infer", (chunk_id, observations))
-                            )
-                        except (OSError, ValueError):
-                            pass
+                        handle.channel.send(message)
             handle.inflight[chunk_id] = waiters
             handle.inflight_count += len(waiters)
-            try:
-                self._group.send(
-                    handle.id, ("infer", (chunk_id, observations))
-                )
-            except (OSError, ValueError):
-                self._on_replica_death(handle)
-                return
+            handle.channel.send(message)
 
     def _on_message(self, handle: _ReplicaHandle, kind, payload) -> None:
         """Dispatch one replica reply or death (loop thread only)."""
-        if kind == "died":
-            self._on_replica_death(handle)
-        elif kind == "answers":
-            chunk_id, status, accepted, actions, versions, sizes = payload
-            # a duplicated chunk's second answer finds no waiters
-            waiters = handle.inflight.pop(chunk_id, ())
-            handle.inflight_count -= len(waiters)
-            if status == "ok":
-                self._fan_out(
-                    handle, waiters, accepted,
-                    actions.tolist(), versions.tolist(), sizes.tolist(),
-                )
+        if kind == "answers":
+            chunk_id, columns = decode_chunk(payload, "<i8")
+            waiters = self._answered(handle, chunk_id)
+            self._fan_out(handle, waiters, *columns.tolist())
+        elif kind == "failed":
+            chunk_id, status = payload
+            if status == "closed":
+                error = ServiceClosed(f"replica {handle.id} was closing")
             else:
-                if status == "closed":
-                    error = ServiceClosed(
-                        f"replica {handle.id} was closing"
-                    )
-                else:
-                    error = RuntimeError(
-                        f"replica {handle.id} failed: {status}"
-                    )
-                for _, future, _, _ in waiters:
-                    if not future.done():
-                        future.set_exception(error)
+                error = RuntimeError(f"replica {handle.id} failed: {status}")
+            for _, future, _, _ in self._answered(handle, chunk_id):
+                if not future.done():
+                    future.set_exception(error)
+        elif kind == "died":
+            self._on_replica_death(handle)
         elif kind == "published":
             seq, _version = payload
             handle.acked_seq = max(handle.acked_seq, seq)
@@ -782,17 +742,24 @@ class ServingFleet:
             if handle.stats_future and not handle.stats_future.done():
                 handle.stats_future.set_result(None)
         elif kind == "closed":
+            # the replica's last word: its exit is no death
+            handle.channel.close()
             handle.final_stats = payload
             handle.last_stats = payload
             if handle.closed_future and not handle.closed_future.done():
                 handle.closed_future.set_result(None)
 
-    def _fan_out(
-        self, handle, waiters, accepted, actions, versions, sizes
-    ) -> None:
+    @staticmethod
+    def _answered(handle: _ReplicaHandle, chunk_id: int):
+        """Take one chunk's waiters off ``handle`` (a duplicate finds none)."""
+        waiters = handle.inflight.pop(chunk_id, ())
+        handle.inflight_count -= len(waiters)
+        return waiters
+
+    def _fan_out(self, handle, waiters, actions, versions, sizes) -> None:
         """Resolve one answered chunk's futures from its columns: row
-        ``i`` answers waiter ``i``; waiters past ``accepted`` were shed
-        by the replica. A caller-cancelled future is skipped."""
+        ``i`` answers waiter ``i``; waiters past the answered rows were
+        shed by the replica. A caller-cancelled future is skipped."""
         now = self._loop.time()
         trace = handle.version_trace
         replica = handle.id
@@ -812,6 +779,7 @@ class ServingFleet:
                     replica=replica,
                 )
             )
+        accepted = len(actions)
         if accepted:
             # an answered request closes the circuit breaker: the
             # replica is demonstrably serving again
@@ -840,7 +808,8 @@ class ServingFleet:
         )
 
     def _on_replica_death(self, handle: _ReplicaHandle) -> None:
-        """Loop-thread handler for a broken pipe / dead process.
+        """Loop-thread handler for a replica's one reported death (EOF or
+        a broken pipe on its channel).
 
         Mirrors the cluster runtime's supervision policy: re-dispatch
         the casualty's pending requests to survivors (transparent
@@ -848,9 +817,6 @@ class ServingFleet:
         respawn budget is spent, in which case the slot is abandoned and
         only then do stranded requests see :class:`ReplicaDied`.
         """
-        if handle.dead_handled:
-            return
-        handle.dead_handled = True
         handle.alive = False
         handle.catching_up = False
         self._rebuild_live()
@@ -950,9 +916,9 @@ class ServingFleet:
         await self._loop.run_in_executor(
             None, self._group.respawn, handle.id
         )
+        await self._attach(handle)
         handle.acked_seq = 0
         handle.final_stats = None
-        handle.dead_handled = False
         last = self._last_deployment
         handle.catching_up = last is not None
         handle.alive = True
@@ -962,12 +928,7 @@ class ServingFleet:
             # catch-up: replay the cached current deployment (the
             # fleet-side analogue of the registry's late-subscribe
             # replay); admission waits for its ack
-            seq, version, wire = last
-            try:
-                self._group.send(handle.id, ("publish", (seq, version, wire)))
-            except (OSError, ValueError):
-                self._on_replica_death(handle)
-                return
+            handle.channel.send(("publish", last))
         else:
             self._admit(handle)
 
@@ -1018,19 +979,14 @@ class ServingFleet:
             last = self._last_deployment
             if last is None:
                 continue
-            seq, version, wire = last
+            seq = last[0]
             for handle in self._handles.values():
                 if (
                     handle.alive
                     and not handle.catching_up
                     and handle.acked_seq < seq
                 ):
-                    try:
-                        self._group.send(
-                            handle.id, ("publish", (seq, version, wire))
-                        )
-                    except (OSError, ValueError):
-                        pass
+                    handle.channel.send(("publish", last))
 
     def _fail_pending(
         self, handle: _ReplicaHandle, error: Exception
@@ -1056,10 +1012,7 @@ class ServingFleet:
             live = [h for h in self._handles.values() if h.alive]
             for handle in live:
                 handle.stats_future = self._loop.create_future()
-                try:
-                    self._group.send(handle.id, ("stats", None))
-                except (OSError, ValueError):
-                    handle.stats_future.set_result(None)
+                handle.channel.send(("stats", None))
             if live:
                 await asyncio.wait(
                     [h.stats_future for h in live], timeout=5.0

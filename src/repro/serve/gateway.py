@@ -6,12 +6,14 @@ once and runs the whole batch through that champion's pre-compiled
 batched network. A hot-swap therefore lands *between* batches — requests
 already coalesced finish on the champion they were batched under, the
 next batch picks up the new one, and no request ever sees a half-swapped
-policy. (A block submitted through :meth:`InferenceGateway.submit_block`
+policy. (A block queued through :meth:`InferenceGateway.enqueue_block`
 may be split across batches and so straddle a swap; each of its rows
 names the version that served it.)
 """
 
 from __future__ import annotations
+
+import asyncio
 
 from repro.core.metrics import ServiceStats, percentile
 from repro.obs import clock
@@ -20,7 +22,6 @@ from repro.serve.batcher import (
     DEFAULT_MAX_PENDING,
     MicroBatcher,
     ServedAction,
-    ServedBlock,
 )
 from repro.serve.registry import ChampionRegistry
 
@@ -79,13 +80,13 @@ class InferenceGateway:
         """
         return await self._batcher.submit(observation)
 
-    async def submit_block(self, observations) -> ServedBlock:
-        """Answer a ``(k, n_inputs)`` block of observations as per-row
-        columns (see :meth:`~repro.serve.batcher.MicroBatcher
-        .submit_block`) — the path a fleet replica serves forwarded
-        chunks through. Rows the pending queue has no room for are shed
-        from the tail (``ServedBlock.accepted``), not raised."""
-        return await self._batcher.submit_block(observations)
+    def enqueue_block(self, observations) -> asyncio.Future:
+        """Queue a ``(k, n_inputs)`` block of observations; the future
+        of its per-row answer columns (see :meth:`~repro.serve.batcher
+        .MicroBatcher.enqueue_block`) — the path a fleet replica serves
+        forwarded chunks through. Rows the pending queue has no room for
+        are shed from the tail (``ServedBlock.accepted``), not raised."""
+        return self._batcher.enqueue_block(observations)
 
     async def close(self) -> None:
         """Drain in-flight batches, then close the registry.

@@ -11,6 +11,8 @@ overload surfaces as backpressure at both the replica and fleet level.
 
 import asyncio
 import random
+import socket
+import threading
 
 import pytest
 
@@ -225,6 +227,67 @@ class TestBackpressure:
         assert stats.shed == fleet_shed
         assert stats.requests == stats.served + fleet_shed
         assert stats.served == len(ok)
+
+
+    def test_scrape_during_a_flood_completes_within_the_buffer_bound(self):
+        """The deadlock a blocking write invites: the replica writes a
+        full stats reply (65 536 latencies, ~590 kB) while the parent
+        writes a full in-flight window, each more than the pipe holds.
+        Buffered writes keep both loops reading; the parent's buffer
+        never holds more than the window's rows and a control frame,
+        and the replica's final ``closed`` reply, as large, is flushed
+        before it exits."""
+        window = 65_536
+        max_inflight, chunk_size = 4096, 256
+        observations = _observations(max_inflight, seed=41)
+
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(
+                registry, replicas=1, max_inflight=max_inflight,
+                chunk_size=chunk_size,
+            )
+            for _ in range(window // max_inflight):
+                await asyncio.gather(*map(fleet.submit, observations))
+            channel = fleet._handles[0].channel
+            # a pipe that holds less than one chunk: the flood cannot
+            # be written through, only buffered (or blocked on)
+            channel.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+            watchdog = threading.Timer(
+                30.0, replica_process(fleet, 0).kill
+            )
+            watchdog.start()
+            loop = asyncio.get_running_loop()
+            peak = []
+
+            def sample():
+                peak.append(channel.transport.get_write_buffer_size())
+                if not flood.done():
+                    loop.call_soon(sample)
+
+            try:
+                scrape = asyncio.ensure_future(fleet.scrape())
+                await asyncio.sleep(0)  # the stats request goes first
+                flood = asyncio.gather(*map(fleet.submit, observations))
+                sample()
+                served = await flood
+                stats = await scrape
+            finally:
+                watchdog.cancel()
+            respawns = fleet.replica_respawns
+            await fleet.close()
+            final = fleet.replica_stats()[0]
+            registry.close()
+            return stats, served, max(peak), respawns, final
+
+        stats, served, peak, respawns, final = asyncio.run(run())
+        assert respawns == 0
+        assert stats.served == window
+        assert len(served) == max_inflight
+        frames = max_inflight // chunk_size + 1
+        assert 0 < peak <= max_inflight * 4 * 8 + frames * 64
+        # the final reply carried every row the replica served
+        assert final.served == window + max_inflight
 
 
 class TestReplicaDeath:
