@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 
 from repro.core import SerialNEAT
 from repro.envs import make, rollout
-from repro.neat import FeedForwardNetwork, NEATConfig, RunStatistics
+from repro.neat import FeedForwardNetwork, NEATConfig
+from repro.neat.statistics import sparkline, summarise
 from repro.neat.visualize import describe_layers
 
 
@@ -45,9 +46,15 @@ def main() -> None:
     )
     print(describe_layers(champion, config))
 
-    trends = RunStatistics()
-    trends.record_all(engine.population.history)
-    print("\n" + trends.report())
+    # the per-generation trend, read off the population's history
+    history = engine.population.history
+    fitness = [stats.best_fitness for stats in history]
+    species = [stats.n_species for stats in history]
+    best = summarise(fitness)
+    print(f"\nbest fitness {sparkline(fitness)}  "
+          f"[{best.first:.1f} -> {best.last:.1f}, peak {best.best:.1f}]")
+    print(f"species      {sparkline(species)}  "
+          f"[{species[0]} -> {species[-1]}]")
 
     network = FeedForwardNetwork.create(champion, config)
     env = make(env_id)

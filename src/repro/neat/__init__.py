@@ -38,7 +38,6 @@ from repro.neat.network import (
 from repro.neat.population import GenerationStats, Population
 from repro.neat.evaluation import FitnessResult, GenomeEvaluator
 from repro.neat.checkpoint import load_population, save_population
-from repro.neat.statistics import RunStatistics
 from repro.neat.visualize import describe_genome, genome_to_dot
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "GenomeEvaluator",
     "save_population",
     "load_population",
-    "RunStatistics",
     "describe_genome",
     "genome_to_dot",
 ]

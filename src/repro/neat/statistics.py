@@ -1,10 +1,8 @@
-"""Run statistics: aggregate fitness/complexity trends across generations.
+"""Run statistics: per-generation trends as terminal text.
 
-A thin observer over :class:`~repro.neat.population.GenerationStats`
-records (and the protocol engines' histories) answering the questions a
-practitioner asks after a run: how did fitness move, how complex did
-genomes get, how did the species landscape evolve — plus ASCII sparklines
-for terminals.
+Helpers over series read off :class:`~repro.neat.population
+.GenerationStats` records (a population's ``history``, a protocol
+engine's records): an ASCII sparkline and a first/last/best summary.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from repro.neat.population import GenerationStats
 
 _SPARK_LEVELS = " .:-=+*#%@"
 
@@ -72,66 +68,3 @@ def summarise(values: Sequence[float]) -> FitnessSummary:
         mean=mean,
         stdev=math.sqrt(variance),
     )
-
-
-class RunStatistics:
-    """Accumulates :class:`GenerationStats` and reports trends."""
-
-    def __init__(self):
-        self.generations: list[GenerationStats] = []
-
-    def record(self, stats: GenerationStats) -> None:
-        self.generations.append(stats)
-
-    def record_all(self, stats_list: Sequence[GenerationStats]) -> None:
-        for stats in stats_list:
-            self.record(stats)
-
-    # -- series ------------------------------------------------------------
-
-    def best_fitness_series(self) -> list[float]:
-        return [s.best_fitness for s in self.generations]
-
-    def mean_fitness_series(self) -> list[float]:
-        return [s.mean_fitness for s in self.generations]
-
-    def species_count_series(self) -> list[int]:
-        return [s.n_species for s in self.generations]
-
-    def complexity_series(self) -> list[float]:
-        return [s.mean_genome_genes for s in self.generations]
-
-    # -- reports --------------------------------------------------------------
-
-    def fitness_summary(self) -> FitnessSummary:
-        return summarise(self.best_fitness_series())
-
-    def generations_to_reach(self, threshold: float) -> int | None:
-        """First generation whose best fitness met ``threshold``."""
-        for stats in self.generations:
-            if stats.best_fitness >= threshold:
-                return stats.generation
-        return None
-
-    def report(self, width: int = 40) -> str:
-        """Multi-line ASCII trend report."""
-        if not self.generations:
-            return "(no generations recorded)"
-        best = self.best_fitness_series()
-        mean = self.mean_fitness_series()
-        species = [float(v) for v in self.species_count_series()]
-        complexity = self.complexity_series()
-        summary = self.fitness_summary()
-        lines = [
-            f"generations: {len(self.generations)}",
-            f"best fitness : {sparkline(best, width)}  "
-            f"[{summary.first:.1f} -> {summary.last:.1f}, "
-            f"peak {summary.best:.1f}]",
-            f"mean fitness : {sparkline(mean, width)}  "
-            f"[{mean[0]:.1f} -> {mean[-1]:.1f}]",
-            f"species      : {sparkline(species, width)}  "
-            f"[{int(species[0])} -> {int(species[-1])}]",
-            f"genome genes : {sparkline(complexity, width)}  "
-            f"[{complexity[0]:.1f} -> {complexity[-1]:.1f}]",
-        ]
-        return "\n".join(lines)

@@ -2,23 +2,7 @@
 
 import pytest
 
-from repro.neat.config import NEATConfig
-from repro.neat.evaluation import FitnessResult
-from repro.neat.population import Population
-from repro.neat.statistics import (
-    RunStatistics,
-    sparkline,
-    summarise,
-)
-
-
-def fake_evaluate(genomes, generation):
-    return {
-        g.key: FitnessResult(
-            g.key, float(g.key % 11 + generation), 2, 0.0, False
-        )
-        for g in genomes
-    }
+from repro.neat.statistics import sparkline, summarise
 
 
 class TestSparkline:
@@ -55,47 +39,3 @@ class TestSummarise:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarise([])
-
-
-class TestRunStatistics:
-    @pytest.fixture
-    def stats(self):
-        config = NEATConfig(num_inputs=3, num_outputs=2, pop_size=20)
-        population = Population(config, seed=2)
-        run = RunStatistics()
-        for _ in range(5):
-            run.record(population.run_generation(fake_evaluate))
-        return run
-
-    def test_series_lengths(self, stats):
-        assert len(stats.best_fitness_series()) == 5
-        assert len(stats.species_count_series()) == 5
-        assert len(stats.complexity_series()) == 5
-
-    def test_best_fitness_grows_with_generation_bonus(self, stats):
-        series = stats.best_fitness_series()
-        assert series[-1] > series[0]  # fitness includes +generation
-
-    def test_generations_to_reach(self, stats):
-        series = stats.best_fitness_series()
-        assert stats.generations_to_reach(series[0]) == 0
-        assert stats.generations_to_reach(1e9) is None
-
-    def test_report_renders(self, stats):
-        report = stats.report()
-        assert "best fitness" in report
-        assert "species" in report
-        assert "genome genes" in report
-
-    def test_empty_report(self):
-        assert "no generations" in RunStatistics().report()
-
-    def test_record_all(self):
-        config = NEATConfig(num_inputs=3, num_outputs=2, pop_size=20)
-        population = Population(config, seed=2)
-        log = population.run(
-            fake_evaluate, max_generations=3, fitness_threshold=1e9
-        )
-        run = RunStatistics()
-        run.record_all(log)
-        assert len(run.generations) == 3
