@@ -228,7 +228,6 @@ class TestBackpressure:
         assert stats.requests == stats.served + fleet_shed
         assert stats.served == len(ok)
 
-
     def test_scrape_during_a_flood_completes_within_the_buffer_bound(self):
         """The deadlock a blocking write invites: the replica writes a
         full stats reply (65 536 latencies, ~590 kB) while the parent
