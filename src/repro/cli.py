@@ -92,8 +92,9 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write the end-of-run metrics registry in Prometheus "
-        "text exposition format",
+        help="write the end-of-run measurements (run result; serving, "
+        "churn and fleet health stats) in Prometheus text exposition "
+        "format",
     )
 
 
@@ -108,8 +109,9 @@ def _activate_tracer(args):
     return tracer
 
 
-def _export_telemetry(args, tracer, registry) -> None:
-    """Write whichever of the three telemetry sinks were requested."""
+def _export_telemetry(args, tracer, **measurements) -> None:
+    """Write whichever of the three telemetry sinks were requested;
+    ``measurements`` are :func:`repro.obs.metrics.to_prometheus`'s."""
     from repro.obs import export
 
     if tracer is not None:
@@ -128,8 +130,12 @@ def _export_telemetry(args, tracer, registry) -> None:
                 f"[chrome trace saved to {target}; open it at "
                 "https://ui.perfetto.dev]"
             )
-    if args.metrics_out and registry is not None:
-        target = export.write_prometheus(registry, args.metrics_out)
+    if args.metrics_out:
+        from repro.obs.metrics import to_prometheus
+
+        target = export.write_prometheus(
+            to_prometheus(**measurements), args.metrics_out
+        )
         print(f"[prometheus metrics saved to {target}]")
 
 
@@ -652,42 +658,19 @@ def _cmd_learn(args) -> int:
     # Fig 3c cost counters: speciation is the block CLAN cannot
     # parallelise, so its comparison/gene totals headline the summary
     result = run.result
-    # the summary's cache/churn figures come off the unified metrics
-    # registry (one ingest of the run result), not the raw dataclass —
-    # the same surface --metrics-out exports
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.ingest_run_result(result)
     summary = (
         f"speciation: {result.total_speciation_comparisons():,} "
         f"comparisons, {result.total_speciation_gene_ops():,} genes "
         f"compared, {result.final_n_species()} final species "
         f"({args.genetics} genetics)"
     )
-    hits = int(registry.value("repro_plan_cache_hits_total"))
-    misses = int(registry.value("repro_plan_cache_misses_total"))
+    hits, misses = result.plan_cache_hits, result.plan_cache_misses
     if hits + misses:
         summary += (
             f"; plan cache: {hits:,} hits / {misses:,} misses "
-            f"({registry.value('repro_plan_cache_hit_rate'):.0%})"
+            f"({result.plan_cache_hit_rate():.0%})"
         )
     print(summary)
-    # logical engines never see churn; the line appears only when a
-    # fault-injected replay aggregated live-runtime counters here
-    if registry.value("repro_churn_deaths_total"):
-        print(
-            f"churn: "
-            f"{int(registry.value('repro_churn_deaths_total'))} clan "
-            f"death(s), "
-            f"{int(registry.value('repro_churn_respawns_total'))} "
-            f"respawn(s), mean recovery "
-            + format_seconds(
-                registry.value(
-                    "repro_churn_mean_recovery_latency_seconds"
-                )
-            )
-        )
     if args.sim_mode != "analytic":
         generations, total = driver.simulate(mode=args.sim_mode)
         line = (
@@ -721,7 +704,7 @@ def _cmd_learn(args) -> int:
             f"({engine.generation} generation(s) completed; continue "
             "with --resume)"
         )
-    _export_telemetry(args, tracer, registry)
+    _export_telemetry(args, tracer, run=result)
     return 0 if run.converged or args.threshold is None else 1
 
 
@@ -904,19 +887,14 @@ def _cmd_serve(args) -> int:
             f"evolution thread relaunched {service.evolution_restarts} "
             "time(s) after a crash"
         )
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.ingest_service_stats(stats)
-    if args.replicas > 1:
-        for replica_id, rstats in sorted(per_replica.items()):
-            if rstats is not None:
-                registry.ingest_service_stats(
-                    rstats, replica=str(replica_id)
-                )
-    registry.ingest_churn(evolution.churn)
-    registry.ingest_fleet_health(health)
-    _export_telemetry(args, tracer, registry)
+    _export_telemetry(
+        args,
+        tracer,
+        service=stats,
+        replicas=per_replica if args.replicas > 1 else None,
+        churn=evolution.churn,
+        health=health,
+    )
     return 0
 
 

@@ -55,16 +55,23 @@ class WorkerClan:
     ):
         # ``num_outputs`` rides in the clan_init payload; the population
         # reads the same number from ``config``
-        self.env_id = env_id
-        self.evaluator = evaluator
-        self.population = Population(
+        self._host(env_id, evaluator, Population(
             config,
             rng_seed,
             members=decode_genomes(members_wire),
             clan_id=clan_id,
             n_clans=n_clans,
             next_genome_key=next_genome_key,
-        )
+        ))
+
+    def _host(self, env_id: str, evaluator, population: Population) -> None:
+        self.env_id = env_id
+        self.evaluator = evaluator
+        # a CLAN_DDA clan records its phase spans on its own track,
+        # whichever tracer is active (the driver's in the logical engine,
+        # the worker process's own)
+        population.track = f"clan:{population.clan_id}"
+        self.population = population
 
     def __getattr__(self, name):
         # only reached for names the clan itself lacks
@@ -156,9 +163,7 @@ class WorkerClan:
         completed = payload["completed_generation"]
         best = payload["best_hex"]
         clan = cls.__new__(cls)
-        clan.env_id = env_id
-        clan.evaluator = evaluator
-        clan.population = Population.restore(
+        clan._host(env_id, evaluator, Population.restore(
             config,
             {
                 "seed": payload["rng_seed"],
@@ -176,5 +181,5 @@ class WorkerClan:
                     None if best is None else decode_genome_hex(best)
                 ),
             },
-        )
+        ))
         return clan

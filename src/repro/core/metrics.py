@@ -183,10 +183,10 @@ class RunResult:
     #: is in play)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: device-churn counters over the run (all-zero for logical engines;
-    #: the live runtime's supervision loop fills its own copy on
-    #: :class:`repro.cluster.runtime.RealRunStats` and fault-injected
-    #: replays can aggregate theirs here)
+    #: device-churn counters over the run: always all-zero here (logical
+    #: engines see no churn; the live runtime's supervision loop fills
+    #: its own copy on :class:`repro.cluster.runtime.RealRunStats`), and
+    #: kept so the ``repro learn`` exposition carries the churn families
     churn: ChurnStats = field(default_factory=ChurnStats)
 
     @property
@@ -200,18 +200,6 @@ class RunResult:
 
     def total_speciation_gene_ops(self) -> int:
         return sum(r.total_speciation_gene_ops() for r in self.records)
-
-    # -- churn counters, aggregated over the run --------------------------
-
-    def total_clan_deaths(self) -> int:
-        """Per-record deaths if any record carries them, else the run
-        total from :attr:`churn` (the two sources are alternatives)."""
-        per_record = sum(r.clan_deaths for r in self.records)
-        return per_record if per_record else self.churn.deaths
-
-    def total_clan_respawns(self) -> int:
-        per_record = sum(r.clan_respawns for r in self.records)
-        return per_record if per_record else self.churn.respawns
 
     def final_n_species(self) -> int:
         """Species count in the last generation (0 for an empty run)."""

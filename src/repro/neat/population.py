@@ -99,6 +99,12 @@ class Population:
     20
     """
 
+    #: timeline of the evaluate/speciate/reproduce spans: None records
+    #: them on the active tracer's own track (serial NEAT and the shared
+    #: population of CLAN_DCS/CLAN_DDS); the host of a CLAN_DDA clan
+    #: (:class:`repro.cluster.worker_clan.WorkerClan`) names the clan's
+    track: str | None = None
+
     def __init__(
         self,
         config: "NEATConfig",
@@ -187,7 +193,7 @@ class Population:
         """
         if generation is None:
             generation = self.generation
-        track = f"clan:{self.clan_id}"
+        track = self.track
         with obs.span(
             "evaluate", track=track, gen=generation,
             genomes=len(self.genomes),

@@ -1,10 +1,10 @@
 """Unified telemetry for the evolve→deploy pipeline.
 
 Zero-dependency observability layer: nested tracing spans
-(:mod:`repro.obs.tracer`), a named-metric registry
-(:mod:`repro.obs.metrics`), the injectable wall-clock shim
-(:mod:`repro.obs.clock`), and exporters for JSONL / Chrome-trace
-(Perfetto) / Prometheus text (:mod:`repro.obs.export`).
+(:mod:`repro.obs.tracer`), the Prometheus text rendering of a run's
+measurement dataclasses (:mod:`repro.obs.metrics`), the injectable
+wall-clock shim (:mod:`repro.obs.clock`), and exporters for JSONL /
+Chrome-trace (Perfetto) / Prometheus text (:mod:`repro.obs.export`).
 
 Tracing is off by default and costs a single global check per
 instrumented site.  Turn it on around a region::
@@ -31,13 +31,7 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, FAMILIES, to_prometheus
 from repro.obs.tracer import (
     NULL_SPAN,
     SpanEvent,
@@ -59,11 +53,9 @@ __all__ = [
     "deactivate",
     "instant",
     "span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "FAMILIES",
+    "to_prometheus",
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",

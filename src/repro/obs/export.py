@@ -12,8 +12,8 @@ Three formats, all stdlib-only:
   point events phase ``"i"`` (instant); timestamps are microseconds
   rebased to the earliest event so Perfetto opens at t=0.
 * **Prometheus text exposition** — rendered by
-  :meth:`repro.obs.metrics.MetricsRegistry.to_prometheus`; the writer
-  here just puts it on disk for a file-based scrape or CI artifact.
+  :func:`repro.obs.metrics.to_prometheus`; the writer here just puts it
+  on disk for a file-based scrape or CI artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanEvent
 
 
@@ -131,11 +130,10 @@ def read_jsonl(path: str | Path) -> list[SpanEvent]:
     return events
 
 
-def write_prometheus(
-    registry: MetricsRegistry, path: str | Path
-) -> Path:
-    """Write the registry in Prometheus text exposition format."""
+def write_prometheus(text: str, path: str | Path) -> Path:
+    """Write Prometheus exposition ``text`` (see
+    :func:`repro.obs.metrics.to_prometheus`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(registry.to_prometheus(), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path

@@ -1,435 +1,199 @@
-"""A named-metric registry unifying the repo's scattered counters.
+"""Prometheus text exposition of a run's measurements.
 
-:class:`MetricsRegistry` holds counters, gauges, and histograms keyed by
-``(name, labels)`` and renders them in Prometheus text exposition
-format.  It does **not** replace the existing measurement dataclasses —
-:class:`~repro.core.metrics.ServiceStats`,
-:class:`~repro.core.metrics.ChurnStats`, and
-:class:`~repro.core.metrics.RunResult` stay the sources of truth their
-subsystems fill — it *subsumes* them: the ``ingest_*`` methods map each
-dataclass onto registry metrics once, so every exporter (Prometheus
-text, the ``repro learn``/``repro serve`` summary lines, JSON dumps)
-reads one uniform surface instead of reaching into per-subsystem
-structs.
-
-Everything is stdlib-only and lock-guarded; iteration orders are
-insertion-then-sorted so exposition output is deterministic.
+The measurement dataclasses their subsystems fill (``RunResult``,
+``ServiceStats``, ``ChurnStats`` in :mod:`repro.core.metrics`) and the
+fleet's ``health()`` dict are the one stats model: :func:`to_prometheus`
+renders them straight to text at the end of a run (``--metrics-out``).
+Families sort by name and samples by label set, so the output is
+deterministic (``tests/golden/metrics_*.prom`` pins its bytes).
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 if TYPE_CHECKING:
-    # imported lazily at runtime: instrumented modules (repro.neat,
-    # repro.core) import repro.obs, so a module-level import back into
-    # repro.core.metrics would be circular
+    # not at runtime: repro.core imports repro.obs (circular)
     from repro.core.metrics import ChurnStats, RunResult, ServiceStats
 
-#: default histogram bucket upper bounds, in seconds — tuned for the
+#: histogram bucket upper bounds, in seconds — tuned for the
 #: sub-millisecond-to-seconds range the gateway and clan phases span
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
+DEFAULT_BUCKETS: tuple[float, ...] = (0.0005, 0.001, 0.0025, 0.005, 0.01,
+                                      0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+                                      2.5, 5.0)
+#: bucket upper bounds of the batch-size histogram, in requests
+BATCH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
-_LabelKey = tuple[tuple[str, str], ...]
+#: every family an exposition can carry: name -> (type, HELP text)
+FAMILIES: dict[str, tuple[str, str]] = {
+    "repro_serve_requests_total": (
+        "counter", "requests by outcome at the inference gateway"),
+    "repro_serve_qps": ("gauge", "served requests per second since start"),
+    "repro_serve_latency_seconds": (
+        "gauge", "submit-to-answer latency quantiles"),
+    "repro_serve_batch_size": (
+        "histogram", "requests coalesced per forward pass"),
+    "repro_serve_champion_version": (
+        "gauge", "registry version currently deployed"),
+    "repro_serve_champion_swaps_total": (
+        "counter", "champion deployment changes since first publish"),
+    "repro_churn_deaths_total": (
+        "counter", "worker processes observed dead or heartbeat-killed"),
+    "repro_churn_respawns_total": (
+        "counter", "successful respawn-from-checkpoint recoveries"),
+    "repro_churn_clans_lost_total": (
+        "counter", "clans abandoned after exhausting the respawn budget"),
+    "repro_churn_lost_generations_total": (
+        "counter", "completed-but-uncheckpointed generations re-run or lost"),
+    "repro_churn_reassigned_generations_total": (
+        "counter", "budget of lost clans re-assigned to survivors"),
+    "repro_churn_recovery_latency_seconds": (
+        "histogram", "failure detection to respawned clan resuming"),
+    "repro_churn_mean_recovery_latency_seconds": (
+        "gauge", "mean respawn recovery latency over the run"),
+    "repro_replica_respawns_total": (
+        "counter", "serving replicas respawned after a death"),
+    "repro_requests_retried_total": (
+        "counter", "in-flight requests transparently re-dispatched after "
+        "a replica death"),
+    "repro_faults_injected_total": (
+        "counter", "chaos-plane faults fired, by action"),
+    "repro_replica_breaker_state": (
+        "gauge", "per-replica circuit breaker: 0 closed, 0.5 half-open, "
+        "1 open"),
+    "repro_evolve_generations_total": (
+        "counter", "generations executed over the run"),
+    "repro_evolve_best_fitness": (
+        "gauge", "best fitness reached over the run"),
+    "repro_evolve_species": ("gauge", "species count in the final generation"),
+    "repro_plan_cache_hits_total": (
+        "counter", "compiled-plan cache hits over the run"),
+    "repro_plan_cache_misses_total": (
+        "counter", "compiled-plan cache misses over the run"),
+    "repro_comm_floats_total": (
+        "counter", "32-bit words transferred over the run"),
+    "repro_plan_cache_hit_rate": (
+        "gauge", "hits / lookups over the run (0 when the cache never ran)"),
+}
 
-
-def _label_key(labels: Mapping[str, Any]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _render_labels(key: _LabelKey, extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in key]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-class Counter:
-    """Monotonically increasing count (requests served, deaths, ...)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A value that can go either way (queue depth, hit rate, uptime)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics).
-
-    ``observe`` files a sample into every bucket whose upper bound
-    admits it; exposition emits ``_bucket{le=...}``, ``_sum``, and
-    ``_count`` series plus the implicit ``+Inf`` bucket.
-    """
-
-    __slots__ = ("_lock", "bounds", "_bucket_counts", "_count", "_sum")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self._lock = threading.Lock()
-        self.bounds = bounds
-        self._bucket_counts = [0] * len(bounds)
-        self._count = 0
-        self._sum = 0.0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            # per-bucket tallies; exposition accumulates them into the
-            # cumulative le-series Prometheus expects
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._bucket_counts[i] += 1
-                    break
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> float:
-        return self._sum
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, ``+Inf`` last."""
-        with self._lock:
-            running = 0
-            out: list[tuple[float, int]] = []
-            for bound, n in zip(self.bounds, self._bucket_counts):
-                running += n
-                out.append((bound, running))
-            out.append((float("inf"), self._count))
-            return out
+#: samples are ``(family, labels, value)``; a histogram's value is its
+#: bucket bounds and its ``(observation, times observed)`` pairs
+_Sample = tuple[str, Mapping[str, Any], Any]
 
 
-class _Family:
-    """All samples of one metric name (one ``# TYPE`` block)."""
-
-    __slots__ = ("name", "kind", "help", "samples")
-
-    def __init__(self, name: str, kind: str, help_: str) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help_
-        self.samples: dict[_LabelKey, Any] = {}
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named metrics with optional labels.
-
-    Metric names follow Prometheus conventions (``repro_`` prefix,
-    ``_total`` suffix on counters, base-unit ``_seconds``).  Registering
-    the same name with a different type is an error — that is the
-    "subsume, don't duplicate" contract.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # guarded-by: _lock
-        self._families: dict[str, _Family] = {}
-
-    # -- get-or-create -------------------------------------------------------
-
-    def _sample(
-        self,
-        name: str,
-        kind: str,
-        help_: str,
-        labels: Mapping[str, Any],
-        factory,
+def _service_samples(stats: "ServiceStats", **labels) -> Iterator[_Sample]:
+    for outcome, value in (
+        ("accepted", stats.requests), ("served", stats.served),
+        ("shed", stats.shed),
     ):
-        key = _label_key(labels)
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = _Family(name, kind, help_)
-                self._families[name] = family
-            elif family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family.kind}, not {kind}"
-                )
-            sample = family.samples.get(key)
-            if sample is None:
-                sample = factory()
-                family.samples[key] = sample
-            return sample
+        outcome_labels = dict(labels, outcome=outcome)
+        yield "repro_serve_requests_total", outcome_labels, value
+    yield "repro_serve_qps", labels, stats.qps
+    for quantile, value in (
+        ("0.5", stats.p50_latency_s), ("0.95", stats.p95_latency_s)
+    ):
+        quantile_labels = dict(labels, quantile=quantile)
+        yield "repro_serve_latency_seconds", quantile_labels, value
+    histogram = sorted(stats.batch_size_histogram.items())
+    yield "repro_serve_batch_size", labels, (BATCH_BUCKETS, histogram)
+    yield "repro_serve_champion_version", labels, stats.champion_version
+    yield "repro_serve_champion_swaps_total", labels, stats.swaps
 
-    def counter(self, name: str, help_: str = "", **labels: Any) -> Counter:
-        return self._sample(name, "counter", help_, labels, Counter)
 
-    def gauge(self, name: str, help_: str = "", **labels: Any) -> Gauge:
-        return self._sample(name, "gauge", help_, labels, Gauge)
+def _churn_samples(churn: "ChurnStats") -> Iterator[_Sample]:
+    yield "repro_churn_deaths_total", {}, churn.deaths
+    yield "repro_churn_respawns_total", {}, churn.respawns
+    yield "repro_churn_clans_lost_total", {}, churn.clans_lost
+    yield "repro_churn_lost_generations_total", {}, churn.lost_generations
+    reassigned = churn.reassigned_generations
+    yield "repro_churn_reassigned_generations_total", {}, reassigned
+    latencies = [(latency, 1) for latency in churn.recovery_latency_s]
+    histogram = (DEFAULT_BUCKETS, latencies)
+    yield "repro_churn_recovery_latency_seconds", {}, histogram
+    mean = churn.mean_recovery_latency_s()
+    yield "repro_churn_mean_recovery_latency_seconds", {}, mean
 
-    def histogram(
-        self,
-        name: str,
-        help_: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self._sample(
-            name, "histogram", help_, labels, lambda: Histogram(buckets)
-        )
 
-    # -- ingest: map the existing dataclasses onto the registry --------------
+def _health_samples(health: Mapping[str, Any]) -> Iterator[_Sample]:
+    respawns = health.get("replica_respawns", 0)
+    yield "repro_replica_respawns_total", {}, respawns
+    retried = health.get("requests_retried", 0)
+    yield "repro_requests_retried_total", {}, retried
+    for action, count in health.get("faults_injected", {}).items():
+        yield "repro_faults_injected_total", {"action": action}, count
+    for replica, state in health.get("breaker_states", {}).items():
+        yield "repro_replica_breaker_state", {"replica": replica}, state
 
-    def ingest_service_stats(
-        self, stats: "ServiceStats", **labels: Any
-    ) -> None:
-        """Fold one gateway/fleet :class:`ServiceStats` snapshot in.
 
-        Counters are *set-by-increment from zero* semantics: ingest each
-        snapshot once (they are cumulative already).
-        """
-        for outcome, value in (
-            ("accepted", stats.requests),
-            ("served", stats.served),
-            ("shed", stats.shed),
-        ):
-            self.counter(
-                "repro_serve_requests_total",
-                "requests by outcome at the inference gateway",
-                outcome=outcome,
-                **labels,
-            ).inc(value)
-        self.gauge(
-            "repro_serve_qps",
-            "served requests per second since start",
-            **labels,
-        ).set(stats.qps)
-        self.gauge(
-            "repro_serve_latency_seconds",
-            "submit-to-answer latency quantiles",
-            quantile="0.5",
-            **labels,
-        ).set(stats.p50_latency_s)
-        self.gauge(
-            "repro_serve_latency_seconds",
-            "submit-to-answer latency quantiles",
-            quantile="0.95",
-            **labels,
-        ).set(stats.p95_latency_s)
-        batch_hist = self.histogram(
-            "repro_serve_batch_size",
-            "requests coalesced per forward pass",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            **labels,
-        )
-        for size in sorted(stats.batch_size_histogram):
-            for _ in range(stats.batch_size_histogram[size]):
-                batch_hist.observe(size)
-        self.gauge(
-            "repro_serve_champion_version",
-            "registry version currently deployed",
-            **labels,
-        ).set(stats.champion_version)
-        self.counter(
-            "repro_serve_champion_swaps_total",
-            "champion deployment changes since first publish",
-            **labels,
-        ).inc(stats.swaps)
+def _run_samples(result: "RunResult") -> Iterator[_Sample]:
+    yield "repro_evolve_generations_total", {}, result.generations
+    yield "repro_evolve_best_fitness", {}, result.best_fitness
+    yield "repro_evolve_species", {}, result.final_n_species()
+    yield "repro_plan_cache_hits_total", {}, result.plan_cache_hits
+    yield "repro_plan_cache_misses_total", {}, result.plan_cache_misses
+    yield "repro_comm_floats_total", {}, result.total_comm_floats()
+    yield "repro_plan_cache_hit_rate", {}, result.plan_cache_hit_rate()
+    yield from _churn_samples(result.churn)
 
-    def ingest_churn(self, churn: "ChurnStats", **labels: Any) -> None:
-        """Fold the fault-tolerance counters of one run in."""
-        for name, value, help_ in (
-            ("repro_churn_deaths_total", churn.deaths,
-             "worker processes observed dead or heartbeat-killed"),
-            ("repro_churn_respawns_total", churn.respawns,
-             "successful respawn-from-checkpoint recoveries"),
-            ("repro_churn_clans_lost_total", churn.clans_lost,
-             "clans abandoned after exhausting the respawn budget"),
-            ("repro_churn_lost_generations_total",
-             churn.lost_generations,
-             "completed-but-uncheckpointed generations re-run or lost"),
-            ("repro_churn_reassigned_generations_total",
-             churn.reassigned_generations,
-             "budget of lost clans re-assigned to survivors"),
-        ):
-            self.counter(name, help_, **labels).inc(value)
-        recovery = self.histogram(
-            "repro_churn_recovery_latency_seconds",
-            "failure detection to respawned clan resuming",
-            **labels,
-        )
-        for latency in churn.recovery_latency_s:
-            recovery.observe(latency)
-        self.gauge(
-            "repro_churn_mean_recovery_latency_seconds",
-            "mean respawn recovery latency over the run",
-            **labels,
-        ).set(churn.mean_recovery_latency_s())
 
-    def ingest_fleet_health(self, health: Mapping[str, Any],
-                            **labels: Any) -> None:
-        """Fold a serving fleet's self-healing counters in.
+def _render_labels(key: tuple[tuple[str, str], ...]) -> str:
+    return "{" + ",".join(f'{k}="{v}"' for k, v in key) + "}" if key else ""
 
-        ``health`` is the dict :meth:`repro.serve.fleet.ServingFleet
-        .health` returns — respawn/retry totals, per-replica
-        circuit-breaker states, and the chaos injector's fired-fault
-        tally (empty without a fault plan). Ingest one final snapshot
-        per run, like the other ``ingest_*`` surfaces.
-        """
-        for name, key, help_ in (
-            ("repro_replica_respawns_total", "replica_respawns",
-             "serving replicas respawned after a death"),
-            ("repro_requests_retried_total", "requests_retried",
-             "in-flight requests transparently re-dispatched after a "
-             "replica death"),
-        ):
-            self.counter(name, help_, **labels).inc(
-                health.get(key, 0)
-            )
-        for action, count in sorted(
-            health.get("faults_injected", {}).items()
-        ):
-            self.counter(
-                "repro_faults_injected_total",
-                "chaos-plane faults fired, by action",
-                action=action,
-                **labels,
-            ).inc(count)
-        for replica_id, state in sorted(
-            health.get("breaker_states", {}).items()
-        ):
-            self.gauge(
-                "repro_replica_breaker_state",
-                "per-replica circuit breaker: 0 closed, 0.5 half-open, "
-                "1 open",
-                replica=str(replica_id),
-                **labels,
-            ).set(state)
 
-    def ingest_run_result(self, result: "RunResult", **labels: Any) -> None:
-        """Fold a protocol run's evolution-side outcome in."""
-        self.counter(
-            "repro_evolve_generations_total",
-            "generations executed over the run",
-            **labels,
-        ).inc(result.generations)
-        self.gauge(
-            "repro_evolve_best_fitness",
-            "best fitness reached over the run",
-            **labels,
-        ).set(result.best_fitness)
-        self.gauge(
-            "repro_evolve_species",
-            "species count in the final generation",
-            **labels,
-        ).set(result.final_n_species())
-        for name, value, help_ in (
-            ("repro_plan_cache_hits_total", result.plan_cache_hits,
-             "compiled-plan cache hits over the run"),
-            ("repro_plan_cache_misses_total", result.plan_cache_misses,
-             "compiled-plan cache misses over the run"),
-            ("repro_comm_floats_total", result.total_comm_floats(),
-             "32-bit words transferred over the run"),
-        ):
-            self.counter(name, help_, **labels).inc(value)
-        self.gauge(
-            "repro_plan_cache_hit_rate",
-            "hits / lookups over the run (0 when the cache never ran)",
-            **labels,
-        ).set(result.plan_cache_hit_rate())
-        self.ingest_churn(result.churn, **labels)
+def _histogram_lines(name: str, key, bounds, observations) -> Iterator[str]:
+    """Cumulative ``_bucket`` series (``+Inf`` last), ``_sum``, ``_count``."""
+    count, total = 0, 0.0
+    for value, times in observations:
+        # a running sum in observation order (sum() compensates floats)
+        count, total = count + times, total + value * times
+    buckets = [
+        (repr(bound), sum(n for value, n in observations if value <= bound))
+        for bound in sorted(float(bound) for bound in bounds)
+    ]
+    for le, below in buckets + [("+Inf", count)]:
+        yield f"{name}_bucket{_render_labels(key + (('le', le),))} {below}"
+    yield f"{name}_sum{_render_labels(key)} {total!r}"
+    yield f"{name}_count{_render_labels(key)} {count}"
 
-    # -- export --------------------------------------------------------------
 
-    def value(self, name: str, **labels: Any) -> float:
-        """Read one sample's scalar value (histograms: the count)."""
-        family = self._families[name]
-        sample = family.samples[_label_key(labels)]
-        if isinstance(sample, Histogram):
-            return float(sample.count)
-        return sample.value
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        """Plain-dict dump for JSON sinks and assertions."""
-        out: dict[str, dict[str, Any]] = {}
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            series: dict[str, Any] = {}
-            for key in sorted(family.samples):
-                sample = family.samples[key]
-                label_str = _render_labels(key) or "{}"
-                if isinstance(sample, Histogram):
-                    series[label_str] = {
-                        "count": sample.count,
-                        "sum": sample.total,
-                    }
-                else:
-                    series[label_str] = sample.value
-            out[family.name] = {"type": family.kind, "series": series}
-        return out
-
-    def to_prometheus(self) -> str:
-        """Render the registry in Prometheus text exposition format."""
-        lines: list[str] = []
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for key in sorted(family.samples):
-                sample = family.samples[key]
-                if isinstance(sample, Histogram):
-                    for bound, cumulative in sample.cumulative_buckets():
-                        le = "+Inf" if bound == float("inf") else repr(bound)
-                        labels = _render_labels(key, f'le="{le}"')
-                        lines.append(
-                            f"{family.name}_bucket{labels} {cumulative}"
-                        )
-                    base = _render_labels(key)
-                    lines.append(
-                        f"{family.name}_sum{base} {sample.total!r}"
-                    )
-                    lines.append(
-                        f"{family.name}_count{base} {sample.count}"
-                    )
-                else:
-                    labels = _render_labels(key)
-                    value = sample.value
-                    text = repr(value) if value % 1 else str(int(value))
-                    lines.append(f"{family.name}{labels} {text}")
-        return "\n".join(lines) + "\n"
+def to_prometheus(
+    *,
+    run: "RunResult | None" = None,
+    service: "ServiceStats | None" = None,
+    replicas: Mapping[int, "ServiceStats | None"] | None = None,
+    churn: "ChurnStats | None" = None,
+    health: Mapping[str, Any] | None = None,
+) -> str:
+    """Render measurements in Prometheus text exposition format:
+    ``run`` (churn included) for ``repro learn``; the fleet rollup
+    ``service``, per-replica ``replicas`` (labelled ``replica``, None
+    skipped), ``churn`` and ``health`` for ``repro serve``."""
+    samples: list[_Sample] = []
+    if run is not None:
+        samples += _run_samples(run)
+    if service is not None:
+        samples += _service_samples(service)
+    for replica, stats in (replicas or {}).items():
+        if stats is not None:
+            samples += _service_samples(stats, replica=replica)
+    if churn is not None:
+        samples += _churn_samples(churn)
+    if health is not None:
+        samples += _health_samples(health)
+    families: dict[str, dict[tuple[tuple[str, str], ...], Any]] = {}
+    for name, labels, value in samples:
+        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        families.setdefault(name, {})[key] = value
+    lines: list[str] = []
+    for name in sorted(families):
+        kind, help_ = FAMILIES[name]
+        lines += [f"# HELP {name} {help_}", f"# TYPE {name} {kind}"]
+        series = families[name]
+        for key in sorted(series):
+            if kind == "histogram":
+                lines += _histogram_lines(name, key, *series[key])
+            else:
+                value = float(series[key])
+                text = repr(value) if value % 1 else str(int(value))
+                lines.append(f"{name}{_render_labels(key)} {text}")
+    return "\n".join(lines) + "\n"

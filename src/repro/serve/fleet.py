@@ -62,6 +62,10 @@ isolates (mirroring the cluster runtime):
 - a deployment-repair loop re-sends the cached deployment to any live
   replica whose acked seq lags (healing a dropped/corrupted publish
   message — re-delivery is idempotent thanks to the monotone guard).
+  Every publish carries a CRC-32 of its plan wire, computed once per
+  deployment: a replica refuses a plan whose bytes do not match before
+  decoding it, so a flipped bit that still decodes can never serve a
+  different policy under the same version.
 
 All of it is driven by protocol events, not wall-clock sampling, so an
 undisturbed fleet behaves bit-identically with healing on or off. The
@@ -76,6 +80,7 @@ import contextlib
 import functools
 import random
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -149,9 +154,15 @@ class _ReplicaChampionStore:
         self.swaps = 0
         self._closed = False
 
-    def install(self, seq: int, version: int, plan_wire: bytes) -> bool:
+    def install(
+        self, seq: int, version: int, plan_wire: bytes, crc: int
+    ) -> bool:
         """Apply deployment ``seq`` (decoding the wire plan); returns
-        whether it was applied (False = stale, ignored)."""
+        whether it was applied (False = stale, ignored). Raises
+        ``ValueError`` — and keeps the current record — when the plan
+        does not match its CRC-32 ``crc`` or does not decode."""
+        if zlib.crc32(plan_wire) != crc:
+            raise ValueError(f"deployment {seq}: plan checksum mismatch")
         network = BatchedFeedForwardNetwork(decode_batched_plan(plan_wire))
         if seq <= self._seq:
             return False
@@ -244,8 +255,8 @@ async def _replica_serve(
                 functools.partial(answer, chunk_id)
             )
         elif kind == "publish":
-            seq, version, plan_wire = payload
-            store.install(seq, version, plan_wire)
+            seq, version, plan_wire, crc = payload
+            store.install(seq, version, plan_wire, crc)
             channel.send(("published", (seq, version)))
         elif kind == "stats":
             channel.send(("stats", gateway.stats()))
@@ -402,7 +413,7 @@ class ServingFleet:
         #: parent-side sheds (replica window full); replica-side sheds
         #: live in each replica's own stats
         self.fleet_shed = 0
-        #: healing counters (ingested as repro_replica_respawns_total /
+        #: healing counters (exported as repro_replica_respawns_total /
         #: repro_requests_retried_total — see obs/metrics.py)
         self.replica_respawns = 0
         self.requests_retried = 0
@@ -428,9 +439,10 @@ class ServingFleet:
         self._started_at: float | None = None
         self._closed = False
         self._close_done = False
-        #: latest deployment ``(seq, version, wire)`` — replayed to
-        #: respawned replicas and by the deployment-repair loop
-        self._last_deployment: tuple[int, int, bytes] | None = None
+        #: latest deployment ``(seq, version, wire, crc32 of wire)`` —
+        #: replayed to respawned replicas and by the deployment-repair
+        #: loop
+        self._last_deployment: tuple[int, int, bytes, int] | None = None
         #: replica ids with a respawn in flight (death observed, new
         #: process not yet admitted)
         self._respawning: set[int] = set()
@@ -517,9 +529,9 @@ class ServingFleet:
     def _on_deployment(self, seq: int, record) -> None:
         """Registry subscription callback (any publisher thread).
 
-        Encodes the compiled plan once and applies the fault plan here,
-        then hops the sends onto the loop, the one thread that writes to
-        the channels. Hops run in call order and each pipe is FIFO, so
+        Encodes the compiled plan (and its CRC-32) once and applies the
+        fault plan here, then hops the sends onto the loop, the one
+        thread that writes to the channels. Hops run in call order and each pipe is FIFO, so
         with the registry's per-subscriber ordering each replica
         receives deployments in global seq order; the replica-side
         monotone guard makes application idempotent on top.
@@ -527,7 +539,8 @@ class ServingFleet:
         if self._closed:
             return
         wire = encode_batched_plan(record.plan)
-        self._last_deployment = (seq, record.version, wire)
+        crc = zlib.crc32(wire)
+        self._last_deployment = (seq, record.version, wire, crc)
         if self._chaos is not None:
             registry_decision = self._chaos.on_event(
                 "registry", None, "publish"
@@ -552,12 +565,12 @@ class ServingFleet:
                     if decision.delay_s > 0.0:
                         time.sleep(decision.delay_s)
                     if decision.corrupt:
-                        # a corrupted plan fails decode in the replica,
-                        # killing it — the heal path (respawn + replay)
-                        # must recover, which is the point of the fault
+                        # a corrupted plan fails its checksum in the
+                        # replica, killing it — the heal path (respawn +
+                        # replay) must recover: the point of the fault
                         payload = self._chaos.corrupt_bytes(wire)
                     deliveries = decision.deliveries
-            message = ("publish", (seq, record.version, payload))
+            message = ("publish", (seq, record.version, payload, crc))
             sends += [(handle, message)] * deliveries
         self._loop.call_soon_threadsafe(self._send_all, sends)
 

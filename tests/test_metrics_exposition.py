@@ -89,17 +89,12 @@ def serve_measurements():
 
 
 def serve_exposition(fleet, replicas, churn, health) -> str:
-    """The ingest sequence ``repro serve`` runs at exit."""
-    from repro.obs.metrics import MetricsRegistry
+    """What ``repro serve`` renders at exit."""
+    from repro.obs.metrics import to_prometheus
 
-    registry = MetricsRegistry()
-    registry.ingest_service_stats(fleet)
-    for replica_id, rstats in sorted(replicas.items()):
-        if rstats is not None:
-            registry.ingest_service_stats(rstats, replica=str(replica_id))
-    registry.ingest_churn(churn)
-    registry.ingest_fleet_health(health)
-    return registry.to_prometheus()
+    return to_prometheus(
+        service=fleet, replicas=replicas, churn=churn, health=health
+    )
 
 
 @pytest.mark.parametrize("case", sorted(LEARN_CASES))

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry layer: tracer, clock, metrics, export."""
+"""Unit tests for the telemetry layer: tracer, clock, exposition, export."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, FAMILIES, to_prometheus
 from repro.obs.tracer import NULL_SPAN, SpanEvent, Tracer
 
 
@@ -259,56 +259,22 @@ class TestCollection:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
+# Prometheus exposition of the measurement dataclasses
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_basics(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total").inc()
-        registry.counter("repro_x_total").inc(2)
-        assert registry.value("repro_x_total") == 3
-        registry.gauge("repro_y").set(1.5)
-        assert registry.value("repro_y") == 1.5
-        hist = registry.histogram("repro_z_seconds")
-        hist.observe(0.003)
-        hist.observe(10.0)
-        assert registry.value("repro_z_seconds") == 2
-        assert hist.total == pytest.approx(10.003)
+def _samples(text: str) -> dict[str, float]:
+    """``{"name{labels}": value}`` for every sample line of ``text``."""
+    samples = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
 
-    def test_counters_reject_negative_increments(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("repro_x_total").inc(-1)
 
-    def test_kind_conflict_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("repro_x_total")
-
-    def test_labels_key_independent_of_order(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total", a="1", b="2").inc()
-        registry.counter("repro_x_total", b="2", a="1").inc()
-        assert registry.value("repro_x_total", a="1", b="2") == 2
-
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "repro_z_seconds", buckets=(0.1, 1.0)
-        )
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(50.0)
-        assert hist.cumulative_buckets() == [
-            (0.1, 1),
-            (1.0, 2),
-            (float("inf"), 3),
-        ]
-
-    def test_ingest_service_stats(self):
+class TestExposition:
+    def test_renders_service_stats(self):
         from repro.core.metrics import ServiceStats
 
         stats = ServiceStats(
@@ -322,23 +288,19 @@ class TestMetricsRegistry:
             champion_version=3,
             swaps=2,
         )
-        registry = MetricsRegistry()
-        registry.ingest_service_stats(stats)
-        assert registry.value(
-            "repro_serve_requests_total", outcome="served"
-        ) == 8
-        assert registry.value(
-            "repro_serve_requests_total", outcome="shed"
-        ) == 2
-        assert registry.value("repro_serve_qps") == 123.0
-        assert registry.value(
-            "repro_serve_latency_seconds", quantile="0.95"
-        ) == 0.004
-        assert registry.value("repro_serve_batch_size") == 5
-        assert registry.value("repro_serve_champion_version") == 3
-        assert registry.value("repro_serve_champion_swaps_total") == 2
+        samples = _samples(to_prometheus(service=stats))
+        assert samples['repro_serve_requests_total{outcome="served"}'] == 8
+        assert samples['repro_serve_requests_total{outcome="shed"}'] == 2
+        assert samples["repro_serve_qps"] == 123.0
+        assert (
+            samples['repro_serve_latency_seconds{quantile="0.95"}'] == 0.004
+        )
+        assert samples["repro_serve_batch_size_count"] == 5
+        assert samples["repro_serve_batch_size_sum"] == 8
+        assert samples["repro_serve_champion_version"] == 3
+        assert samples["repro_serve_champion_swaps_total"] == 2
 
-    def test_ingest_churn(self):
+    def test_renders_churn(self):
         from repro.core.metrics import ChurnStats
 
         churn = ChurnStats(
@@ -349,18 +311,15 @@ class TestMetricsRegistry:
             reassigned_generations=4,
             recovery_latency_s=[0.2, 0.4],
         )
-        registry = MetricsRegistry()
-        registry.ingest_churn(churn)
-        assert registry.value("repro_churn_deaths_total") == 2
-        assert registry.value("repro_churn_respawns_total") == 1
-        assert (
-            registry.value("repro_churn_recovery_latency_seconds") == 2
-        )
-        assert registry.value(
+        samples = _samples(to_prometheus(churn=churn))
+        assert samples["repro_churn_deaths_total"] == 2
+        assert samples["repro_churn_respawns_total"] == 1
+        assert samples["repro_churn_recovery_latency_seconds_count"] == 2
+        assert samples[
             "repro_churn_mean_recovery_latency_seconds"
-        ) == pytest.approx(0.3)
+        ] == pytest.approx(0.3)
 
-    def test_ingest_fleet_health(self):
+    def test_renders_fleet_health(self):
         health = {
             "replica_respawns": 2,
             "requests_retried": 5,
@@ -369,50 +328,89 @@ class TestMetricsRegistry:
             "live_replicas": [1],
             "faults_injected": {"kill": 1, "drop": 2},
         }
-        registry = MetricsRegistry()
-        registry.ingest_fleet_health(health)
-        assert registry.value("repro_replica_respawns_total") == 2
-        assert registry.value("repro_requests_retried_total") == 5
-        assert (
-            registry.value("repro_faults_injected_total", action="kill")
-            == 1
-        )
-        assert (
-            registry.value("repro_faults_injected_total", action="drop")
-            == 2
-        )
-        assert (
-            registry.value("repro_replica_breaker_state", replica="0")
-            == 1.0
-        )
-        assert (
-            registry.value("repro_replica_breaker_state", replica="1")
-            == 0.0
-        )
+        samples = _samples(to_prometheus(health=health))
+        assert samples["repro_replica_respawns_total"] == 2
+        assert samples["repro_requests_retried_total"] == 5
+        assert samples['repro_faults_injected_total{action="kill"}'] == 1
+        assert samples['repro_faults_injected_total{action="drop"}'] == 2
+        assert samples['repro_replica_breaker_state{replica="0"}'] == 1.0
+        assert samples['repro_replica_breaker_state{replica="1"}'] == 0.0
 
-    def test_ingest_fleet_health_tolerates_empty_dict(self):
-        registry = MetricsRegistry()
-        registry.ingest_fleet_health({})
-        assert registry.value("repro_replica_respawns_total") == 0
+    def test_fleet_health_tolerates_empty_dict(self):
+        samples = _samples(to_prometheus(health={}))
+        assert samples == {
+            "repro_replica_respawns_total": 0,
+            "repro_requests_retried_total": 0,
+        }
+
+    def test_replica_labels_follow_the_other_labels_in_name_order(self):
+        from repro.core.metrics import ServiceStats
+
+        stats = ServiceStats(
+            requests=1, served=1, shed=0, qps=1.0,
+            p50_latency_s=0.5, p95_latency_s=0.5,
+        )
+        text = to_prometheus(replicas={3: stats, 4: None})
+        assert (
+            'repro_serve_latency_seconds{quantile="0.5",replica="3"} 0.5'
+            in text
+        )
+        assert (
+            'repro_serve_requests_total{outcome="shed",replica="3"} 0'
+            in text
+        )
+        assert 'replica="4"' not in text
+
+    def test_histogram_buckets_are_cumulative_with_inf(self):
+        from repro.core.metrics import ChurnStats
+
+        churn = ChurnStats(recovery_latency_s=[0.0004, 0.3, 50.0])
+        samples = _samples(to_prometheus(churn=churn))
+        family = "repro_churn_recovery_latency_seconds_bucket"
+        assert samples[f'{family}{{le="0.0005"}}'] == 1
+        assert samples[f'{family}{{le="0.25"}}'] == 1
+        assert samples[f'{family}{{le="0.5"}}'] == 2
+        assert samples[f'{family}{{le="5.0"}}'] == 2
+        assert samples[f'{family}{{le="+Inf"}}'] == 3
 
     def test_prometheus_exposition_shape(self):
-        registry = MetricsRegistry()
-        registry.counter(
-            "repro_x_total", "things counted", kind="a"
-        ).inc(2)
-        hist = registry.histogram(
-            "repro_z_seconds", "latency", buckets=(0.1,)
+        from repro.core.metrics import RunResult
+
+        text = to_prometheus(
+            run=RunResult("Serial", "CartPole-v0", 1, plan_cache_hits=2)
         )
-        hist.observe(0.05)
-        text = registry.to_prometheus()
-        assert "# HELP repro_x_total things counted" in text
-        assert "# TYPE repro_x_total counter" in text
-        assert 'repro_x_total{kind="a"} 2' in text
-        assert "# TYPE repro_z_seconds histogram" in text
-        assert 'repro_z_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_z_seconds_bucket{le="+Inf"} 1' in text
-        assert "repro_z_seconds_count 1" in text
+        assert (
+            "# HELP repro_plan_cache_hits_total compiled-plan cache hits "
+            "over the run" in text
+        )
+        assert "# TYPE repro_plan_cache_hits_total counter" in text
+        assert "repro_plan_cache_hits_total 2\n" in text
+        assert "repro_plan_cache_hit_rate 1\n" in text
+        # an empty run's best fitness is -inf, rendered as Python does
+        assert "repro_evolve_best_fitness -inf\n" in text
+        assert "# TYPE repro_churn_recovery_latency_seconds histogram" in text
+        assert "repro_churn_recovery_latency_seconds_sum 0.0\n" in text
+        families = [
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE")
+        ]
+        assert families == sorted(families)
+        assert set(families) <= set(FAMILIES)
         assert text.endswith("\n")
+
+    def test_nothing_given_renders_an_empty_exposition(self):
+        assert to_prometheus() == "\n"
+
+    def test_every_family_is_documented(self):
+        from pathlib import Path
+
+        doc = (
+            Path(__file__).parent.parent / "docs" / "observability.md"
+        ).read_text(encoding="utf-8")
+        undocumented = [
+            name for name in FAMILIES if f"| `{name}` |" not in doc
+        ]
+        assert undocumented == []
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

@@ -55,6 +55,39 @@ class TestLogicalEngineSpans:
                 ]
                 assert gens == [0, 1, 2]
 
+    @pytest.mark.parametrize("protocol", ["Serial", "CLAN_DCS", "CLAN_DDS"])
+    def test_shared_population_spans_stay_on_the_tracer_track(
+        self, config, protocol
+    ):
+        tracer = Tracer(track="driver")
+        obs.activate(tracer)
+        engine = make_protocol(
+            protocol, "CartPole-v0", n_agents=2, config=config, seed=8
+        )
+        engine.run(max_generations=2, fitness_threshold=1e9)
+        events = tracer.events()
+        assert not [e for e in events if e.track.startswith("clan:")]
+        for phase in ("evaluate", "speciate", "reproduce"):
+            gens = [
+                e.args["gen"]
+                for e in events
+                if e.track == "driver" and e.name == phase
+            ]
+            assert gens == [0, 1]
+
+    def test_one_clan_dda_keeps_its_clan_track(self, config):
+        tracer = Tracer(track="driver")
+        obs.activate(tracer)
+        engine = make_protocol(
+            "CLAN_DDA", "CartPole-v0", n_agents=1, config=config, seed=8
+        )
+        engine.run(max_generations=1, fitness_threshold=1e9)
+        phases = {
+            e.track for e in tracer.events()
+            if e.name in ("evaluate", "speciate", "reproduce")
+        }
+        assert phases == {"clan:0"}
+
     def test_phases_nest_under_generation(self, config):
         tracer = Tracer(track="driver")
         obs.activate(tracer)

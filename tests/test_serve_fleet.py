@@ -13,10 +13,13 @@ import asyncio
 import random
 import socket
 import threading
+import zlib
 
 import pytest
 
+from repro.cluster.serialization import encode_batched_plan
 from repro.neat.config import NEATConfig
+from repro.neat.network import compile_batched
 from repro.serve import (
     ChampionRegistry,
     InferenceGateway,
@@ -24,6 +27,7 @@ from repro.serve import (
     ReplicaDied,
     ServingFleet,
 )
+from repro.serve.fleet import _ReplicaChampionStore
 
 from tests.conftest import make_evolved_genome
 
@@ -197,6 +201,26 @@ class TestPropagation:
 
         served = asyncio.run(run())
         assert served.champion_version == 1
+
+    def test_every_single_bit_flip_of_a_plan_is_refused(self):
+        """A flipped plan bit that still decodes would serve another
+        policy under the same version; the publish's CRC-32 catches
+        every single-bit flip before the replica decodes anything."""
+        wire = encode_batched_plan(compile_batched(CHAMPIONS[1], CONFIG))
+        crc = zlib.crc32(wire)
+        store = _ReplicaChampionStore()
+        assert store.install(1, 1, wire, crc)
+        record = store.current()
+        for bit in range(len(wire) * 8):
+            flipped = bytearray(wire)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ValueError, match="checksum"):
+                store.install(2, 2, bytes(flipped), crc)
+            assert store.current() is record
+        assert store.swaps == 0
+        # the intact plan still installs over the refused ones
+        assert store.install(2, 2, wire, crc)
+        assert store.version == 2
 
 
 class TestBackpressure:
