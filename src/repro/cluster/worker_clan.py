@@ -64,7 +64,12 @@ class WorkerClan:
             next_genome_key=next_genome_key,
         ))
 
-    def _host(self, env_id: str, evaluator, population: Population) -> None:
+    def _host(
+        self,
+        env_id: str,
+        evaluator: GenomeEvaluator,
+        population: Population,
+    ) -> None:
         self.env_id = env_id
         self.evaluator = evaluator
         # a CLAN_DDA clan records its phase spans on its own track,

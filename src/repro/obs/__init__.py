@@ -31,7 +31,7 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, FAMILIES, to_prometheus
+from repro.obs.metrics import DEFAULT_BUCKETS, to_prometheus
 from repro.obs.tracer import (
     NULL_SPAN,
     SpanEvent,
@@ -54,7 +54,6 @@ __all__ = [
     "instant",
     "span",
     "DEFAULT_BUCKETS",
-    "FAMILIES",
     "to_prometheus",
     "read_jsonl",
     "to_chrome_trace",

@@ -531,10 +531,11 @@ class ServingFleet:
 
         Encodes the compiled plan (and its CRC-32) once and applies the
         fault plan here, then hops the sends onto the loop, the one
-        thread that writes to the channels. Hops run in call order and each pipe is FIFO, so
-        with the registry's per-subscriber ordering each replica
-        receives deployments in global seq order; the replica-side
-        monotone guard makes application idempotent on top.
+        thread that writes to the channels. Hops run in call order and
+        each pipe is FIFO, so with the registry's per-subscriber
+        ordering each replica receives deployments in global seq order;
+        the replica-side monotone guard makes application idempotent on
+        top.
         """
         if self._closed:
             return

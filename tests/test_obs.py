@@ -398,9 +398,6 @@ class TestExposition:
         assert set(families) <= set(FAMILIES)
         assert text.endswith("\n")
 
-    def test_nothing_given_renders_an_empty_exposition(self):
-        assert to_prometheus() == "\n"
-
     def test_every_family_is_documented(self):
         from pathlib import Path
 
