@@ -1,16 +1,18 @@
-"""Physically parallel CLAN_DDA execution over OS processes.
+"""CLAN_DDA's one clan driver, on either clan host.
 
-While the engines in :mod:`repro.core.protocols` are logical (exact
-algorithm, modelled time), :class:`DistributedClanRuntime` actually fans
-the clans out to a :class:`~repro.cluster.transport.WorkerPool` — one
-process per clan, each running complete local generations — and measures
-real wall-clock. A worker hosts the same
-:class:`~repro.cluster.worker_clan.WorkerClan`, built from the same
-:func:`~repro.core.partition.clan_init_payloads`, that
-:class:`repro.core.protocols.CLAN_DDA` runs in-process, and a barrier run
-folds the steps its clans report with :meth:`CLAN_DDA.fold`: it writes
-the logical engine's records exactly. (CLAN_DCS and CLAN_DDS are
-reproduced by the logical engines plus the timing model.)
+:class:`DistributedClanRuntime` fans the clans out to a
+:class:`~repro.cluster.transport.WorkerPool` and supervises them: each
+clan runs complete local generations in ``clan_run`` windows, and a clan
+that dies is respawned from its latest checkpoint. By default every clan
+is a forked process and the runtime measures real wall-clock; given an
+``evaluator`` it hosts the clans in this process instead, which is how
+the logical :class:`repro.core.protocols.CLAN_DDA` engine runs. Every
+clan is the same :class:`~repro.cluster.worker_clan.WorkerClan`, built
+from the same :func:`~repro.core.partition.clan_init_payloads`, and a
+barrier generation folds the steps the clans report with
+:meth:`CLAN_DDA.fold`, so both hosts write the same records. (CLAN_DCS
+and CLAN_DDS are reproduced by the logical engines plus the timing
+model.)
 """
 
 from __future__ import annotations
@@ -60,14 +62,12 @@ class ChampionEvent:
 
 @dataclass
 class RealRunStats:
-    """Wall-clock measurements from a physically parallel run.
+    """Wall-clock measurements from a clan run.
 
     Barrier-free runs (:meth:`DistributedClanRuntime.run_async`) also fill
-    ``per_clan_generations`` — how many local generations each clan
-    completed, which diverge on heterogeneous or contended hosts — and
-    ``best_fitness_per_generation`` then holds the centre's best-so-far at
-    each *report arrival* (one entry per clan generation received, in
-    arrival order), not per global generation.
+    ``per_clan_generations`` (which diverge on heterogeneous hosts), and
+    ``best_fitness_per_generation`` then holds the best-so-far at each
+    clan report's arrival, not per global generation.
     """
 
     generations: int = 0
@@ -84,13 +84,12 @@ class RealRunStats:
     #: generations, recovery latencies) filled by the supervision loop;
     #: all-zero on an undisturbed run
     churn: ChurnStats = field(default_factory=ChurnStats)
-    #: one CLAN_DDA record per barrier generation (:meth:`~Distributed
-    #: ClanRuntime.run` only), as the logical engine writes it
+    #: one CLAN_DDA record per barrier generation (``run`` only)
     records: list[GenerationRecord] = field(default_factory=list)
 
 
 class DistributedClanRuntime:
-    """CLAN_DDA over real processes: each worker hosts a full clan."""
+    """CLAN_DDA's supervised clans: each worker hosts a full clan."""
 
     def __init__(
         self,
@@ -106,39 +105,29 @@ class DistributedClanRuntime:
         checkpoint_period: int = 1,
         respawn_backoff_s: float = 0.05,
         command_timeout_s: float = 30.0,
-        checkpoint_store=None,
         chaos=None,
+        evaluator=None,
     ):
         """``backend="batched"`` makes every clan evaluate its members with
         the NumPy engine (episodes step in lockstep on the worker);
         ``eval_mode="population"`` makes each clan evaluate its whole
         membership as one vectorized sweep per generation.
 
-        Fault tolerance (on by default — see ``docs/fault_tolerance.md``):
-        a clan whose process dies or stalls mid-run is respawned from its
-        latest checkpoint, up to ``max_respawns`` times per clan per run
-        (with exponential backoff starting at ``respawn_backoff_s``),
-        after which the clan is abandoned (:meth:`run_async` re-assigns
-        its remaining generation budget to survivors).
+        Fault tolerance (on by default, ``docs/fault_tolerance.md``): a
+        clan that dies or stalls is respawned from its latest checkpoint
+        up to ``max_respawns`` times per clan per run, with exponential
+        backoff from ``respawn_backoff_s``, then abandoned.
         ``heartbeat_timeout_s`` bounds how long a clan may go without
-        reporting before it is presumed hung and killed (None disables
-        stall detection; raise it well above your slowest generation). A
-        clan streams a checkpoint after generation ``g`` iff
-        ``(g + 1) % checkpoint_period == 0``, under either driver (1 =
-        every generation; higher trades recovery re-work for less
-        checkpoint traffic). ``command_timeout_s`` bounds individual
-        request/reply commands (restore, best-genome collection).
-        Recovery is exact: re-running a generation from a checkpoint is
-        bit-identical to the original run, so an undisturbed run's
-        trajectory is unchanged by any of these settings.
+        reporting before it is presumed hung and killed (None: no stall
+        detection). A clan checkpoints after generation ``g`` iff ``(g +
+        1) % checkpoint_period == 0``, under either driver.
+        ``command_timeout_s`` bounds request/reply commands (restore,
+        best-genome collection). Recovery is exact, so an undisturbed
+        run's trajectory is unchanged by any of these settings.
 
-        ``checkpoint_store`` (a :class:`repro.cluster.store.CheckpointStore`)
-        makes the run durable against *driver* death: every clan
-        checkpoint the runtime receives is also streamed to disk as it
-        lands, so a SIGKILLed driver no longer takes the run's recovery
-        state with it. ``chaos`` (a :class:`repro.chaos.ChaosInjector`)
-        is forwarded to the worker pool for replayable fault injection —
-        see ``docs/chaos.md``.
+        ``chaos`` (a :class:`repro.chaos.ChaosInjector`) goes to the
+        worker pool (``docs/chaos.md``), and so does ``evaluator``: given
+        one, the clans run in this process (CLAN_DDA's host).
         """
         if checkpoint_period < 1:
             raise ValueError("checkpoint_period must be >= 1")
@@ -170,8 +159,8 @@ class DistributedClanRuntime:
             backend=backend,
             eval_mode=eval_mode,
             chaos=chaos,
+            evaluator=evaluator,
         )
-        self._store = checkpoint_store
         # clan_init replies with each clan's *initial* checkpoint, so a
         # worker that dies before its first streamed checkpoint can still
         # be respawned from generation zero
@@ -181,60 +170,19 @@ class DistributedClanRuntime:
             # the caller never gets a runtime to shut down
             self.pool.shutdown()
             raise
-        self._checkpoints: dict[int, dict] = {}
-        for clan_id, reply in enumerate(replies):
-            self._record_checkpoint(clan_id, reply)
-        self._write_store_manifest()
+        #: the latest checkpoint of every clan, by clan id: the respawn
+        #: source, and the clan state a logical engine checkpoints
+        self.checkpoints: dict[int, dict] = dict(enumerate(replies))
         self._generation = 0
-
-    def _record_checkpoint(self, worker: int, payload: dict) -> None:
-        """Retain a clan checkpoint — and stream it to durable storage.
-
-        The in-memory dict serves respawns within this driver process;
-        the optional :class:`~repro.cluster.store.CheckpointStore` makes
-        the same state survive the driver itself (atomic, checksummed
-        writes — a crash mid-stream leaves the previous checkpoint
-        intact).
-        """
-        self._checkpoints[worker] = payload
-        if self._store is not None:
-            self._store.put_clan(worker, payload)
-
-    def _write_store_manifest(self) -> None:
-        if self._store is None:
-            return
-        self._store.write_manifest(
-            "clan-run",
-            {
-                "env_id": self.env_id,
-                "n_clans": self.n_clans,
-                "seed": self.seed,
-                "pop_size": self.config.pop_size,
-                "checkpoint_period": self.checkpoint_period,
-            },
-        )
 
     def run(
         self,
         max_generations: int,
         fitness_threshold: float | None = None,
     ) -> RealRunStats:
-        """Run asynchronous clans in parallel until convergence.
-
-        Every generation ``g`` is a barrier: each live clan runs the
-        one-generation window ``clan_run(g, 1)`` under the supervision
-        loop :meth:`run_async` uses, and the steps are folded with
-        :meth:`CLAN_DDA.fold` into ``stats.records``. The threshold is
-        checked on the folded record, never by the clans, and a clan lost
-        to churn contributes nothing; its budget goes to no survivor.
-
-        Supervised: a clan process that dies (pipe EOF) or stalls past
-        ``heartbeat_timeout_s`` is respawned from its latest checkpoint
-        and re-runs its window from there (bit-identical — every RNG
-        stream is generation-named); after ``max_respawns`` failures the
-        clan is abandoned and the run continues on the survivors. Churn
-        is tallied on ``stats.churn``.
-        """
+        """Run barrier generations (:meth:`barrier_generation`) into
+        ``stats.records`` until one's record crosses the threshold (the
+        clans never check it); churn is tallied on ``stats.churn``."""
         threshold = (
             self.solved_threshold
             if fitness_threshold is None
@@ -245,13 +193,8 @@ class DistributedClanRuntime:
         respawns_used = {w: 0 for w in range(self.n_clans)}
         for _ in range(max_generations):
             gen_start = clock.perf()
-            steps = [None] * self.n_clans
             with obs.span("generation", gen=self._generation):
-                self._run_windows(stats, respawns_used, 1, steps.__setitem__)
-            if not any(steps):
-                raise RuntimeError("no live clans remain (all lost to churn)")
-            self._generation += 1
-            record, _ = CLAN_DDA.fold(steps, self.n_clans, None)
+                _steps, record = self.barrier_generation(stats, respawns_used)
             stats.records.append(record)
             best = record.best_fitness
             stats.per_generation_s.append(clock.perf() - gen_start)
@@ -263,6 +206,43 @@ class DistributedClanRuntime:
                 break
         stats.wall_time_s = clock.perf() - start
         return stats
+
+    def barrier_generation(
+        self, stats: RealRunStats, respawns_used: dict[int, int]
+    ) -> tuple[list, GenerationRecord]:
+        """Run generation ``g`` as the one-generation window
+        ``clan_run(g, 1)`` of every live clan; return each clan's step
+        in clan order and their :meth:`CLAN_DDA.fold`, which counts the
+        window's clan deaths and respawns.
+
+        Supervised: a clan that dies or stalls past
+        ``heartbeat_timeout_s`` is respawned from its latest checkpoint
+        and re-runs the window (bit-identical: every RNG stream is
+        generation-named); after ``max_respawns`` failures it is
+        abandoned, its step is None, and its budget goes to no survivor.
+        """
+        churn = stats.churn
+        deaths, respawns = churn.deaths, churn.respawns
+        steps = [None] * self.n_clans
+        self._run_windows(stats, respawns_used, 1, steps.__setitem__)
+        if not any(steps):
+            raise RuntimeError("no live clans remain (all lost to churn)")
+        self._generation += 1
+        record, _ = CLAN_DDA.fold(steps, self.n_clans, None)
+        record.clan_deaths = churn.deaths - deaths
+        record.clan_respawns = churn.respawns - respawns
+        return steps, record
+
+    def restore(self, generation: int, checkpoints: dict[int, dict]) -> None:
+        """Continue at ``generation`` from ``checkpoints`` (one per clan,
+        by clan id): every clan restores its own."""
+        self.checkpoints = dict(checkpoints)
+        self.pool.broadcast(
+            "clan_restore",
+            [self.checkpoints[c] for c in range(self.n_clans)],
+            timeout=self.command_timeout_s,
+        )
+        self._generation = generation
 
     def _run_windows(
         self,
@@ -278,15 +258,12 @@ class DistributedClanRuntime:
         the fleet's generation count, and supervise it until all drain.
 
         ``on_step(clan, step)`` sees each clan generation once, in
-        arrival order. Progress reports double as heartbeats: a clan that
-        dies, or goes silent past ``heartbeat_timeout_s``, is respawned
-        from its latest checkpoint and re-sent ``clan_run`` from there,
-        and the generations it replays are filtered out. A report that
-        crosses ``threshold``, or a set ``stop``, halts every clan after
-        its in-flight generation, and an abandoned clan's unspent budget
-        goes to the first survivor that drains its own. Without a
-        threshold (the barrier's one-generation windows) every clan runs
-        its window out and nobody inherits a lost clan's budget.
+        arrival order. Reports double as heartbeats; a respawned clan is
+        re-sent ``clan_run`` from its checkpoint and its replays are
+        filtered out. A report crossing ``threshold``, or a set
+        ``stop``, halts every clan after its in-flight generation. With
+        a threshold (not the barrier's windows), an abandoned clan's
+        unspent budget goes to the first survivor that drains its own.
         """
         churn = stats.churn
         start = self._generation
@@ -370,7 +347,7 @@ class DistributedClanRuntime:
             for worker, status, value in self.pool.wait_any(wait_timeout):
                 last_seen[worker] = clock.perf()
                 if status == "checkpoint":
-                    self._record_checkpoint(worker, value)
+                    self.checkpoints[worker] = value
                 elif status == "champion":
                     # clans stream their *local* improvements; only
                     # global improvements become events (this also
@@ -432,7 +409,7 @@ class DistributedClanRuntime:
         returns the generation its latest checkpoint resumes at."""
         churn.deaths += 1
         obs.instant("clan_death", clan=worker, gen=max_done + 1)
-        completed = self._checkpoints[worker].get("completed_generation")
+        completed = self.checkpoints[worker].get("completed_generation")
         resume = 0 if completed is None else completed + 1
         # completed-but-uncheckpointed generations must be re-run (or
         # die with the clan)
@@ -465,7 +442,7 @@ class DistributedClanRuntime:
             time.sleep(backoff)
         self.pool.respawn(worker)
         self.pool._request(
-            worker, "clan_restore", self._checkpoints[worker]
+            worker, "clan_restore", self.checkpoints[worker]
         )
         self.pool._collect(worker, timeout=self.command_timeout_s)
         churn.respawns += 1
@@ -482,42 +459,24 @@ class DistributedClanRuntime:
     ) -> RealRunStats:
         """Barrier-free execution: no per-generation pool join.
 
-        Every worker free-runs its clan for up to ``max_generations``
-        local generations in one ``clan_run`` window, streaming its step
-        after each one; the centre consumes reports as they arrive and
-        tracks best-so-far. When any report crosses the threshold the
-        centre nudges the other clans to halt after their in-flight
-        generation — fast clans never wait for stragglers, which is where
-        this driver beats :meth:`run` on heterogeneous fleets (see
-        ``docs/asynchrony.md``).
+        Every clan free-runs up to ``max_generations`` local generations
+        in one ``clan_run`` window, streaming its step after each one;
+        the first report that crosses the threshold nudges the other
+        clans to halt after their in-flight generation, so fast clans
+        never wait for stragglers (``docs/asynchrony.md``).
 
-        ``on_champion`` turns on champion streaming: clans additionally
-        ship their champion genome whenever their best-ever fitness
-        improves, and the centre fires one :class:`ChampionEvent` per
-        *global* improvement (cross-clan duplicates are filtered, so
-        event fitness is strictly increasing). Events are also collected
-        on ``stats.champions``. The callback runs on the caller's thread
-        between report arrivals; :mod:`repro.serve` uses it to hot-swap
-        the deployed policy with zero downtime.
+        ``on_champion`` turns on champion streaming: one
+        :class:`ChampionEvent` per *global* improvement (strictly
+        increasing fitness), also kept on ``stats.champions``; it runs on
+        the caller's thread between report arrivals (:mod:`repro.serve`
+        hot-swaps the deployed policy with it). Setting ``stop`` halts
+        every clan the same way, and the call returns once they drain.
 
-        ``stop``, when given, is polled between report batches: setting
-        it nudges every active clan to halt after its in-flight
-        generation and the call returns once they drain — the external
-        counterpart of the threshold halt, used by long-lived hosts
-        (:class:`repro.serve.ContinuousService`) to wind down evolution
-        without tearing the pool down mid-message.
-
-        Unlike :meth:`run`, clans drift apart in generation count, so the
-        best-so-far trajectory is indexed by report arrival,
-        ``stats.generations`` is the *maximum* clan generation count, and
-        ``stats.records`` stays empty: a record describes one generation
-        of every clan, and here no such generation exists.
-
-        Supervision is :meth:`run`'s (see ``docs/fault_tolerance.md``),
-        with one addition: after ``max_respawns`` failures a clan is
-        abandoned and its remaining generation budget handed to the first
-        surviving clan that drains its own. Replayed generations are not
-        double-counted; an undisturbed run's outputs are unchanged.
+        Clans drift apart in generation count: ``stats.generations`` is
+        the *maximum* clan count and ``stats.records`` stays empty (no
+        generation of every clan exists). Supervision is
+        :meth:`barrier_generation`'s, except that an abandoned clan's
+        remaining budget goes to the first survivor that drains its own.
         """
         threshold = (
             self.solved_threshold
@@ -572,7 +531,7 @@ class DistributedClanRuntime:
             if wire is not None:
                 champions.append(decode_genome(wire))
                 continue
-            best_hex = self._checkpoints[worker].get("best_hex")
+            best_hex = self.checkpoints[worker].get("best_hex")
             if best_hex is not None:
                 champions.append(decode_genome_hex(best_hex))
         if not champions:

@@ -1,25 +1,18 @@
 """Durable checkpoint storage: the run outlives the driver process.
 
-PR 6 made clan workers recoverable — but their checkpoints lived in a
-dict inside the driver (`DistributedClanRuntime._checkpoints`), so a
-SIGKILLed *driver* still lost the whole run. :class:`CheckpointStore`
-is the missing durability layer: a directory of atomically-written,
+:class:`CheckpointStore` is a directory of atomically-written,
 CRC32-checksummed JSON documents plus a versioned manifest describing
-the run they belong to. The write primitive is shared with
+the run they belong to, so a SIGKILLed driver does not lose the run.
+The write primitive is shared with
 :func:`repro.neat.checkpoint.save_population` (tmp file +
 ``os.replace``), so a crash at any instant leaves either the previous
 complete document or the new complete document on disk — never a torn
 one.
 
-Two clients:
-
-- ``DistributedClanRuntime(checkpoint_store=...)`` streams every clan
-  checkpoint it receives into the store as it lands.
-- ``repro learn --checkpoint-dir`` persists the logical engine's
-  state once per generation, and ``--resume`` reconstructs the
-  driver from the manifest and continues bit-identically (every RNG
-  stream is name-derived, so there is no hidden generator state to
-  lose).
+Its client is ``repro learn --checkpoint-dir``: it persists the
+engine's state once per generation, and ``--resume`` reconstructs the
+driver from the manifest and continues bit-identically (every RNG stream
+is name-derived, so there is no hidden generator state to lose).
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ __all__ = ["CheckpointStore", "CheckpointCorrupt", "MANIFEST_VERSION"]
 MANIFEST_VERSION = 1
 
 _MANIFEST_NAME = "manifest"
-_CLAN_PREFIX = "clan_"
 
 
 class CheckpointStore:
@@ -80,9 +72,8 @@ class CheckpointStore:
         """Persist the run manifest.
 
         ``kind`` identifies the writer (``"learn"`` for resumable CLI
-        runs, ``"clan-run"`` for the distributed runtime) so a resume
-        attempt against the wrong kind of store fails loudly instead of
-        misinterpreting fields.
+        runs) so a resume attempt against the wrong kind of store fails
+        loudly instead of misinterpreting fields.
         """
         document = dict(payload)
         document["manifest_version"] = MANIFEST_VERSION
@@ -116,22 +107,3 @@ class CheckpointStore:
     def has_manifest(self) -> bool:
         """Whether a manifest has been written."""
         return self.exists(_MANIFEST_NAME)
-
-    # -- per-clan checkpoints (DistributedClanRuntime) ---------------------
-
-    def put_clan(self, clan_id: int, payload: dict) -> None:
-        """Persist the latest checkpoint of clan ``clan_id``."""
-        self.write(f"{_CLAN_PREFIX}{clan_id:04d}", payload)
-
-    def get_clan(self, clan_id: int) -> dict:
-        """Load the latest checkpoint of clan ``clan_id``."""
-        return self.read(f"{_CLAN_PREFIX}{clan_id:04d}")
-
-    def clan_ids(self) -> list[int]:
-        """Sorted ids of every clan with a stored checkpoint."""
-        ids = []
-        for path in self.root.glob(f"{_CLAN_PREFIX}*.json"):
-            stem = path.stem[len(_CLAN_PREFIX):]
-            if stem.isdigit():
-                ids.append(int(stem))
-        return sorted(ids)

@@ -1,37 +1,35 @@
-"""Real multiprocess transport: one OS process per simulated Pi.
+"""Clan hosts: one OS process per simulated Pi, or all in this one.
 
 The logical protocol engines in :mod:`repro.core.protocols` place compute
-and account for communication; this module actually *executes* CLAN_DDA's
-clans in parallel across worker processes, shipping genomes over pipes in
-the canonical 32-bit wire format of :mod:`repro.cluster.serialization` —
-the same bytes the cost model counts.
-
-Workers are long-lived (started once, fed commands) to match the
-persistent agents of the paper's testbed. Each worker hosts one clan
-(CLAN_DDA): ``clan_init`` / ``clan_restore`` seed it, and ``clan_run`` is
-the one command that runs generations: a window of them, streaming a
-report after each one. The barrier driver sends one-generation windows,
-the barrier-free driver long ones. ``ping`` and ``inject_stall`` probe
-liveness.
+and account for communication; this module *executes* CLAN_DDA's clans.
+Each clan is served by one transport-free :class:`ClanSession`:
+``clan_init`` / ``clan_restore`` seed it, and ``clan_run`` is the one
+command that runs generations, a window of them with a report after
+each (one-generation windows for the barrier driver, long ones for the
+barrier-free one). A :class:`WorkerPool` runs the sessions on one of two
+hosts: long-lived forked workers (the persistent agents of the paper's
+testbed), each looping its session over a pipe in the canonical 32-bit
+wire format of :mod:`repro.cluster.serialization`, or an
+:class:`InProcessGroup` in the caller's process (the logical CLAN_DDA
+engine's host).
 
 Fault tolerance (``docs/fault_tolerance.md``): worker death surfaces as
-:class:`WorkerDied` (pipe EOF / liveness check) and hangs as
-:class:`WorkerTimeout` (per-command timeouts, ``ping`` probes); a failed
-worker slot can be relaunched in place with :meth:`WorkerPool.respawn` and
-re-seeded from a clan checkpoint via the ``clan_restore`` command. The
-supervision policy itself (when to respawn, from which checkpoint) lives
-one layer up in :class:`repro.cluster.runtime.DistributedClanRuntime`.
+:class:`WorkerDied` and hangs as :class:`WorkerTimeout`; a failed slot
+is relaunched with :meth:`WorkerPool.respawn` and re-seeded from a clan
+checkpoint with ``clan_restore``. When to do so is decided one layer up,
+in :class:`repro.cluster.runtime.DistributedClanRuntime`.
 
 Both process tiers — these clans and the serving replicas of
-:mod:`repro.serve.fleet` — run on one :class:`ProcessGroup` (fork,
-pipes, reader, kill, respawn, reaping); :class:`WorkerPool` is the
-clan protocol on top of it. Clans are read with :meth:`ProcessGroup.read`,
-replicas through a :class:`Channel` on the event loop at each end.
+:mod:`repro.serve.fleet` — fork through one :class:`ProcessGroup` (fork,
+pipes, reader, kill, respawn, reaping). Clans are read with
+:meth:`ProcessGroup.read`, replicas through a :class:`Channel` on the
+event loop at each end.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import multiprocessing as mp
 import os
 import pickle
@@ -362,146 +360,211 @@ class ProcessGroup:
                 proc.join(timeout=5)
 
 
+class ClanSession:
+    """One clan's command dispatch, with no transport under it.
+
+    :meth:`handle` serves one ``(command, payload)`` and answers with
+    ``send((kind, value))``; between two generations of a ``clan_run``
+    window, ``poll()`` names a command that arrived meanwhile (None:
+    none). A ``traced`` session honours a window's ``trace`` flag with a
+    tracer of its own and sends its span batches home (the forked
+    worker's); an untraced one records into whatever tracer is active,
+    on the clan's own track.
+    """
+
+    def __init__(self, env_id, config, evaluator, send, poll, traced=False):
+        self._clan_args = (env_id, config, evaluator)
+        self.send, self.poll, self.traced = send, poll, traced
+        self.clan = None  # created by 'clan_init' or 'clan_restore'
+
+    def handle(self, command: str, payload) -> bool:
+        """Serve one command; False once it was ``stop``."""
+        clan = self.clan
+        if clan is None and command in (
+            "clan_checkpoint", "clan_run", "clan_best"
+        ):
+            raise RuntimeError(f"{command} before clan_init")
+        if command == "stop":
+            self.send(("stopped", None))
+            return False
+        if command == "clan_run":
+            return self._run(clan, payload)
+        if command == "ping":
+            reply = "pong"
+        elif command == "clan_init":
+            self.clan = WorkerClan(*self._clan_args, **payload)
+            # the initial checkpoint: the centre can respawn a worker
+            # that dies before its first streamed one
+            reply = self.clan.checkpoint_payload()
+        elif command == "clan_restore":
+            self.clan = WorkerClan.restore(*self._clan_args, payload)
+            reply = self.clan.last_generation
+        elif command == "clan_checkpoint":
+            reply = clan.checkpoint_payload()
+        elif command == "clan_best":
+            # None before this clan's first generation: a barrier-free
+            # run can converge on another clan's first report
+            has_run = clan.best_fitness > float("-inf")
+            reply = clan.best_genome_wire() if has_run else None
+        elif command == "clan_halt":
+            return True  # a halt that raced past the end of clan_run
+        else:
+            raise ValueError(f"unknown command {command!r}")
+        self.send(("ok", reply))
+        return True
+
+    def _run(self, clan: WorkerClan, payload: dict) -> bool:
+        """A window of generations, one ``("progress", step)`` each,
+        ended by its budget, by reaching the threshold (None: the
+        barrier driver checks it on the folded record instead) or by a
+        ``clan_halt``; False when a ``stop`` raced into it."""
+        start = payload["start_generation"]
+        threshold = payload["threshold"]
+        tracer = None
+        if self.traced and payload.get("trace", False):
+            tracer = obs.Tracer(track=f"clan:{clan.clan_id}")
+            obs.activate(tracer)
+        # champions stream when the clan's best-ever fitness improves,
+        # so the centre can hot-swap a deployed policy mid-run
+        stream_champions = payload.get("stream_champions", False)
+        # a checkpoint follows generation g iff (g + 1) % K == 0 (K = 0:
+        # never), however the driver splits generations into windows
+        period = payload.get("checkpoint_period", 0)
+        ran = 0
+        for generation in range(start, start + payload["max_generations"]):
+            nudge = self.poll()
+            if nudge == "stop":
+                if tracer is not None:
+                    obs.deactivate()
+                self.send(("stopped", None))
+                return False
+            if nudge == "clan_halt":
+                break
+            previous_best = clan.best_fitness
+            step = clan.run_generation(generation)
+            ran += 1
+            if stream_champions and clan.best_fitness > previous_best:
+                # before its generation's report: a threshold-crossing
+                # report never arrives before the genome behind it
+                self.send(("champion", {
+                    "clan_id": clan.clan_id,
+                    "generation": generation,
+                    "fitness": clan.best_fitness,
+                    "genome_wire": clan.best_genome_wire(),
+                }))
+            self.send(("progress", step))
+            ship_spans(self, tracer)
+            if period and (generation + 1) % period == 0:
+                # after the report it describes
+                self.send(("checkpoint", clan.checkpoint_payload()))
+            if threshold is not None and step.stats.best_fitness >= threshold:
+                break
+        ship_spans(self, tracer)
+        if tracer is not None:
+            obs.deactivate()
+        self.send(("done", ran))
+        return True
+
+
 def _worker_main(
     conn, worker: int, config: NEATConfig, evaluator: GenomeEvaluator
 ) -> None:
     """Worker process loop: serve clan commands until 'stop'."""
-    clan = None  # lazily created by 'clan_init'
+    session = ClanSession(
+        evaluator.env_id, config, evaluator, conn.send,
+        lambda: conn.recv()[0] if conn.poll() else None, traced=True,
+    )
     try:
         while True:
             command, payload = conn.recv()
-            if clan is None and command in (
-                "clan_checkpoint", "clan_run", "clan_best"
-            ):
-                raise RuntimeError(f"{command} before clan_init")
-            if command == "stop":
-                conn.send(("stopped", None))
-                break
-            elif command == "ping":
-                # liveness probe: a hung worker never answers, a healthy
-                # one answers immediately (heartbeat for the supervisor)
-                conn.send(("ok", "pong"))
-            elif command == "inject_stall":
-                # failure-injection hook (tests/benchmarks only): wedge
-                # this worker for `payload` seconds without replying, so
-                # stall detection and per-command timeouts can be
-                # exercised deterministically
+            if command == "inject_stall":
+                # failure injection: wedge this process for `payload`
+                # seconds without replying (stall detection, timeouts)
                 time.sleep(payload)
-            elif command == "clan_init":
-                clan = WorkerClan(
-                    env_id=evaluator.env_id,
-                    config=config,
-                    evaluator=evaluator,
-                    **payload,
-                )
-                # the reply is the clan's initial checkpoint, so the
-                # centre can respawn a worker that dies before its first
-                # streamed checkpoint
-                conn.send(("ok", clan.checkpoint_payload()))
-            elif command == "clan_restore":
-                clan = WorkerClan.restore(
-                    env_id=evaluator.env_id,
-                    config=config,
-                    evaluator=evaluator,
-                    payload=payload,
-                )
-                conn.send(("ok", clan.last_generation))
-            elif command == "clan_checkpoint":
-                conn.send(("ok", clan.checkpoint_payload()))
-            elif command == "clan_run":
-                # run a window of generations, streaming one ("progress",
-                # step) per generation. Stops on budget, on reaching the
-                # threshold (None: the barrier driver checks it on the
-                # folded record instead), or on a "clan_halt" nudge.
-                start = payload["start_generation"]
-                budget = payload["max_generations"]
-                threshold = payload["threshold"]
-                # opt-in tracing: record this clan's phase spans and ship
-                # each generation's batch home, tagged with this track
-                clan_tracer = None
-                if payload.get("trace", False):
-                    clan_tracer = obs.Tracer(track=f"clan:{clan.clan_id}")
-                    obs.activate(clan_tracer)
-                # opt-in (older payloads lack the key): stream the clan's
-                # champion genome whenever its best-ever fitness improves,
-                # so the centre can hot-swap a deployed policy mid-run
-                stream_champions = payload.get("stream_champions", False)
-                # stream a full clan checkpoint after generation g iff
-                # (g + 1) % K == 0 (K = 0: never), however the driver
-                # splits generations into windows — the supervisor's
-                # respawn source when this process dies or stalls
-                checkpoint_period = payload.get("checkpoint_period", 0)
-                ran = 0
-                stopping = False
-                for generation in range(start, start + budget):
-                    if conn.poll():
-                        nudge, _ = conn.recv()
-                        if nudge == "stop":
-                            # shutdown raced into the free-run: honour the
-                            # stop handshake instead of nudging
-                            stopping = True
-                            break
-                        if nudge == "clan_halt":
-                            break
-                    previous_best = clan.best_fitness
-                    step = clan.run_generation(generation)
-                    ran += 1
-                    if stream_champions and clan.best_fitness > (
-                        previous_best
-                    ):
-                        # champion precedes its generation's progress
-                        # report, so a threshold-crossing report never
-                        # arrives before the genome that caused it
-                        champion = {
-                            "clan_id": clan.clan_id,
-                            "generation": generation,
-                            "fitness": clan.best_fitness,
-                            "genome_wire": clan.best_genome_wire(),
-                        }
-                        conn.send(("champion", champion))
-                    conn.send(("progress", step))
-                    ship_spans(conn, clan_tracer)
-                    if (
-                        checkpoint_period
-                        and (generation + 1) % checkpoint_period == 0
-                    ):
-                        # after the progress report, so the checkpoint
-                        # never describes a generation the centre has not
-                        # been told about
-                        conn.send(("checkpoint", clan.checkpoint_payload()))
-                    if (
-                        threshold is not None
-                        and step.stats.best_fitness >= threshold
-                    ):
-                        break
-                if not stopping:
-                    ship_spans(conn, clan_tracer)
-                obs.deactivate()
-                if stopping:
-                    conn.send(("stopped", None))
-                    break
-                conn.send(("done", ran))
-            elif command == "clan_halt":
-                # a halt that raced past the end of clan_run; nothing to do
-                pass
-            elif command == "clan_best":
-                # a barrier-free run can converge on one clan's first
-                # report while this one has reported nothing yet; the
-                # centre skips a None and uses the other clans' bests
-                has_run = clan.best_fitness > float("-inf")
-                conn.send(
-                    ("ok", clan.best_genome_wire() if has_run else None)
-                )
-            else:
-                raise ValueError(f"unknown command {command!r}")
+            elif not session.handle(command, payload):
+                break
     except EOFError:
         pass  # the parent closed the pipe: nobody is left to serve
     except Exception:  # pragma: no cover - surfaced to the parent
         conn.send(("error", traceback.format_exc()))
 
 
+class InProcessGroup:
+    """What a :class:`WorkerPool` uses of a :class:`ProcessGroup`, over
+    one :class:`ClanSession` per slot in this process: no fork, thread
+    or sleep. :meth:`send` runs the command at once (an exception
+    propagates from it) and :meth:`read` yields the queued answers in
+    slot order. :meth:`kill` drops a slot's session: sends then break,
+    and :meth:`read` reports one ``"died"`` unless the slot is marked
+    dead first. :meth:`respawn` gives the slot an empty session. There
+    is no process to stall: ``inject_stall`` is an unknown command.
+    """
+
+    def __init__(self, n: int, env_id: str, config, evaluator):
+        self._queues = [collections.deque() for _ in range(n)]
+        self._new = lambda slot: ClanSession(
+            env_id, config, evaluator, self._queues[slot].append,
+            lambda: None,
+        )
+        self._sessions = [self._new(slot) for slot in range(n)]
+        self.dead: set[int] = set()
+
+    @property
+    def clans(self) -> list:
+        """Each slot's clan (None while it has none), in slot order."""
+        return [session and session.clan for session in self._sessions]
+
+    def send(self, slot: int, message) -> None:
+        if self._sessions[slot] is None:
+            raise BrokenPipeError(f"slot {slot}: its session was killed")
+        if not self._sessions[slot].handle(*message):
+            self._sessions[slot] = None  # stopped, as a process exits
+
+    def recv(self, slot: int, timeout: float | None = None):
+        # None when nothing is queued: nothing can arrive later
+        if self._queues[slot]:
+            return self._queues[slot].popleft()
+        if self._sessions[slot] is not None:
+            return None
+        self.mark_dead(slot)
+        raise EOFError(f"slot {slot}: session killed")
+
+    def read(self, timeout: float | None = None):
+        idle = True
+        for slot, queue in enumerate(self._queues):
+            while queue and slot not in self.dead:
+                idle = False
+                yield (slot, *queue.popleft())
+            if self._sessions[slot] is None and self.mark_dead(slot):
+                idle = False
+                yield slot, "died", None
+        if idle and timeout is None:
+            # a process group would wait forever (a dropped command)
+            raise RuntimeError("in-process read: nothing can arrive")
+
+    def mark_dead(self, slot: int) -> bool:
+        fresh = slot not in self.dead
+        self.dead.add(slot)
+        return fresh
+
+    def is_alive(self, slot: int) -> bool:
+        return slot not in self.dead and self._sessions[slot] is not None
+
+    def kill(self, slot: int) -> None:
+        self._sessions[slot] = None
+
+    def respawn(self, slot: int) -> None:
+        self._queues[slot].clear()
+        self._sessions[slot] = self._new(slot)
+        self.dead.discard(slot)
+
+    def close(self) -> None:
+        self._sessions = [None] * len(self._sessions)
+
+
 class WorkerPool:
-    """The clan protocol on a :class:`ProcessGroup` of agent processes.
+    """The clan protocol on a :class:`ProcessGroup` of agent processes,
+    or on an :class:`InProcessGroup`.
 
     Use as a context manager to guarantee shutdown::
 
@@ -524,7 +587,12 @@ class WorkerPool:
         backend: str = "scalar",
         eval_mode: str = "per_genome",
         chaos=None,
+        evaluator=None,
     ):
+        """``evaluator``, when given, hosts every clan in this process
+        on that one instance (an :class:`InProcessGroup`, no fork, and
+        the evaluator arguments before ``chaos`` are unused); otherwise
+        each clan forks its own copy of an evaluator built here."""
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.n_workers = n_workers
@@ -536,23 +604,25 @@ class WorkerPool:
         #: branches beyond one ``is None`` check.
         self._chaos = chaos
         self.config = config
-        #: built here, in the parent, so bad engine arguments raise their
-        #: own ValueError before any fork; never used in this process, so
-        #: every (re)spawned worker forks an identical, untouched copy
-        self._evaluator = GenomeEvaluator(
-            env_id,
-            episodes=episodes,
-            max_steps=max_steps,
-            seed=evaluator_seed,
-            backend=backend,
-            eval_mode=eval_mode,
-        )
-        self._group = ProcessGroup(
-            n_workers, _worker_main, (config, self._evaluator)
-        )
-        #: the worker processes by slot (respawn swaps entries in place)
-        self._procs = self._group.procs
+        if evaluator is None:
+            # built here, in the parent, so bad engine arguments raise
+            # their own ValueError before any fork; never used in this
+            # process, so every (re)spawned worker forks an identical,
+            # untouched copy
+            evaluator = GenomeEvaluator(
+                env_id, episodes=episodes, max_steps=max_steps,
+                seed=evaluator_seed, backend=backend, eval_mode=eval_mode,
+            )
+            self._group = ProcessGroup(
+                n_workers, _worker_main, (config, evaluator)
+            )
+        else:
+            self._group = InProcessGroup(n_workers, env_id, config, evaluator)
         self._stopped = False
+
+    @property
+    def _procs(self) -> list:
+        return self._group.procs  # a forked pool's processes, by slot
 
     # -- commands ----------------------------------------------------------
 
@@ -573,13 +643,10 @@ class WorkerPool:
             raise self._mark_dead(worker) from None
 
     def _apply_chaos(self, worker: int, command: str) -> bool:
-        """Consult the fault plan for one outbound command.
-
-        Returns False when the command must be dropped (the caller's
-        reply timeout then surfaces it as a hang, exactly like a lost
-        message would). A ``kill`` fault terminates the worker process
-        *before* the send, so the death is observed through the normal
-        channels — failed send or pipe EOF — not through a side door.
+        """Consult the fault plan for one outbound command; False when
+        it is dropped (a reply timeout surfaces it, like a lost
+        message). A ``kill`` lands *before* the send, so the death is
+        seen through the normal channels: a failed send or a ``died``.
         """
         decision = self._chaos.on_event("worker", worker, command)
         if not decision.intercepts:
@@ -594,19 +661,16 @@ class WorkerPool:
         return decision.deliveries > 0
 
     def _collect(self, worker: int, timeout: float | None = None):
-        """Wait for one reply; ``timeout`` (seconds) bounds the wait.
-
-        Raises :class:`WorkerTimeout` when the worker is alive but
-        silent past the deadline (hang), :class:`WorkerDied` when its
-        pipe is closed or its process is gone, and ``RuntimeError`` for
-        an error the worker itself reported (with its traceback).
-        """
+        """Wait up to ``timeout`` seconds for one reply. Raises
+        :class:`WorkerTimeout` when the worker is alive but silent,
+        :class:`WorkerDied` when it is gone, and ``RuntimeError`` for an
+        error it reported (with its traceback)."""
         try:
             reply = self._group.recv(worker, timeout)
         except EOFError:
             raise self._mark_dead(worker) from None
         if reply is None:
-            if not self._group.procs[worker].is_alive():
+            if not self._group.is_alive(worker):
                 raise self._mark_dead(worker)
             raise WorkerTimeout(
                 worker,
@@ -614,9 +678,7 @@ class WorkerPool:
             )
         status, value = reply
         if status == "error":
-            raise RuntimeError(
-                f"worker {worker} failed:\n{value}"
-            )
+            raise RuntimeError(f"worker {worker} failed:\n{value}")
         return value
 
     def broadcast(
@@ -633,27 +695,17 @@ class WorkerPool:
         ]
 
     def send(self, worker: int, command: str, payload=None) -> None:
-        """Fire one command at one worker without waiting for a reply.
-
-        Pair with :meth:`wait_any` for asynchronous protocols (streaming
-        ``clan_run`` progress, ``clan_halt`` nudges).
-        """
+        """Fire one command at one worker; :meth:`wait_any` collects
+        what it streams back."""
         self._request(worker, command, payload)
 
     def wait_any(
         self, timeout: float | None = None
     ) -> list[tuple[int, str, object]]:
-        """Collect every message currently readable from any live worker.
-
-        Blocks up to ``timeout`` seconds (None = forever) for at least one
-        message, then drains without blocking. Returns
-        ``(worker, status, value)`` triples; a worker ``"error"`` status
-        raises immediately, like the synchronous paths. A worker whose
-        pipe hits EOF (process death) yields one ``"died"`` triple and is
-        excluded from future waits until :meth:`respawn` replaces it —
-        the signal the runtime's supervision loop acts on. Span batches
-        of traced clans are absorbed on the way (see
-        :meth:`ProcessGroup.read`).
+        """Every message readable from any live worker, as ``(worker,
+        status, value)`` triples, after waiting up to ``timeout`` seconds
+        (None = forever) for the first. An ``"error"`` raises; a dead
+        worker yields one ``"died"`` and is skipped until respawned.
         """
         out: list[tuple[int, str, object]] = []
         for worker, status, value in self._group.read(timeout):
@@ -665,7 +717,6 @@ class WorkerPool:
     # -- liveness / recovery ------------------------------------------------
 
     def is_alive(self, worker: int) -> bool:
-        """Whether the worker's process is currently running."""
         return self._group.is_alive(worker)
 
     def ping(self, worker: int, timeout: float = 5.0) -> bool:
@@ -681,21 +732,14 @@ class WorkerPool:
             return False
 
     def kill(self, worker: int) -> None:
-        """Forcibly terminate a (presumed hung) worker process.
-
-        Marks the slot dead; messages still queued in its pipe are
-        dropped. Pair with :meth:`respawn` to bring the slot back.
-        """
+        """Terminate a (presumed hung) worker and mark it dead; what it
+        still had queued is dropped. :meth:`respawn` brings it back."""
         self._group.mark_dead(worker)
         self._group.kill(worker)
 
     def respawn(self, worker: int) -> None:
-        """Replace a failed worker slot with a fresh process.
-
-        The new process forks the same untouched evaluator as the
-        original but holds no clan state: the supervisor re-seeds it with
-        ``clan_restore`` (from a checkpoint) before resuming work.
-        """
+        """Give a failed slot a fresh worker with no clan: the supervisor
+        re-seeds it with ``clan_restore`` from a checkpoint."""
         self._group.respawn(worker)
 
     # -- lifecycle ------------------------------------------------------------

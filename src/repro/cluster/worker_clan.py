@@ -5,13 +5,12 @@ A ``WorkerClan`` hosts one clan-shaped
 pipe around it: members arrive as canonical wire bytes, each generation
 leaves as the all-integer :class:`~repro.neat.population.EvolutionStep`
 that :meth:`repro.core.protocols.CLAN_DDA.fold` turns into the paper's
-record, and the checkpoint payload is JSON-serialisable hex. The logical
-:class:`repro.core.protocols.CLAN_DDA` engine runs ``n`` of them
-in-process, and each worker of
-:class:`repro.cluster.runtime.DistributedClanRuntime` runs one, so the
-two walk the same trajectory and write the same records. Kept in its own
-module so worker processes import it lazily without dragging the whole
-``repro.core`` package into the hot path.
+record, and the checkpoint payload is JSON-serialisable hex. Every clan
+session of :mod:`repro.cluster.transport` hosts one, forked or in the
+process of the logical :class:`repro.core.protocols.CLAN_DDA` engine, so
+both hosts walk the same trajectory and write the same records. Kept in
+its own module so worker processes import it lazily without dragging the
+whole ``repro.core`` package into the hot path.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ CLAN_CHECKPOINT_VERSION = 1
 
 class WorkerClan:
     """One clan evolving independently, in a worker process or in the
-    logical CLAN_DDA engine.
+    logical CLAN_DDA engine's process.
 
     Algorithm state (``config``, ``species_set``, ``innovation``,
     ``rngs``, ``clan_id``, ...) is the hosted population's and reads

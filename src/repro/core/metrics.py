@@ -105,12 +105,11 @@ class GenerationRecord:
     #: distance comparisons computed this generation (Fig 3c cost unit
     #: alongside the speciation gene-ops; summed over clans for DDA)
     speciation_comparisons: int = 0
-    #: clan deaths observed while this generation was in flight (always
-    #: 0 for logical engines; filled by fault-injected replays of the
-    #: live runtime — see docs/fault_tolerance.md)
-    clan_deaths: int = 0
-    #: respawn-from-checkpoint recoveries during this generation
-    clan_respawns: int = 0
+    #: clan deaths while this generation's barrier window ran (CLAN_DDA,
+    #: either host); like ``clan_respawns`` (the window's recoveries) it
+    #: is not compared: a recovered generation equals an undisturbed one
+    clan_deaths: int = field(default=0, compare=False)
+    clan_respawns: int = field(default=0, compare=False)
 
     def comm_floats(self) -> int:
         """Total 32-bit words transferred this generation."""

@@ -16,10 +16,9 @@ per-protocol pure ``fold`` of each generation's
 CLAN_DCS and CLAN_DDS share one evolution (:func:`evolve`); the figure
 cache folds it at every cluster size (:func:`fold_trajectory`). CLAN_DDA
 genuinely changes the algorithm (asynchronous speciation over clans: its
-clans *are* its placement, Fig 7b): it evolves ``n_agents``
-:class:`~repro.cluster.worker_clan.WorkerClan` s, the class each worker of
-:mod:`repro.cluster.runtime` hosts, and folds their per-clan steps, as
-that runtime does with the steps its workers report.
+clans *are* its placement, Fig 7b): it is the clan driver of
+:mod:`repro.cluster.runtime` with its ``n_agents`` clans hosted in this
+process, folding their per-clan steps as the forked runtime does.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.core.messages import CENTER, Message, MessageType
 from repro.core.metrics import AgentLoad, GenerationRecord, RunResult
 from repro.core.partition import (
     assign_genomes,
-    clan_init_payloads,
     contiguous_blocks,
     round_robin,
 )
@@ -455,11 +453,15 @@ class CLAN_DDA(ProtocolBase):
     the full NEAT loop (I, S, planning, R) on its clan independently and
     only reports fitness to the centre. Genomes cross the network exactly
     once, at initialisation — the paper's key communication saving
-    (Fig 2d, Fig 4). Optional ``resync_period`` implements the "periodic
+    (Fig 2d, Fig 4).
+
+    The engine is a :class:`~repro.cluster.runtime.DistributedClanRuntime`
+    with its clans in this process, on the engine's evaluator: each
+    generation is one barrier window of it, and its clan checkpoints are
+    the engine's. Optional ``resync_period`` implements the "periodic
     global speciation" the paper flags as future work: every k
-    generations all clans are gathered, re-partitioned and redistributed.
-    It is logical-only: the centre re-homes its in-process clans, which
-    :class:`repro.cluster.runtime.DistributedClanRuntime` does not do.
+    generations all clans are gathered, re-partitioned and redistributed
+    (this host only; the forked runtime does not resync).
     """
 
     name = "CLAN_DDA"
@@ -471,33 +473,45 @@ class CLAN_DDA(ProtocolBase):
         resync_period: int | None = None,
         **kwargs,
     ):
+        # the runtime module imports this one for the fold
+        from repro.cluster.runtime import DistributedClanRuntime, RealRunStats
+
         super().__init__(env_id, n_agents=n_agents, **kwargs)
         if resync_period is not None and resync_period < 1:
             raise ValueError("resync_period must be >= 1")
         self.resync_period = resync_period
-        # the clans the physical runtime ships its workers
-        self._clans = [
-            WorkerClan(env_id, self.config, self.evaluator, **payload)
-            for payload in clan_init_payloads(
-                self.config, self.seed, n_agents
-            )
-        ]
+        # nothing stalls in this process, and a respawn need not wait
+        self._runtime = DistributedClanRuntime(
+            env_id, n_agents, config=self.config, seed=self.seed,
+            heartbeat_timeout_s=None, respawn_backoff_s=0.0,
+            evaluator=self.evaluator,
+        )
+        self._stats = RealRunStats()  # the churn of every generation
+        self._respawns_used = dict.fromkeys(range(n_agents), 0)
+
+    @property
+    def _clans(self) -> list[WorkerClan]:
+        return self._runtime.pool._group.clans  # the host's, read-only
 
     @property
     def clan_sizes(self) -> list[int]:
         return [clan.size for clan in self._clans]
 
-    def evolve_step(self) -> tuple[EvolutionStep, ...]:
-        steps = tuple(
-            clan.run_generation(self.generation) for clan in self._clans
+    def _barrier(self) -> tuple[list, GenerationRecord]:
+        steps, record = self._runtime.barrier_generation(
+            self._stats, self._respawns_used
         )
-        for clan in self._clans:
+        for clan in filter(None, self._clans):  # None: lost to churn
             self._note_best(clan.best_genome)
         self.generation += 1
-        return steps
+        return steps, record
+
+    def evolve_step(self) -> list:
+        return self._barrier()[0]
 
     def run_generation(self) -> GenerationRecord:
-        record = super().run_generation()
+        _steps, record = self._barrier()
+        self.records.append(record)
         generation = record.generation
         if (
             self.resync_period is not None
@@ -511,8 +525,8 @@ class CLAN_DDA(ProtocolBase):
     @classmethod
     def fold(cls, steps, n_agents, placement):
         """``steps`` holds each clan's step in clan order (None for a
-        clan lost to churn on the physical runtime); the clans are the
-        placement, so the fold state passes through."""
+        clan lost to churn); the clans are the placement, so the fold
+        state passes through."""
         reported = [(c, step) for c, step in enumerate(steps) if step]
         record = _step_record(
             [step.stats for _clan_id, step in reported], cls.name, n_agents
@@ -546,7 +560,9 @@ class CLAN_DDA(ProtocolBase):
         tagged ``phase="resync"`` — without the tag the timing models file
         the gather/redistribute under the pre-inference ``children_up`` /
         ``genomes_down`` phases and (in pipelined mode) wrongly gate the
-        *next* inference start on this end-of-generation traffic.
+        *next* inference start on this end-of-generation traffic. Each
+        re-homed clan's checkpoint is retaken, so a respawn or a resume
+        starts from its new members.
         """
         merged: dict[int, Genome] = {}
         rows: dict[int, tuple[int, int, int]] = {}
@@ -576,29 +592,30 @@ class CLAN_DDA(ProtocolBase):
                     )
                 )
                 clan.adopt_members({key: merged[key] for key in block})
+            self._runtime.checkpoints[clan.clan_id] = (
+                clan.checkpoint_payload()
+            )
 
     def checkpoint(self) -> dict:
-        """Each clan's :meth:`~repro.cluster.worker_clan.WorkerClan.
-        checkpoint_payload`, keyed by clan id, plus the engine's best."""
+        """The runtime's clan checkpoints by clan id, plus the best."""
         best = self.best_genome
         return {
             "generation": self.generation,
             "clans": {
-                str(clan.clan_id): clan.checkpoint_payload()
-                for clan in self._clans
+                str(clan_id): payload
+                for clan_id, payload in sorted(
+                    self._runtime.checkpoints.items()
+                )
             },
             "best_genome": None if best is None else encode_genome_hex(best),
         }
 
     def restore(self, document: dict) -> None:
-        self._clans = [
-            WorkerClan.restore(
-                self.env_id, self.config, self.evaluator,
-                document["clans"][str(clan_id)],
-            )
-            for clan_id in range(self.n_agents)
-        ]
         self.generation = document["generation"]
+        clans = document["clans"]
+        self._runtime.restore(
+            self.generation, {int(c): clans[c] for c in clans}
+        )
         best = document["best_genome"]
         self._note_best(best and decode_genome_hex(best))
 

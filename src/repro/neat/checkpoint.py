@@ -156,7 +156,9 @@ def species_to_blob(species: Species, live_genomes: dict) -> dict:
         "last_improved": species.last_improved,
         "fitness": species.fitness,
         "adjusted_fitness": species.adjusted_fitness,
-        "fitness_history": species.fitness_history,
+        # a copy: a blob held in memory (an in-process clan checkpoint)
+        # must not grow with the live species
+        "fitness_history": list(species.fitness_history),
         "representative": encode_genome_hex(species.representative),
         "member_keys": sorted(species.members),
         "stale_members": stale_members,

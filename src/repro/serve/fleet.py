@@ -256,7 +256,12 @@ async def _replica_serve(
             )
         elif kind == "publish":
             seq, version, plan_wire, crc = payload
-            store.install(seq, version, plan_wire, crc)
+            try:
+                store.install(seq, version, plan_wire, crc)
+            except ValueError:
+                # refused unacked: the deploy-repair loop resends the
+                # parent's intact wire, and the current record serves on
+                return
             channel.send(("published", (seq, version)))
         elif kind == "stats":
             channel.send(("stats", gateway.stats()))
@@ -567,8 +572,8 @@ class ServingFleet:
                         time.sleep(decision.delay_s)
                     if decision.corrupt:
                         # a corrupted plan fails its checksum in the
-                        # replica, killing it — the heal path (respawn +
-                        # replay) must recover: the point of the fault
+                        # replica, which refuses it unacked; the deploy-
+                        # repair loop must resend the intact wire
                         payload = self._chaos.corrupt_bytes(wire)
                     deliveries = decision.deliveries
             message = ("publish", (seq, record.version, payload, crc))

@@ -78,7 +78,7 @@ class TestManifest:
 
     def test_kind_mismatch_raises_value_error(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.write_manifest("clan-run", {"seed": 0})
+        store.write_manifest("other", {"seed": 0})
         with pytest.raises(ValueError, match="expected 'learn'"):
             store.read_manifest("learn")
 
@@ -95,18 +95,3 @@ class TestManifest:
         atomic_write_json(store.path("manifest"), doc)
         with pytest.raises(ValueError, match="manifest version"):
             store.read_manifest()
-
-
-class TestClanCheckpoints:
-    def test_put_get_and_ids(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.put_clan(1, {"completed_generation": 4})
-        store.put_clan(0, {"completed_generation": 2})
-        assert store.clan_ids() == [0, 1]
-        assert store.get_clan(1)["completed_generation"] == 4
-
-    def test_latest_write_wins(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.put_clan(0, {"completed_generation": 1})
-        store.put_clan(0, {"completed_generation": 2})
-        assert store.get_clan(0)["completed_generation"] == 2

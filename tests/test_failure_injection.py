@@ -29,7 +29,7 @@ from repro.cluster.transport import (
     WorkerTimeout,
 )
 from repro.cluster.worker_clan import WorkerClan
-from repro.core.protocols import SerialNEAT
+from repro.core.protocols import ProtocolBase, SerialNEAT, make_protocol
 from repro.neat.config import NEATConfig
 from repro.neat.evaluation import GenomeEvaluator
 from repro.neat.population import Population
@@ -432,15 +432,22 @@ class TestRuntimeSupervision:
         )
 
 
+def _in_process(seed):
+    """The keyword that hosts a runtime's clans in this process, on the
+    evaluator a runtime seeded ``seed`` builds (CLAN_DDA's host)."""
+    return {"evaluator": ProtocolBase.default_evaluator("CartPole-v0", seed)}
+
+
 class TestCheckpointCadence:
     """Both drivers checkpoint after generation ``g`` iff
     ``(g + 1) % checkpoint_period == 0``, however the generations are
-    split into calls: at period 2, a clan killed after generations 0-2
-    resumes from its generation-1 checkpoint and re-runs one generation.
+    split into calls, on either host: at period 2, a clan killed after
+    generations 0-2 resumes from its generation-1 checkpoint and re-runs
+    one generation.
     """
 
     @staticmethod
-    def _four_calls(driver: str, kill: bool):
+    def _four_calls(host: str, driver: str, kill: bool):
         with DistributedClanRuntime(
             "CartPole-v0",
             n_clans=2,
@@ -448,11 +455,14 @@ class TestCheckpointCadence:
             seed=4,
             checkpoint_period=2,
             respawn_backoff_s=0.0,
+            **(_in_process(4) if host == "in_process" else {}),
         ) as runtime:
             call = getattr(runtime, driver)
             for _ in range(3):
                 call(1, fitness_threshold=1e9)
-            if kill:
+            if kill and host == "in_process":
+                runtime.pool.kill(0)
+            elif kill:
                 os.kill(runtime.pool._procs[0].pid, signal.SIGKILL)
                 runtime.pool._procs[0].join(timeout=5)
             last = call(1, fitness_threshold=1e9)
@@ -462,12 +472,28 @@ class TestCheckpointCadence:
             )
         return last, best, states
 
-    @pytest.mark.parametrize("driver", ["run", "run_async"])
-    def test_kill_after_three_calls_reruns_one_generation(self, driver):
+    @pytest.mark.parametrize(
+        ("host", "driver"),
+        [
+            pytest.param("fork", "run", id="run"),
+            pytest.param("fork", "run_async", id="run_async"),
+            pytest.param(
+                "in_process", "run", id="in_process-run",
+                marks=pytest.mark.lock_check,
+            ),
+            pytest.param(
+                "in_process", "run_async", id="in_process-run_async",
+                marks=pytest.mark.lock_check,
+            ),
+        ],
+    )
+    def test_kill_after_three_calls_reruns_one_generation(
+        self, host, driver
+    ):
         baseline, baseline_best, baseline_states = self._four_calls(
-            driver, kill=False
+            host, driver, kill=False
         )
-        stats, best, states = self._four_calls(driver, kill=True)
+        stats, best, states = self._four_calls(host, driver, kill=True)
         assert stats.churn.deaths == 1
         assert stats.churn.respawns == 1
         assert stats.churn.lost_generations == 1
@@ -478,6 +504,59 @@ class TestCheckpointCadence:
         assert stats.per_clan_generations == baseline.per_clan_generations
         assert stats.best_fitness == baseline.best_fitness
         assert states == baseline_states
+
+
+@pytest.mark.lock_check
+class TestInProcessHost:
+    """The runtime's supervision on the host CLAN_DDA runs on: faults
+    are plain calls, with no fork and no sleep."""
+
+    GENERATIONS = 3
+
+    def _run(self, chaos=None):
+        with DistributedClanRuntime(
+            "CartPole-v0",
+            n_clans=3,
+            config=NEATConfig.for_env("CartPole-v0", pop_size=24),
+            seed=8,
+            heartbeat_timeout_s=None,
+            respawn_backoff_s=0.0,
+            chaos=chaos,
+            **_in_process(8),
+        ) as runtime:
+            stats = runtime.run(self.GENERATIONS, fitness_threshold=1e9)
+            return stats, runtime.best_genome()
+
+    def test_kill_on_the_second_clan_run_heals_to_the_undisturbed_run(
+        self,
+    ):
+        baseline, baseline_best = self._run()
+        # clan 0's second window is generation 1
+        chaos = ChaosInjector(FaultPlan(faults=(
+            Fault("kill", "worker", at=2, target=0, kind="clan_run"),
+        )))
+        stats, best = self._run(chaos)
+        assert chaos.faults_fired == 1
+        assert (stats.churn.deaths, stats.churn.respawns) == (1, 1)
+        assert stats.records == baseline.records
+        assert encode_genome(best) == encode_genome(baseline_best)
+        # the churn of generation 1 is on its record, and only there
+        assert [
+            (r.clan_deaths, r.clan_respawns) for r in stats.records
+        ] == [(0, 0), (1, 1), (0, 0)]
+        assert [
+            (r.clan_deaths, r.clan_respawns) for r in baseline.records
+        ] == [(0, 0)] * self.GENERATIONS
+
+    def test_records_equal_the_logical_engine(self):
+        stats, best = self._run()
+        engine = make_protocol(
+            "CLAN_DDA", "CartPole-v0", n_agents=3,
+            config=NEATConfig.for_env("CartPole-v0", pop_size=24), seed=8,
+        )
+        result = engine.run(self.GENERATIONS, fitness_threshold=1e9)
+        assert result.records == stats.records
+        assert encode_genome(engine.best_genome) == encode_genome(best)
 
 
 class TestEvaluatorFailures:

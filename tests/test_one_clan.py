@@ -2,7 +2,8 @@
 
 Structure tests for the single generation loop
 (:meth:`repro.neat.population.Population.run_generation`) that serial
-NEAT, the logical CLAN_DDA engine and the worker-hosted clan all drive.
+NEAT and every CLAN_DDA clan drive, and for the one place a clan's
+generation runs (:class:`repro.cluster.transport.ClanSession`).
 
 ``tests/golden/parent_checkpoints.json`` holds a v2 population document
 and a clan checkpoint payload WRITTEN BY COMMIT 048490c — the last one
@@ -159,6 +160,25 @@ class TestOneLoopMechanically:
             "speciate": the_loop,
             "plan_generation": the_loop,
             "execute_plan": the_loop,
+        }
+
+    def test_a_clan_generation_has_one_call_site_the_session(self):
+        # every other caller is a population running itself: an engine
+        # looping over clans would show up here
+        def clan_generation(func):
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "run_generation"
+                and not (
+                    isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "population")
+                )
+            ):
+                return "run_generation"
+            return None
+
+        assert _calls_by_function(clan_generation) == {
+            "run_generation": ["cluster/transport.py::_run"]
         }
 
     def test_clan_twin_and_recipe_copies_are_gone(self):

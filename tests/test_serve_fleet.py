@@ -17,6 +17,7 @@ import zlib
 
 import pytest
 
+from repro.chaos import ChaosInjector, Fault, FaultPlan
 from repro.cluster.serialization import encode_batched_plan
 from repro.neat.config import NEATConfig
 from repro.neat.network import compile_batched
@@ -438,6 +439,33 @@ class TestSelfHealing:
         assert respawns == 1
         assert acked >= seq
         assert {r.champion_version for r in served} == {2}
+
+    def test_corrupt_publish_is_refused_and_repaired_in_place(self, capfd):
+        # the second deployment bound for replica 1 arrives corrupted
+        chaos = ChaosInjector(FaultPlan(faults=(
+            Fault("corrupt", "replica", at=2, target=1, kind="publish"),
+        )))
+
+        async def run():
+            registry = ChampionRegistry(CONFIG)
+            fleet = await _started_fleet(registry, chaos=chaos)
+            registry.publish(CHAMPIONS[1], source="corrupted")
+            # only the deploy-repair loop's resend can satisfy this
+            await fleet.wait_deployed()
+            outcome = (
+                fleet.replica_respawns,
+                fleet._handles[1].acked_seq,
+                registry.seq,
+            )
+            await fleet.close()
+            registry.close()
+            return outcome
+
+        respawns, acked, seq = asyncio.run(run())
+        assert chaos.faults_fired == 1
+        assert respawns == 0
+        assert acked == seq
+        assert capfd.readouterr().err == ""
 
     def test_single_replica_fleet_heals_parked_requests(self):
         async def run():
