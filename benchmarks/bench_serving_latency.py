@@ -164,6 +164,8 @@ def test_serving_latency_speedup(benchmark, report_sink, json_sink):
             "qps_micro_batched": N_REQUESTS / best_s,
             "p50_latency_s": stats.p50_latency_s,
             "p95_latency_s": stats.p95_latency_s,
+            # the raw samples behind p50/p95, in answer order
+            "latency_window_s": stats.latency_window.tolist(),
             "mean_batch_size": stats.mean_batch_size,
             "batch_size_histogram": {
                 str(size): count

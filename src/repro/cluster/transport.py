@@ -592,7 +592,9 @@ class WorkerPool:
         """``evaluator``, when given, hosts every clan in this process
         on that one instance (an :class:`InProcessGroup`, no fork, and
         the evaluator arguments before ``chaos`` are unused); otherwise
-        each clan forks its own copy of an evaluator built here."""
+        each clan forks its own copy of an evaluator built here. A
+        ``chaos`` plan holding a worker ``stall`` or ``drop`` fault is
+        refused (``ValueError``) on the in-process host."""
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.n_workers = n_workers
@@ -617,6 +619,14 @@ class WorkerPool:
                 n_workers, _worker_main, (config, evaluator)
             )
         else:
+            # a hosted clan only heals from a kill: there is no process
+            # to stall, and a dropped command leaves nothing to time out
+            for fault in chaos.plan.faults if chaos is not None else ():
+                if fault.scope == "worker" and fault.action != "kill":
+                    raise ValueError(
+                        f"fault {fault.describe()!r} cannot run on the "
+                        "in-process host: only kill faults heal there"
+                    )
             self._group = InProcessGroup(n_workers, env_id, config, evaluator)
         self._stopped = False
 

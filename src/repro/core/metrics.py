@@ -7,7 +7,7 @@ protocol engines (:mod:`repro.core.protocols`) and by the placement cost
 model (:mod:`repro.core.placement`), and consumed by the analytic timing
 model and the discrete-event simulator in :mod:`repro.cluster`.
 
-The serving-side counterparts live at the bottom: :func:`percentile` and
+The serving-side counterparts live at the bottom: :func:`percentiles` and
 :class:`ServiceStats` summarise what the inference gateway
 (:mod:`repro.serve`) observed — request latencies, throughput, and how
 well micro-batching coalesced traffic.
@@ -15,8 +15,11 @@ well micro-batching coalesced traffic.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.messages import Message, MessageType, breakdown_by_type
 
@@ -27,8 +30,9 @@ class ChurnStats:
 
     Filled by the supervision loop of
     :class:`repro.cluster.runtime.DistributedClanRuntime` (see
-    ``docs/fault_tolerance.md``); logical protocol engines never
-    experience churn and leave every counter at zero.
+    ``docs/fault_tolerance.md``), on either host: the logical
+    ``CLAN_DDA`` engine is that runtime in-process. The other logical
+    engines have no clans to lose and leave every counter at zero.
     """
 
     #: worker processes observed dead (pipe EOF / SIGKILL) or killed
@@ -182,10 +186,10 @@ class RunResult:
     #: is in play)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: device-churn counters over the run: always all-zero here (logical
-    #: engines see no churn; the live runtime's supervision loop fills
-    #: its own copy on :class:`repro.cluster.runtime.RealRunStats`), and
-    #: kept so the ``repro learn`` exposition carries the churn families
+    #: device-churn counters over the run's generations: ``CLAN_DDA``
+    #: fills them from its clan runtime's supervision (a clan that died
+    #: was respawned); the other logical engines have no clans to lose
+    #: and leave them at zero
     churn: ChurnStats = field(default_factory=ChurnStats)
 
     @property
@@ -229,21 +233,33 @@ class RunResult:
 # -- serving-side metrics -----------------------------------------------------
 
 
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``samples`` (``q`` in [0, 100]).
+def percentiles(samples: Sequence[float], *qs: float) -> tuple[float, ...]:
+    """Nearest-rank percentiles ``qs`` (each in [0, 100]) of ``samples``,
+    as Python floats, from one sort.
 
-    Nearest-rank keeps the result an *observed* value (no interpolation
+    Nearest-rank keeps each result an *observed* value (no interpolation
     between two latencies that never happened); empty input yields 0.0 so
     a gateway that has served nothing reports a zeroed summary rather
-    than raising mid-scrape.
+    than raising mid-scrape. The sort is stable, so the result is the
+    one ``sorted(samples)`` would rank there, to the bit.
     """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile {q} outside [0, 100]")
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without math import
-    return ordered[int(rank) - 1]
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ValueError(f"percentile {q} outside [0, 100]")
+    ordered = np.sort(np.asarray(samples, dtype=np.float64), kind="stable")
+    n = len(ordered)
+    if not n:
+        return (0.0,) * len(qs)
+    # rank ceil(n * q / 100), at least 1
+    return tuple(
+        float(ordered[int(max(1, -(-n * q // 100))) - 1]) for q in qs
+    )
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` of ``samples`` (see
+    :func:`percentiles`)."""
+    return percentiles(samples, q)[0]
 
 
 @dataclass(frozen=True)
@@ -277,8 +293,9 @@ class ServiceStats:
     swaps: int = 0
     #: the raw (bounded) latency reservoir behind the percentiles, in
     #: answer order — carried so rollups can merge reservoirs instead
-    #: of averaging per-part percentiles
-    latency_window: tuple[float, ...] = ()
+    #: of averaging per-part percentiles. A float64 column: a full
+    #: 65 536-sample window pickles as 512 KiB of raw bytes
+    latency_window: array = field(default_factory=lambda: array("d"))
 
     @classmethod
     def merge(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
@@ -303,23 +320,24 @@ class ServiceStats:
                 p50_latency_s=0.0,
                 p95_latency_s=0.0,
             )
-        window: list[float] = []
+        window = array("d")
         histogram: dict[int, int] = {}
         for part in parts:
             window.extend(part.latency_window)
             for size, count in part.batch_size_histogram.items():
                 histogram[size] = histogram.get(size, 0) + count
+        p50, p95 = percentiles(window, 50, 95)
         return cls(
             requests=sum(p.requests for p in parts),
             served=sum(p.served for p in parts),
             shed=sum(p.shed for p in parts),
             qps=sum(p.qps for p in parts),
-            p50_latency_s=percentile(window, 50),
-            p95_latency_s=percentile(window, 95),
+            p50_latency_s=p50,
+            p95_latency_s=p95,
             batch_size_histogram=histogram,
             champion_version=max(p.champion_version for p in parts),
             swaps=max(p.swaps for p in parts),
-            latency_window=tuple(window),
+            latency_window=window,
         )
 
     @property

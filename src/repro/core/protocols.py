@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from repro.obs import tracer as obs
 from repro.core.messages import CENTER, Message, MessageType
-from repro.core.metrics import AgentLoad, GenerationRecord, RunResult
+from repro.core.metrics import (
+    AgentLoad,
+    ChurnStats,
+    GenerationRecord,
+    RunResult,
+)
 from repro.core.partition import (
     assign_genomes,
     contiguous_blocks,
@@ -486,7 +491,7 @@ class CLAN_DDA(ProtocolBase):
             heartbeat_timeout_s=None, respawn_backoff_s=0.0,
             evaluator=self.evaluator,
         )
-        self._stats = RealRunStats()  # the churn of every generation
+        self._stats = RealRunStats()  # the churn since run() was called
         self._respawns_used = dict.fromkeys(range(n_agents), 0)
 
     @property
@@ -508,6 +513,14 @@ class CLAN_DDA(ProtocolBase):
 
     def evolve_step(self) -> list:
         return self._barrier()[0]
+
+    def run(self, *args, **kwargs) -> RunResult:
+        """:meth:`ProtocolBase.run`, whose ``churn`` counts the clan
+        deaths and respawns of this call's generations."""
+        self._stats.churn = ChurnStats()
+        result = super().run(*args, **kwargs)
+        result.churn = self._stats.churn
+        return result
 
     def run_generation(self) -> GenerationRecord:
         _steps, record = self._barrier()

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from repro.obs import clock
 from repro.obs import tracer as obs
@@ -57,6 +57,8 @@ except ImportError:  # pragma: no cover - serving requires the numpy engine
 DEFAULT_MAX_BATCH = 32
 #: rows queued ahead of the collector before new ones are shed
 DEFAULT_MAX_PENDING = 4096
+#: answered-row latencies a batcher keeps for its quantiles
+LATENCY_WINDOW = 65536
 
 
 class ServiceClosed(RuntimeError):
@@ -187,10 +189,13 @@ class MicroBatcher:
         self._metrics_lock = threading.Lock()
         #: flush size -> flush count — guarded-by: _metrics_lock
         self.batch_size_histogram: dict[int, int] = {}
-        #: answered-row latencies (bounded window for quantiles)
-        self.latencies_s: deque[float] = deque(  # guarded-by: _metrics_lock
-            maxlen=65536
-        )
+        #: the last ``LATENCY_WINDOW`` answered-row latencies, a float64
+        #: ring: ``_ring_head`` is where the next one goes, and the
+        #: window is the oldest-first ``_ring_count`` entries ending
+        #: just before it (see :attr:`latencies_s`)
+        self._ring = np.zeros(LATENCY_WINDOW)  # guarded-by: _metrics_lock
+        self._ring_head = 0  # guarded-by: _metrics_lock
+        self._ring_count = 0  # guarded-by: _metrics_lock
         #: all three count rows
         self.accepted = 0  # guarded-by: _metrics_lock
         self.served = 0  # guarded-by: _metrics_lock
@@ -364,10 +369,23 @@ class MicroBatcher:
             self.batch_size_histogram[size] = (
                 self.batch_size_histogram.get(size, 0) + 1
             )
+            ring = self._ring
+            head = self._ring_head
             for block, lo, hi in parts:
-                self.latencies_s.extend(
-                    repeat(now - block._submitted_at, hi - lo)
-                )
+                # the block's rows all saw one latency: fill their run
+                # of slots, wrapping at the end of the ring (a run past
+                # a whole ring leaves it all that latency)
+                latency = now - block._submitted_at
+                end = head + hi - lo
+                if end <= LATENCY_WINDOW:
+                    ring[head:end] = latency
+                else:
+                    ring[head:] = latency
+                    end -= LATENCY_WINDOW
+                    ring[:end] = latency
+                head = end % LATENCY_WINDOW
+            self._ring_head = head
+            self._ring_count = min(LATENCY_WINDOW, self._ring_count + size)
             self.served += size
         start = 0
         for block, lo, hi in parts:
@@ -378,18 +396,35 @@ class MicroBatcher:
             if hi == len(block.rows) and not block._future.done():
                 block._future.set_result(block)
 
-    def metrics_snapshot(self) -> tuple[int, int, int, list, dict]:
+    # holds-lock: _metrics_lock
+    def _window(self) -> array:
+        """The ring's latencies oldest first, as a fresh float64 column."""
+        if self._ring_count < LATENCY_WINDOW:
+            return array("d", self._ring[: self._ring_count].tobytes())
+        head = self._ring_head
+        window = array("d", self._ring[head:].tobytes())
+        window.frombytes(self._ring[:head].tobytes())
+        return window
+
+    @property
+    def latencies_s(self) -> array:
+        """The last ``LATENCY_WINDOW`` answered-row latencies (seconds),
+        in answer order: a copy, safe from any thread."""
+        with self._metrics_lock:
+            return self._window()
+
+    def metrics_snapshot(self) -> tuple[int, int, int, array, dict]:
         """Coherent ``(accepted, served, shed, latencies, histogram)``.
 
         Safe from any thread — the same lock that guards flush-side
-        updates guards the copies, so a scraper never iterates a deque
-        or dict mid-mutation.
+        updates guards the copies, so a scraper never reads the ring or
+        the dict mid-mutation. ``latencies`` is :attr:`latencies_s`.
         """
         with self._metrics_lock:
             return (
                 self.accepted,
                 self.served,
                 self.shed,
-                list(self.latencies_s),
+                self._window(),
                 dict(self.batch_size_histogram),
             )

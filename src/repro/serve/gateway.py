@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.core.metrics import ServiceStats, percentile
+from repro.core.metrics import ServiceStats, percentiles
 from repro.obs import clock
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
@@ -116,17 +116,18 @@ class InferenceGateway:
         accepted, served, shed, latencies, histogram = (
             self._batcher.metrics_snapshot()
         )
+        p50, p95 = percentiles(latencies, 50, 95)
         return ServiceStats(
             requests=accepted,
             served=served,
             shed=shed,
             qps=served / elapsed if elapsed > 0 else 0.0,
-            p50_latency_s=percentile(latencies, 50),
-            p95_latency_s=percentile(latencies, 95),
+            p50_latency_s=p50,
+            p95_latency_s=p95,
             batch_size_histogram=histogram,
             champion_version=self.registry.version,
             swaps=self.registry.swaps,
             # raw reservoir rides along so fleet rollups can re-rank
             # merged samples instead of averaging percentiles
-            latency_window=tuple(latencies),
+            latency_window=latencies,
         )

@@ -7,6 +7,13 @@ the current champion. Every publish pre-compiles the genome once through
 evaluation stack uses — so the serving hot path never compiles, and a
 swap is a single reference assignment under a lock: readers either see
 the old champion or the new one, never a half-built record.
+
+State stays bounded by what can be served: a record holds its genome as
+canonical wire bytes, and only the current record and the
+``rollback_depth`` records it can roll back to are kept compiled (plan
+and executor). Every other version keeps what attributes it and its
+genome wire, from which :meth:`ChampionRegistry.record_for` rebuilds
+the record on demand.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.cluster.serialization import decode_genome, encode_genome
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import (
@@ -46,9 +54,11 @@ class ChampionRecord:
 
     #: monotonically increasing deployment version (1 = first publish)
     version: int
-    #: the champion genome (copied at publish; later mutation of the
-    #: source genome cannot corrupt a deployed record)
-    genome: Genome
+    #: the champion genome's canonical wire bytes
+    #: (:func:`~repro.cluster.serialization.encode_genome`, taken at
+    #: publish: later mutation of the source genome cannot corrupt a
+    #: deployed record)
+    genome_wire: bytes
     #: fitness the genome was promoted with (-inf for bootstrap deploys)
     fitness: float
     #: evolution generation that produced it (-1 for bootstrap deploys)
@@ -62,6 +72,11 @@ class ChampionRecord:
     #: config the plan was compiled against
     config: NEATConfig
 
+    @property
+    def genome(self) -> Genome:
+        """A fresh copy of the champion genome, decoded from its wire."""
+        return decode_genome(self.genome_wire)
+
     def scalar_network(self) -> FeedForwardNetwork:
         """A fresh reference interpreter for this champion.
 
@@ -70,6 +85,18 @@ class ChampionRecord:
         :mod:`repro.neat.network`.
         """
         return FeedForwardNetwork.create(self.genome, self.config)
+
+
+@dataclass(frozen=True, slots=True)
+class _Published:
+    """What every published version keeps for its whole life, by
+    version: the record's attribution fields and its genome's canonical
+    wire bytes (:func:`~repro.cluster.serialization.encode_genome`)."""
+
+    fitness: float
+    generation: int
+    source: str
+    genome_wire: bytes
 
 
 class Subscription:
@@ -124,11 +151,11 @@ class ChampionRegistry:
         self.plan_cache = PlanCache(maxsize=64)
         self._lock = threading.Lock()
         self._current: ChampionRecord | None = None  # guarded-by: _lock
-        #: every record ever published, by version — parity checkers
-        #: resolve the champion a response was served by from this map
-        self._records: dict[int, ChampionRecord] = {}  # guarded-by: _lock
         #: previously deployed records, oldest first (bounded)
         self._rollback: list[ChampionRecord] = []  # guarded-by: _lock
+        #: every version ever published, compact — parity checkers
+        #: resolve the champion a response was served by from this map
+        self._published: dict[int, _Published] = {}  # guarded-by: _lock
         self._next_version = 1  # guarded-by: _lock
         self._rollbacks = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -150,6 +177,7 @@ class ChampionRegistry:
         """
         plan = compile_batched(genome, self.config, cache=self.plan_cache)
         network = BatchedFeedForwardNetwork(plan)
+        genome_wire = encode_genome(genome)
         if fitness is None:
             fitness = (
                 genome.fitness
@@ -161,7 +189,7 @@ class ChampionRegistry:
                 raise RegistryClosed("registry is closed")
             record = ChampionRecord(
                 version=self._next_version,
-                genome=genome.copy(),
+                genome_wire=genome_wire,
                 fitness=fitness,
                 generation=generation,
                 source=source,
@@ -172,8 +200,11 @@ class ChampionRegistry:
             self._next_version += 1
             if self._current is not None:
                 self._rollback.append(self._current)
-                del self._rollback[: -self.rollback_depth]
-            self._records[record.version] = record
+                if len(self._rollback) > self.rollback_depth:
+                    del self._rollback[0]
+            self._published[record.version] = _Published(
+                fitness, generation, source, genome_wire
+            )
             self._current = record
             subscribers = self._enqueue_deployment(record)
         self._deliver(subscribers)
@@ -190,14 +221,33 @@ class ChampionRegistry:
 
     def record_for(self, version: int) -> ChampionRecord:
         """Look up any ever-published record by version (for parity
-        checks against responses served by an older champion)."""
+        checks against responses served by an older champion).
+
+        The current record and the rollback stack's are returned as
+        deployed. Any other version is rebuilt, outside the lock, from
+        its genome wire: a fresh record per call, whose plan encodes to
+        the same bytes as the one compiled at publish.
+        """
         with self._lock:
-            try:
-                return self._records[version]
-            except KeyError:
-                raise LookupError(
-                    f"no champion record for version {version}"
-                ) from None
+            for record in (self._current, *self._rollback):
+                if record is not None and record.version == version:
+                    return record
+            published = self._published.get(version)
+        if published is None:
+            raise LookupError(f"no champion record for version {version}")
+        plan = compile_batched(
+            decode_genome(published.genome_wire), self.config
+        )
+        return ChampionRecord(
+            version=version,
+            genome_wire=published.genome_wire,
+            fitness=published.fitness,
+            generation=published.generation,
+            source=published.source,
+            plan=plan,
+            network=BatchedFeedForwardNetwork(plan),
+            config=self.config,
+        )
 
     def rollback(self) -> ChampionRecord:
         """Redeploy the previously deployed champion.

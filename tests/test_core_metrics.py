@@ -1,5 +1,12 @@
 """Tests for generation records and run summaries."""
 
+from array import array
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.core.messages import CENTER, Message, MessageType
 from repro.core.metrics import (
     AgentLoad,
@@ -7,6 +14,7 @@ from repro.core.metrics import (
     RunResult,
     ServiceStats,
     percentile,
+    percentiles,
 )
 
 
@@ -123,7 +131,7 @@ def service_stats(
         batch_size_histogram=histogram or {},
         champion_version=version,
         swaps=swaps,
-        latency_window=tuple(latencies),
+        latency_window=array("d", latencies),
     )
 
 
@@ -133,14 +141,14 @@ class TestServiceStatsMerge:
         assert merged.requests == merged.served == merged.shed == 0
         assert merged.qps == 0.0
         assert merged.p50_latency_s == merged.p95_latency_s == 0.0
-        assert merged.latency_window == ()
+        assert tuple(merged.latency_window) == ()
 
     def test_none_parts_are_skipped(self):
         merged = ServiceStats.merge(
             [None, service_stats([0.1, 0.2]), None]
         )
         assert merged.served == 2
-        assert merged.latency_window == (0.1, 0.2)
+        assert tuple(merged.latency_window) == (0.1, 0.2)
 
     def test_counters_and_qps_sum(self):
         merged = ServiceStats.merge(
@@ -184,7 +192,7 @@ class TestServiceStatsMerge:
         assert merged.served == 2
         assert merged.p95_latency_s == 0.3
         # windows concatenate in part order, not sorted
-        assert merged.latency_window == (0.3, 0.1)
+        assert tuple(merged.latency_window) == (0.3, 0.1)
 
     def test_histograms_add_per_batch_size(self):
         merged = ServiceStats.merge(
@@ -222,3 +230,65 @@ class TestServiceStatsMerge:
         assert sorted(nested.latency_window) == sorted(
             flat.latency_window
         )
+
+
+def sorted_percentile(samples, q: float) -> float:
+    """The nearest-rank reference: rank ``ceil(n * q / 100)`` of
+    ``sorted(samples)``, 0.0 for no samples."""
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    rank = max(1, -(-len(ordered) * q // 100))
+    return ordered[int(rank) - 1]
+
+
+def exact(values) -> list[str]:
+    """Bit-exact form of floats (tells -0.0 from 0.0)."""
+    return [float(value).hex() for value in values]
+
+
+quantiles = st.lists(
+    st.floats(min_value=0, max_value=100), min_size=1, max_size=4
+)
+
+
+class TestPercentilesProperty:
+    """One stable NumPy sort ranks exactly as ``sorted()`` does."""
+
+    @given(
+        samples=st.lists(st.floats(allow_nan=False), max_size=200),
+        qs=quantiles,
+    )
+    @example(samples=[], qs=[50.0, 95.0])
+    @example(samples=[0.25], qs=[0.0, 50.0, 100.0])
+    @example(samples=[0.0, -0.0, 0.0, -0.0], qs=[25.0, 50.0, 75.0])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_the_sorted_nearest_rank(self, samples, qs):
+        got = percentiles(samples, *qs)
+        assert all(type(value) is float for value in got)
+        expected = [sorted_percentile(samples, q) for q in qs]
+        assert exact(got) == exact(expected)
+        # the same from the buffers the serving path hands it
+        assert percentiles(array("d", samples), *qs) == got
+        assert percentiles(np.array(samples, dtype=float), *qs) == got
+
+    @given(
+        # many equal keys, signed zeros among them: an unstable sort
+        # would hand back -0.0 where sorted() ranks 0.0
+        samples=st.lists(
+            st.sampled_from([-0.0, 0.0, 0.001, 0.002, 0.5]), max_size=600
+        ),
+        qs=quantiles,
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_duplicates_rank_as_sorted(self, samples, qs):
+        expected = [sorted_percentile(samples, q) for q in qs]
+        assert exact(percentiles(samples, *qs)) == exact(expected)
+
+    def test_percentile_is_the_single_quantile(self):
+        samples = [0.3, 0.1, 0.2]
+        assert percentile(samples, 50) == percentiles(samples, 50)[0]
+
+    def test_out_of_range_quantile_raises(self):
+        with pytest.raises(ValueError):
+            percentiles([1.0], 50, 100.5)

@@ -558,6 +558,35 @@ class TestInProcessHost:
         assert result.records == stats.records
         assert encode_genome(engine.best_genome) == encode_genome(best)
 
+    def test_engine_run_reports_the_churn_of_its_own_call(self):
+        engine = make_protocol(
+            "CLAN_DDA", "CartPole-v0", n_agents=2,
+            config=NEATConfig.for_env("CartPole-v0", pop_size=16), seed=4,
+        )
+        first = engine.run(1, fitness_threshold=1e9)
+        engine._runtime.pool.kill(0)
+        second = engine.run(2, fitness_threshold=1e9)
+        third = engine.run(1, fitness_threshold=1e9)
+        assert not first.churn
+        assert (second.churn.deaths, second.churn.respawns) == (1, 1)
+        assert not third.churn
+
+    @pytest.mark.parametrize("action", ["stall", "drop"])
+    def test_unhealable_faults_are_refused_before_any_clan_runs(
+        self, action
+    ):
+        fault = Fault(
+            action, "worker", at=2, target=0, kind="clan_run",
+            value=1.0 if action == "stall" else 0.0,
+        )
+        chaos = ChaosInjector(FaultPlan(faults=(fault,)))
+        with pytest.raises(ValueError, match=f"{action} worker 0"):
+            WorkerPool(
+                2, "CartPole-v0", NEATConfig.for_env("CartPole-v0"),
+                chaos=chaos, **_in_process(8),
+            )
+        assert chaos.faults_fired == 0
+
 
 class TestEvaluatorFailures:
     def test_broken_evaluator_stops_engine(self, config):

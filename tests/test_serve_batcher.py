@@ -7,11 +7,14 @@ identical to running each request alone through the champion's scalar
 """
 
 import asyncio
+import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import percentiles
 from repro.neat.config import NEATConfig
 from repro.neat.network import (
     BatchedFeedForwardNetwork,
@@ -23,8 +26,10 @@ from repro.serve import (
     ServedAction,
     ServiceClosed,
 )
+from repro.serve.batcher import LATENCY_WINDOW
 
 from tests.conftest import make_evolved_genome
+from tests.test_core_metrics import exact, sorted_percentile
 
 pytestmark = pytest.mark.lock_check
 
@@ -157,6 +162,67 @@ class TestCoalescing:
         batcher = asyncio.run(run())
         assert len(batcher.latencies_s) == 6
         assert all(latency >= 0 for latency in batcher.latencies_s)
+
+
+class TestLatencyWindowProperty:
+    """Past ``LATENCY_WINDOW`` answered rows the batcher keeps the last
+    ``LATENCY_WINDOW`` latencies in answer order — what a deque with
+    that ``maxlen`` kept — and ranks them as ``sorted()`` does."""
+
+    @given(
+        lead=st.integers(min_value=1, max_value=9000),
+        tail=st.lists(
+            st.integers(min_value=1, max_value=9000), max_size=4
+        ),
+        max_batch=st.integers(min_value=64, max_value=8192),
+    )
+    # a flush boundary off the ring's end: one block's run wraps
+    @example(lead=1, tail=[], max_batch=100)
+    # one flush, whose first run is longer than the ring
+    @example(lead=LATENCY_WINDOW + 3, tail=[5], max_batch=2**18)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_window_is_the_newest_rows_in_answer_order(
+        self, lead, tail, max_batch
+    ):
+        sizes = [lead, LATENCY_WINDOW] + tail
+        flushes = itertools.count()
+
+        def infer(observations):
+            # the flush number stands in for the version: every run of a
+            # block then says which flush answered it
+            return next(flushes), np.zeros(len(observations), np.int64)
+
+        async def run():
+            batcher = MicroBatcher(
+                infer, max_batch=max_batch, max_pending=sum(sizes)
+            )
+            await batcher.start()
+            futures = [
+                batcher.enqueue_block(np.zeros((size, 4))) for size in sizes
+            ]
+            blocks = await asyncio.gather(*futures)
+            await batcher.close()
+            return batcher, blocks
+
+        batcher, blocks = asyncio.run(run())
+        # rows answered by one flush sit in block order within it
+        runs = sorted(
+            (flush, index, len(actions), latency)
+            for index, block in enumerate(blocks)
+            for actions, flush, _size, latency in block.runs
+        )
+        answered = [
+            latency for _, _, rows, latency in runs for _ in range(rows)
+        ]
+        assert len(answered) == sum(sizes) > LATENCY_WINDOW
+        window = batcher.latencies_s
+        assert exact(window) == exact(answered[-LATENCY_WINDOW:])
+        got = percentiles(window, 50, 95)
+        assert exact(got) == exact(
+            sorted_percentile(answered[-LATENCY_WINDOW:], q)
+            for q in (50, 95)
+        )
+        assert batcher.metrics_snapshot()[3] == window
 
 
 class TestBackpressure:

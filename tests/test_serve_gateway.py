@@ -1,7 +1,9 @@
 """Gateway behaviour: stats, hot-swap between batches, drain-on-close."""
 
 import asyncio
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import percentile
@@ -12,6 +14,7 @@ from repro.serve import (
     RegistryClosed,
     ServiceClosed,
 )
+from repro.serve.batcher import LATENCY_WINDOW
 
 from tests.conftest import make_evolved_genome
 
@@ -77,6 +80,26 @@ class TestStats:
         assert percentile([], 50) == 0.0
         with pytest.raises(ValueError):
             percentile(samples, 101)
+
+    def test_full_reservoir_pickles_as_a_raw_column(self):
+        """A stats reply crosses a replica's pipe pickled: a full
+        window costs its 8-byte samples and little else."""
+        rows = LATENCY_WINDOW + 1000
+
+        async def run():
+            gateway = InferenceGateway(_registry(), max_pending=rows)
+            await gateway.start()
+            await gateway.enqueue_block(np.zeros((rows, 4)))
+            stats = gateway.stats()
+            await gateway.close()
+            return stats
+
+        stats = asyncio.run(run())
+        assert stats.served == rows
+        assert len(stats.latency_window) == LATENCY_WINDOW
+        wire = pickle.dumps(stats, pickle.HIGHEST_PROTOCOL)
+        assert len(wire) <= LATENCY_WINDOW * 8 + 4096
+        assert pickle.loads(wire) == stats
 
 
 class TestHotSwap:

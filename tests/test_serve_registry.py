@@ -1,14 +1,18 @@
 """Tests for the versioned champion registry (hot-swap + rollback)."""
 
+import gc
+import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.serialization import encode_batched_plan, encode_genome
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
-from repro.serve import ChampionRegistry, RegistryClosed
+from repro.serve import ChampionRecord, ChampionRegistry, RegistryClosed
 
 from tests.conftest import make_evolved_genome
 
@@ -145,6 +149,14 @@ class TestRollback:
         registry.rollback()
         with pytest.raises(LookupError):
             registry.rollback()
+
+    def test_zero_depth_keeps_no_stack(self, config, genomes):
+        registry = ChampionRegistry(config, rollback_depth=0)
+        for genome in genomes:
+            registry.publish(genome)
+        with pytest.raises(LookupError):
+            registry.rollback()
+        assert _live_records(config) == 1
 
     def test_swaps_counts_promotions_and_rollbacks(self, config, genomes):
         registry = ChampionRegistry(config)
@@ -336,3 +348,175 @@ class TestSubscriberOrderingThreaded:
         assert seqs == list(range(1, 9))
         versions = sorted(version for _, version in delivered)
         assert versions == list(range(1, 9))
+
+
+# -- retention: compiled state only for what can be served --------------------
+
+#: retained bytes a retired version may cost beyond its genome wire
+#: (its attribution entry and its share of the version map)
+RETIRED_OVERHEAD_BYTES = 512
+
+
+def _live_records(config) -> int:
+    """ChampionRecords alive in this process for ``config`` — each one
+    holds a genome, a compiled plan and its executor."""
+    gc.collect()
+    return sum(
+        isinstance(obj, ChampionRecord) and obj.config is config
+        for obj in gc.get_objects()
+    )
+
+
+_OBSERVATIONS = [[0.1, -0.2, 0.3, -0.4], [1.0, 1.0, -1.0, 0.5]]
+
+
+class TestRetention:
+    def test_retired_versions_rebuild_to_their_published_plans(
+        self, config, genomes
+    ):
+        registry = ChampionRegistry(config, rollback_depth=1)
+        published = {}
+        for genome in genomes * 2:
+            record = registry.publish(genome)
+            published[record.version] = (
+                encode_batched_plan(record.plan),
+                [record.scalar_network().activate(o) for o in _OBSERVATIONS],
+            )
+        del record
+        assert _live_records(config) == 2
+        for version, (plan, outputs) in published.items():
+            rebuilt = registry.record_for(version)
+            assert rebuilt.version == version
+            assert encode_batched_plan(rebuilt.plan) == plan
+            scalar = rebuilt.scalar_network()
+            assert [scalar.activate(o) for o in _OBSERVATIONS] == outputs
+            assert rebuilt.network.policy_batch(_OBSERVATIONS).tolist() == [
+                scalar.policy(o) for o in _OBSERVATIONS
+            ]
+
+    def test_a_rolled_away_version_keeps_its_attribution(
+        self, config, genomes
+    ):
+        registry = ChampionRegistry(config)
+        registry.publish(genomes[0], generation=3, source="clan0")
+        bad = registry.publish(
+            genomes[1], fitness=9.5, generation=4, source="clan1"
+        )
+        registry.rollback()
+        rebuilt = registry.record_for(bad.version)
+        assert rebuilt is not bad
+        assert (
+            rebuilt.fitness, rebuilt.generation, rebuilt.source
+        ) == (9.5, 4, "clan1")
+        assert encode_genome(rebuilt.genome) == encode_genome(bad.genome)
+
+    def test_soak_keeps_compiled_state_to_the_rollback_window(
+        self, config, monkeypatch
+    ):
+        """10 000 publishes, no fleet, no wall clock: what the registry
+        keeps per retired version is its genome wire plus a bounded
+        entry, and the rollback window still redeploys as compiled."""
+        genomes = list(Population(config, seed=0).genomes.values())
+        registry = ChampionRegistry(config)
+        first = registry.publish(genomes[0])
+        first_plan = encode_batched_plan(first.plan)
+        first_outputs = [
+            first.scalar_network().activate(o) for o in _OBSERVATIONS
+        ]
+        del first
+        for i in range(1, 1000):
+            registry.publish(genomes[i % len(genomes)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1000, 10000):
+                registry.publish(genomes[i % len(genomes)])
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        wire = max(len(encode_genome(genome)) for genome in genomes)
+        assert growth < 9000 * (wire + RETIRED_OVERHEAD_BYTES)
+        assert _live_records(config) <= registry.rollback_depth + 1
+
+        rebuilt = registry.record_for(1)
+        assert encode_batched_plan(rebuilt.plan) == first_plan
+        scalar = rebuilt.scalar_network()
+        assert [scalar.activate(o) for o in _OBSERVATIONS] == first_outputs
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("a rollback compiled")
+
+        monkeypatch.setattr(
+            "repro.serve.registry.compile_batched", no_compile
+        )
+        for version in range(9999, 9999 - registry.rollback_depth, -1):
+            restored = registry.rollback()
+            assert restored.version == version
+            assert restored.network.plan is restored.plan
+        with pytest.raises(LookupError):
+            registry.rollback()
+
+    def test_record_for_races_publishes_and_rollbacks(self, config):
+        """Readers resolving versions while two threads publish and
+        roll back always get the plan that version was published with,
+        whether it is deployable or retired at that moment."""
+        genomes = [
+            make_evolved_genome(config, seed=seed, mutations=10, key=seed)
+            for seed in range(4)
+        ]
+        registry = ChampionRegistry(config, rollback_depth=2)
+        plans: dict[int, bytes] = {}
+        plans_lock = threading.Lock()
+        done = threading.Event()
+        errors = []
+
+        def publisher(offset):
+            try:
+                for i in range(60):
+                    record = registry.publish(genomes[(i + offset) % 4])
+                    with plans_lock:
+                        plans[record.version] = encode_batched_plan(
+                            record.plan
+                        )
+                    if i % 7 == 6:
+                        registry.rollback()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def reader():
+            checked = 0
+            try:
+                while not done.is_set() or not checked:
+                    with plans_lock:
+                        known = list(plans.items())
+                    for version, plan in known[-5:]:
+                        record = registry.record_for(version)
+                        assert record.version == version
+                        assert encode_batched_plan(record.plan) == plan
+                        checked += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            publishers = [
+                threading.Thread(target=publisher, args=(offset,))
+                for offset in range(2)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for thread in publishers + readers:
+                thread.start()
+            for thread in publishers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in publishers + readers)
+        assert not errors
+        assert sorted(plans) == list(range(1, 121))
+        assert _live_records(config) <= registry.rollback_depth + 1
