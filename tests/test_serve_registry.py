@@ -359,7 +359,7 @@ RETIRED_OVERHEAD_BYTES = 512
 
 def _live_records(config) -> int:
     """ChampionRecords alive in this process for ``config`` — each one
-    holds a genome, a compiled plan and its executor."""
+    holds a compiled plan and its executor."""
     gc.collect()
     return sum(
         isinstance(obj, ChampionRecord) and obj.config is config
